@@ -13,7 +13,7 @@ schemes trade main-lobe width against side/grating lobes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

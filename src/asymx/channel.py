@@ -27,7 +27,6 @@ class ArrayGeometry:
 
     num_transmit: int
     spacing: float = 0.5
-    carrier_hz: float | None = None
 
     def __post_init__(self) -> None:
         if self.num_transmit < 1:

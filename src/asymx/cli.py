@@ -85,17 +85,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers is not None:
             values["workers"] = str(args.workers)
         config = config_from_values(values)
-    except ConfigError as exc:
-        print(f"asymx: error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         result = run(config, args.out)
     except ConfigError as exc:
         print(f"asymx: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"asymx: runtime failure: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"asymx: error: {exc}", file=sys.stderr)
         return 1
 
     out_path = Path(args.out) / f"{config.experiment.replace('-', '_')}.csv"

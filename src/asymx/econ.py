@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 COMPONENTS = (
     "pa",
     "pa_driver",

@@ -1,9 +1,15 @@
 """Experiment orchestration: config parsing, seeding, Monte Carlo, CSV.
 
-Every metric cell is a pure function of (config, master seed): each trial
-derives its own random streams from the master seed by counter, so trials
-can run serially or on a thread pool with identical results, and a run
-executed twice writes byte-identical CSV.
+Every metric cell is a pure function of (config, master seed).  The Monte
+Carlo experiments share one trial pipeline: a trial draws every user's
+paths once, builds each setup's selection and channels once, makes one
+pilot estimate per (setup, SNR) and one transfer per algorithm, and
+reduces that one draw to every cell, so the cells of a trial are paired.
+
+Streams come from ``seed_stream(master_seed, trial, tag, index)``, a key of
+fixed length whose tag names the draw: user paths, or a setup's selection
+or pilot noise.  Trials share no state, so serial and threaded runs agree
+and a run executed twice writes byte-identical CSV.
 
 Config files are flat ``key = value`` text with ``#`` comments and an
 ``include <path>`` directive (resolved relative to the including file;
@@ -15,13 +21,14 @@ from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from .arrays import array_factor
+from .arrays import AntennaSelection, array_factor
 from .channel import (
     ArrayGeometry,
     ChannelMatrix,
@@ -34,6 +41,7 @@ from .downlink import downlink_se, mrt_precoder, nmse, zf_precoder
 from .econ import Architecture, HardwareProfile, cost, energy_efficiency, power
 from .transfer import (
     TransferConfig,
+    TransferResult,
     default_threshold,
     dft_transfer,
     mnomp_transfer,
@@ -62,6 +70,9 @@ EXPERIMENTS = (
     "cost-table",
 )
 SYSTEMS = ("asym", "full_digital_m", "full_digital_n", "perfect_csi_m")
+
+# Stream tags, the third field of every seed_stream key.
+_PATHS, _SELECTION, _NOISE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _require(self.experiment in EXPERIMENTS, "experiment",
                  f"must be one of {', '.join(EXPERIMENTS)}")
+        for name in ("num_receive", "selection", "algorithm", "snr_db",
+                     "systems"):
+            _require(len(getattr(self, name)) > 0, name,
+                     "needs at least one value")
         _require(self.num_transmit >= 1, "num_transmit", "must be positive")
         for n in self.num_receive:
             _require(1 <= n <= self.num_transmit, "num_receive",
@@ -154,6 +169,17 @@ class ExperimentConfig:
         _require(self.grid_points >= 16, "grid_points", "must be >= 16")
         _require(self.workers >= 1, "workers", "must be positive")
         _require(self.master_seed >= 0, "master_seed", "must be non-negative")
+        # zero forcing inverts the K x K Gram matrix of an N-antenna channel:
+        # in detection, and in precoding for the N-antenna full digital BS
+        se_link = self.link if self.experiment == "se" else None
+        zf_on_n = (
+            (self.detector == "zf"
+             and (self.experiment == "ee" or se_link == "uplink"))
+            or (self.precoder == "zf"
+                and (self.experiment == "ee" or (
+                    se_link == "downlink" and "full_digital_n" in self.systems))))
+        _require(not zf_on_n or self.num_users <= self.num_receive[0],
+                 "num_users", "zero forcing needs num_users <= num_receive")
 
 
 @dataclass(frozen=True)
@@ -183,35 +209,40 @@ class ConfigError(ValueError):
 
 
 def seed_stream(
-    master_seed: int, trial_index: int, user_index: int = 0
+    master_seed: int, trial_index: int, tag: int, index: int = 0
 ) -> np.random.Generator:
-    """Independent, reproducible stream for one (trial, user) cell.
+    """Independent, reproducible stream for one tagged draw of one trial.
 
-    The triple seeds a SeedSequence directly, so streams are decorrelated
-    by construction and derivable in any order (counter style, no state
-    shared between trials).
+    The key (master_seed, trial, tag, index) seeds a SeedSequence directly,
+    so streams are decorrelated by construction and derivable in any order
+    (counter style, no state shared between trials).  Every key has four
+    fields: NumPy pads shorter entropy with zeros, so keys of mixed length
+    could alias.
     """
-    seq = np.random.SeedSequence((master_seed, trial_index, user_index))
+    seq = np.random.SeedSequence((master_seed, trial_index, tag, index))
     return np.random.Generator(np.random.PCG64(seq))
 
 
 def parse_config_text(
-    text: str, base_dir: Path | None = None
+    text: str, base_dir: Path | None = None, _including: tuple = ()
 ) -> dict[str, str]:
-    """Flat key=value parse with include resolution; later keys win."""
+    """Flat key=value parse with include resolution; later keys win.
+
+    ``_including`` holds the files whose includes led here (cycle check).
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("include"):
+        if line.split(None, 1)[0] == "include":
             target = line[len("include"):].strip()
             if not target:
                 raise ConfigError(f"line {lineno}: include needs a path")
             path = Path(target)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            values.update(load_config_values(path))
+            values.update(load_config_values(path, _including))
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
@@ -220,11 +251,16 @@ def parse_config_text(
     return values
 
 
-def load_config_values(path: str | Path) -> dict[str, str]:
+def load_config_values(path: str | Path,
+                       _including: tuple = ()) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(), base_dir=p.parent)
+    if p.resolve() in _including:
+        raise ConfigError(f"config file {p}: include cycle, the file "
+                          "includes itself")
+    return parse_config_text(p.read_text(), base_dir=p.parent,
+                             _including=(*_including, p.resolve()))
 
 
 _LIST_STR_FIELDS = {"selection", "algorithm", "systems"}
@@ -335,7 +371,7 @@ def _run_beam_pattern(cfg: ExperimentConfig) -> ExperimentResult:
     grid = np.linspace(-1.0, 1.0, cfg.grid_points)
     rows = []
     for kind in cfg.selection:
-        rng = seed_stream(cfg.master_seed, 0, 0)
+        rng = seed_stream(cfg.master_seed, 0, _SELECTION, 0)
         sel = make_selection(kind, cfg.num_transmit, n, rng, cfg.pinned_random)
         mags = array_factor(sel, grid, cfg.spacing)
         for w, mag in zip(grid, mags):
@@ -381,23 +417,6 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _transfer_config(cfg: ExperimentConfig, algorithm: str,
-                     num_receive: int, pilot_power: float) -> TransferConfig:
-    threshold = cfg.threshold
-    if threshold is None:
-        threshold = default_threshold(num_receive, pilot_power)
-    oversampling = (cfg.oversampling_dft if algorithm == "dft"
-                    else cfg.oversampling_mnomp)
-    return TransferConfig(
-        oversampling=oversampling,
-        threshold=threshold,
-        newton_rounds=cfg.newton_rounds,
-        cyclic_rounds=cfg.cyclic_rounds,
-        max_paths=cfg.max_paths,
-        regularizer=cfg.regularizer,
-    )
-
-
 def _linear(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
@@ -417,7 +436,8 @@ def _user_paths(cfg: ExperimentConfig, trial: int) -> list[PathSet]:
               if cfg.path_powers is not None else None)
     return [
         draw_path_set(cfg.paths_per_user, lo, hi,
-                      seed_stream(cfg.master_seed, trial, 1 + user), powers)
+                      seed_stream(cfg.master_seed, trial, _PATHS, user),
+                      powers)
         for user in range(cfg.num_users)
     ]
 
@@ -434,6 +454,125 @@ def _estimate(cfg: ExperimentConfig, h_up: ChannelMatrix, pilot_power: float,
     return estimate_lmmse(y, pilots)
 
 
+def _transfer(cfg: ExperimentConfig, algorithm: str, est: ChannelMatrix,
+              sel: AntennaSelection, geometry: ArrayGeometry,
+              pilot_power: float) -> list[TransferResult]:
+    """Every user's downlink rebuilt from its uplink estimate."""
+    tconf = TransferConfig(
+        oversampling=(cfg.oversampling_dft if algorithm == "dft"
+                      else cfg.oversampling_mnomp),
+        threshold=(cfg.threshold if cfg.threshold is not None
+                   else default_threshold(sel.num_receive, pilot_power)),
+        newton_rounds=cfg.newton_rounds,
+        cyclic_rounds=cfg.cyclic_rounds,
+        max_paths=cfg.max_paths,
+        regularizer=cfg.regularizer,
+    )
+    transfer = dft_transfer if algorithm == "dft" else mnomp_transfer
+    return [transfer(est.data[:, k], sel, geometry, tconf)
+            for k in range(cfg.num_users)]
+
+
+def _downlink_system_se(cfg: ExperimentConfig, down_est: np.ndarray,
+                        h_down: ChannelMatrix, power: float) -> float:
+    """System SE of precoding on a K x M downlink estimate; a user whose
+    estimate fell below the transfer threshold gets no beam and zero rate."""
+    active = np.linalg.norm(down_est, axis=1) > 0.0
+    if not np.any(active):
+        return 0.0
+    precode = zf_precoder if cfg.precoder == "zf" else mrt_precoder
+    w = precode(ChannelMatrix(down_est[active], "downlink"))
+    _, system_se = downlink_se(h_down.data[active], w, power)
+    return system_se
+
+
+_EE_SYSTEMS = ("asym", "full_digital_m", "full_digital_n")
+
+
+def _system_array(cfg: ExperimentConfig, system: str) -> tuple[str, int, int]:
+    """The (selection kind, M, N) array a system under test uses."""
+    m, n = cfg.num_transmit, cfg.num_receive[0]
+    return {
+        "asym": (cfg.selection[0], m, n),
+        "full_digital_m": ("successive", m, m),
+        # the N-antenna full digital BS is a smaller array of its own
+        "full_digital_n": ("successive", n, n),
+        # perfect CSI needs only the M-antenna downlink channel
+        "perfect_csi_m": ("successive", m, m),
+    }[system]
+
+
+def _setups(cfg: ExperimentConfig) -> dict[tuple, tuple[str, ...]]:
+    """The (selection kind, M, N) arrays a trial builds, in stream order.
+
+    Each maps to the systems it serves (downlink se and ee); for
+    transfer-nmse and uplink se a setup is its own sweep cell.
+    """
+    m, n = cfg.num_transmit, cfg.num_receive[0]
+    if cfg.experiment == "transfer-nmse":
+        return {(kind, m, rx): () for kind in cfg.selection
+                for rx in cfg.num_receive}
+    if cfg.experiment == "se" and cfg.link == "uplink":
+        return {(kind, m, n): () for kind in cfg.selection}
+    setups: dict[tuple, tuple[str, ...]] = {}
+    for system in _EE_SYSTEMS if cfg.experiment == "ee" else cfg.systems:
+        array = _system_array(cfg, system)
+        setups[array] = setups.get(array, ()) + (system,)
+    return setups
+
+
+def _trial(cfg: ExperimentConfig, setups: dict, trial: int) -> dict:
+    """Every cell's samples from one trial: one draw, reduced many ways."""
+    paths = _user_paths(cfg, trial)
+    uplink = cfg.experiment == "ee" or cfg.link == "uplink"
+    downlink = cfg.experiment == "ee" or cfg.link == "downlink"
+    samples: dict[tuple, tuple[float, ...]] = {}
+    for index, ((kind, m, n), systems) in enumerate(setups.items()):
+        geometry = ArrayGeometry(m, cfg.spacing)
+        sel = make_selection(
+            kind, m, n, seed_stream(cfg.master_seed, trial, _SELECTION, index),
+            cfg.pinned_random)
+        h_up, h_down = user_channels(paths, sel, geometry)
+        noise = seed_stream(cfg.master_seed, trial, _NOISE, index)
+        for snr in cfg.snr_db:
+            pilot_power, data_power, down_power = _powers(cfg, snr)
+            est = _estimate(cfg, h_up, pilot_power, noise)
+            if cfg.experiment == "transfer-nmse":
+                for alg in cfg.algorithm:
+                    start = perf_counter()
+                    results = _transfer(cfg, alg, est, sel, geometry,
+                                        pilot_power)
+                    runtime_us = (perf_counter() - start) * 1e6 / cfg.num_users
+                    ratios = [nmse(r.downlink_estimate, h_down.data[k])
+                              for k, r in enumerate(results)]
+                    samples[snr, alg, kind, n] = (
+                        float(np.mean(ratios)),
+                        float(np.mean([r.paths_found for r in results])),
+                        runtime_us)
+                continue
+            se_up = ()
+            if uplink:
+                sinr = uplink_sinr(est, h_up, data_power, cfg.detector)
+                se_up = (float(np.log2(1.0 + sinr).sum()),)
+            if not downlink:
+                samples[snr, kind] = se_up
+                continue
+            for system in systems:
+                if system == "asym":
+                    down_est = np.stack([
+                        r.downlink_estimate for r in _transfer(
+                            cfg, cfg.algorithm[0], est, sel, geometry,
+                            pilot_power)])
+                elif system == "perfect_csi_m":
+                    down_est = h_down.data
+                else:
+                    # full digital: the uplink estimate is the downlink one
+                    down_est = est.data.T
+                samples[snr, system] = se_up + (_downlink_system_se(
+                    cfg, down_est, h_down, down_power),)
+    return samples
+
+
 def _map_trials(fn, trials: int, workers: int) -> list:
     if workers <= 1:
         return [fn(t) for t in range(trials)]
@@ -441,61 +580,38 @@ def _map_trials(fn, trials: int, workers: int) -> list:
         return list(pool.map(fn, range(trials)))
 
 
-def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
+def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean over trials and its standard error."""
     samples = np.asarray(samples, dtype=float)
-    mean = float(samples.mean())
-    if samples.size < 2:
-        return mean, 0.0
-    return mean, float(samples.std(ddof=1) / np.sqrt(samples.size))
+    mean = samples.mean(axis=0)
+    if len(samples) < 2:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+
+
+def _monte_carlo(cfg: ExperimentConfig) -> dict:
+    """(mean, stderr) over all trials of every cell's samples."""
+    setups = _setups(cfg)
+    outcomes = _map_trials(lambda trial: _trial(cfg, setups, trial),
+                           cfg.trials, cfg.workers)
+    return {key: _mean_stderr([o[key] for o in outcomes])
+            for key in outcomes[0]}
 
 
 def _run_transfer_nmse(cfg: ExperimentConfig) -> ExperimentResult:
-    geometry = ArrayGeometry(cfg.num_transmit, cfg.spacing)
-    combos = [
-        (snr, alg, kind, n)
-        for snr in cfg.snr_db
-        for alg in cfg.algorithm
-        for kind in cfg.selection
-        for n in cfg.num_receive
-    ]
+    cells = _monte_carlo(cfg)
     rows = []
-    for combo_index, (snr, alg, kind, n) in enumerate(combos):
-        pilot_power, _, _ = _powers(cfg, snr)
-        tconf = _transfer_config(cfg, alg, n, pilot_power)
-        transfer = dft_transfer if alg == "dft" else mnomp_transfer
-
-        def one_trial(trial: int) -> tuple[float, float, float]:
-            rng = seed_stream(cfg.master_seed, trial, 1000 + combo_index)
-            sel = make_selection(kind, cfg.num_transmit, n, rng,
-                                 cfg.pinned_random)
-            paths = _user_paths(cfg, trial)
-            h_up, h_down = user_channels(paths, sel, geometry)
-            est = _estimate(cfg, h_up, pilot_power, rng)
-            ratios = np.zeros(cfg.num_users)
-            found = np.zeros(cfg.num_users)
-            start = perf_counter() if cfg.measure_runtime else 0.0
-            for user in range(cfg.num_users):
-                result = transfer(est.data[:, user], sel, geometry, tconf)
-                ratios[user] = nmse(result.downlink_estimate,
-                                    h_down.data[user])
-                found[user] = result.paths_found
-            elapsed_us = ((perf_counter() - start) * 1e6 / cfg.num_users
-                          if cfg.measure_runtime else np.nan)
-            return float(ratios.mean()), float(found.mean()), elapsed_us
-
-        outcomes = _map_trials(one_trial, cfg.trials, cfg.workers)
-        ratios = np.array([o[0] for o in outcomes])
-        found = np.array([o[1] for o in outcomes])
-        runtimes = np.array([o[2] for o in outcomes])
-        mean_ratio, ratio_err = _mean_stderr(ratios)
+    for snr, alg, kind, n in product(cfg.snr_db, cfg.algorithm,
+                                     cfg.selection, cfg.num_receive):
+        (ratio, found, runtime_us), (ratio_err, _, _) = cells[snr, alg, kind, n]
         # delta-method transfer of the linear-domain error into dB
-        nmse_db_err = (10.0 / np.log(10.0) * ratio_err / mean_ratio
-                       if mean_ratio > 0 else 0.0)
+        nmse_db_err = (10.0 / np.log(10.0) * ratio_err / ratio
+                       if ratio > 0 else 0.0)
         rows.append((
             float(snr), alg, kind, n,
-            float(10.0 * np.log10(mean_ratio)),
-            float(found.mean()),
-            float(np.mean(runtimes)) if cfg.measure_runtime else float("nan"),
+            float(10.0 * np.log10(ratio)),
+            float(found),
+            float(runtime_us) if cfg.measure_runtime else float("nan"),
             float(nmse_db_err),
             cfg.trials,
         ))
@@ -507,170 +623,39 @@ def _run_transfer_nmse(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _uplink_se_trial(cfg: ExperimentConfig, trial: int, stream_index: int,
-                     kind: str, num_receive: int, pilot_power: float,
-                     data_power: float) -> float:
-    geometry = ArrayGeometry(cfg.num_transmit, cfg.spacing)
-    rng = seed_stream(cfg.master_seed, trial, stream_index)
-    sel = make_selection(kind, cfg.num_transmit, num_receive, rng,
-                         cfg.pinned_random)
-    paths = _user_paths(cfg, trial)
-    h_up, _ = user_channels(paths, sel, geometry)
-    est = _estimate(cfg, h_up, pilot_power, rng)
-    sinr = uplink_sinr(est, h_up, data_power, cfg.detector)
-    return float(np.log2(1.0 + sinr).sum())
-
-
 def _run_se(cfg: ExperimentConfig) -> ExperimentResult:
-    if cfg.link == "uplink":
-        return _run_se_uplink(cfg)
-    return _run_se_downlink(cfg)
-
-
-def _run_se_uplink(cfg: ExperimentConfig) -> ExperimentResult:
+    cells = _monte_carlo(cfg)
+    uplink = cfg.link == "uplink"
     rows = []
-    combos = [(snr, kind) for snr in cfg.snr_db for kind in cfg.selection]
-    n = cfg.num_receive[0]
-    for combo_index, (snr, kind) in enumerate(combos):
-        pilot_power, data_power, _ = _powers(cfg, snr)
-
-        def one_trial(trial: int) -> float:
-            return _uplink_se_trial(cfg, trial, 1000 + combo_index, kind, n,
-                                    pilot_power, data_power)
-
-        mean, err = _mean_stderr(
-            np.array(_map_trials(one_trial, cfg.trials, cfg.workers))
-        )
-        rows.append((float(snr), kind, cfg.detector, mean, err, cfg.trials))
-    return ExperimentResult(
-        "se",
-        ("snr_db", "selection", "detector", "se_bits", "se_bits_stderr",
-         "trials"),
-        tuple(rows),
-    )
-
-
-def _downlink_se_system(cfg: ExperimentConfig, system: str, trial: int,
-                        stream_index: int, snr: float) -> float:
-    """One trial's downlink system SE for one architecture under test."""
-    pilot_power, _, down_power = _powers(cfg, snr)
-    rng = seed_stream(cfg.master_seed, trial, stream_index)
-    paths = _user_paths(cfg, trial)
-    m, n = cfg.num_transmit, cfg.num_receive[0]
-    precode = zf_precoder if cfg.precoder == "zf" else mrt_precoder
-
-    if system in ("full_digital_n",):
-        # the N-antenna full digital BS is a smaller array; its own channel
-        geometry = ArrayGeometry(n, cfg.spacing)
-        sel = make_selection("successive", n, n)
-    else:
-        geometry = ArrayGeometry(m, cfg.spacing)
-        sel = None
-    if system == "asym":
-        sel = make_selection(cfg.selection[0], m, n, rng, cfg.pinned_random)
-    elif system == "full_digital_m":
-        sel = make_selection("successive", m, m)
-
-    if system == "perfect_csi_m":
-        _, h_down = user_channels(paths, make_selection("successive", m, m),
-                                  geometry)
-        w = precode(h_down)
-        _, system_se = downlink_se(h_down, w, down_power)
-        return system_se
-
-    h_up, h_down = user_channels(paths, sel, geometry)
-    est = _estimate(cfg, h_up, pilot_power, rng)
-    if system == "asym":
-        tconf = _transfer_config(cfg, cfg.algorithm[0], n, pilot_power)
-        transfer = dft_transfer if cfg.algorithm[0] == "dft" else mnomp_transfer
-        rows = [transfer(est.data[:, k], sel, geometry, tconf).downlink_estimate
-                for k in range(cfg.num_users)]
-        down_est = ChannelMatrix(np.stack(rows, axis=0), "downlink")
-    else:
-        # full digital: the uplink estimate is the downlink estimate
-        down_est = ChannelMatrix(est.data.T, "downlink")
-    # a user whose estimate fell below the transfer threshold gets no
-    # beam and zero rate; the rest are precoded as usual
-    active = np.linalg.norm(down_est.data, axis=1) > 0.0
-    if not np.any(active):
-        return 0.0
-    if not np.all(active):
-        w = precode(ChannelMatrix(down_est.data[active], "downlink"))
-        _, system_se = downlink_se(h_down.data[active], w, down_power)
-        return system_se
-    w = precode(down_est)
-    _, system_se = downlink_se(h_down, w, down_power)
-    return system_se
-
-
-def _run_se_downlink(cfg: ExperimentConfig) -> ExperimentResult:
-    rows = []
-    combos = [(snr, system) for snr in cfg.snr_db for system in cfg.systems]
-    for combo_index, (snr, system) in enumerate(combos):
-
-        def one_trial(trial: int) -> float:
-            return _downlink_se_system(cfg, system, trial,
-                                       1000 + combo_index, snr)
-
-        mean, err = _mean_stderr(
-            np.array(_map_trials(one_trial, cfg.trials, cfg.workers))
-        )
-        algorithm = cfg.algorithm[0] if system == "asym" else "none"
-        rows.append((float(snr), system, cfg.precoder, algorithm, mean, err,
+    for snr, label in product(cfg.snr_db,
+                              cfg.selection if uplink else cfg.systems):
+        (se,), (err,) = cells[snr, label]
+        setting = ((cfg.detector,) if uplink else
+                   (cfg.precoder, cfg.algorithm[0] if label == "asym" else "none"))
+        rows.append((float(snr), label, *setting, float(se), float(err),
                      cfg.trials))
+    keys = (("snr_db", "selection", "detector") if uplink else
+            ("snr_db", "system", "precoder", "transfer_algorithm"))
     return ExperimentResult(
-        "se",
-        ("snr_db", "system", "precoder", "transfer_algorithm", "se_bits",
-         "se_bits_stderr", "trials"),
-        tuple(rows),
-    )
+        "se", keys + ("se_bits", "se_bits_stderr", "trials"), tuple(rows))
 
 
 def _run_ee(cfg: ExperimentConfig) -> ExperimentResult:
     """Energy efficiency of the asymmetrical BS vs both full digital sizes."""
     profile = HardwareProfile()
-    m, n = cfg.num_transmit, cfg.num_receive[0]
-    arch_map = {
-        "asym": Architecture("adbn", m, n),
-        "full_digital_m": Architecture("dbm", m, m),
-        "full_digital_n": Architecture("dbm", n, n),
-    }
-    uplink_setup = {
-        # (selection kind, M, N) driving each system's uplink
-        "asym": (cfg.selection[0], m, n),
-        "full_digital_m": ("successive", m, m),
-        "full_digital_n": ("successive", n, n),
-    }
+    cells = _monte_carlo(cfg)
     rows = []
-    combo_index = 0
-    for snr in cfg.snr_db:
-        pilot_power, data_power, _ = _powers(cfg, snr)
-        for system, arch in arch_map.items():
-            kind, sys_m, sys_n = uplink_setup[system]
-            up_cfg = replace(cfg, num_transmit=sys_m, num_receive=(sys_n,))
-            up_index = 1000 + combo_index
-
-            def one_up(trial: int) -> float:
-                return _uplink_se_trial(up_cfg, trial, up_index, kind, sys_n,
-                                        pilot_power, data_power)
-
-            dn_index = 1000 + combo_index + 1
-
-            def one_dn(trial: int) -> float:
-                return _downlink_se_system(cfg, system, trial, dn_index, snr)
-
-            se_up, up_err = _mean_stderr(
-                np.array(_map_trials(one_up, cfg.trials, cfg.workers)))
-            se_dn, dn_err = _mean_stderr(
-                np.array(_map_trials(one_dn, cfg.trials, cfg.workers)))
-            p_bs = power(arch, profile, cfg.slot_ratio)
-            ee = energy_efficiency(se_up, se_dn, cfg.slot_ratio, p_bs,
-                                   cfg.bandwidth_hz)
-            ee_err = (cfg.bandwidth_hz / p_bs) * float(np.hypot(
-                cfg.slot_ratio * up_err, (1.0 - cfg.slot_ratio) * dn_err))
-            rows.append((float(snr), system, se_up, se_dn, p_bs, ee, up_err,
-                         dn_err, ee_err, cfg.trials))
-            combo_index += 2
+    for snr, system in product(cfg.snr_db, _EE_SYSTEMS):
+        (se_up, se_dn), (up_err, dn_err) = cells[snr, system]
+        _, sys_m, sys_n = _system_array(cfg, system)
+        arch = Architecture("adbn" if system == "asym" else "dbm", sys_m, sys_n)
+        p_bs = power(arch, profile, cfg.slot_ratio)
+        ee = energy_efficiency(float(se_up), float(se_dn), cfg.slot_ratio,
+                               p_bs, cfg.bandwidth_hz)
+        ee_err = (cfg.bandwidth_hz / p_bs) * float(np.hypot(
+            cfg.slot_ratio * up_err, (1.0 - cfg.slot_ratio) * dn_err))
+        rows.append((float(snr), system, float(se_up), float(se_dn), p_bs, ee,
+                     float(up_err), float(dn_err), ee_err, cfg.trials))
     return ExperimentResult(
         "ee",
         ("snr_db", "system", "se_uplink", "se_downlink", "power_w",

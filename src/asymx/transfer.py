@@ -18,7 +18,7 @@ energy left in an N-element LS estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

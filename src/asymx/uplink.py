@@ -1,4 +1,4 @@
-"""Uplink training, detection, ergodic SE, and the composite-angle SNR loss.
+"""Uplink training, detection SINR, and the composite-angle SNR loss.
 
 The receive array sees K users through orthogonal pilots.  LS/LMMSE
 estimates feed either matched-filter (MRC) or zero-forcing combining.  When
@@ -10,7 +10,7 @@ brute-force vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -18,7 +18,6 @@ from scipy.signal import find_peaks as _find_signal_peaks
 
 from .arrays import (
     AntennaSelection,
-    angular_resolution,
     select_comb,
     select_random,
     select_successive,
@@ -27,10 +26,8 @@ from .channel import (
     ArrayGeometry,
     ChannelMatrix,
     PathSet,
-    draw_path_set,
     steering_uplink,
     uplink_channel,
-    user_channels,
 )
 
 
@@ -143,21 +140,6 @@ def estimate_lmmse(
     return ChannelMatrix(ls @ filt, "uplink")
 
 
-def mrc_detect(
-    channel_est: ChannelMatrix | np.ndarray,
-    channel_true: ChannelMatrix | np.ndarray,
-    symbols: np.ndarray,
-    power: float,
-    rng: np.random.Generator,
-    noise: NoiseModel = NoiseModel(),
-) -> np.ndarray:
-    """Matched-filter combining: r = sqrt(rho_u) H_est^H H x + H_est^H n."""
-    h_est = _uplink_data(channel_est)
-    h = _uplink_data(channel_true)
-    n = noise.draw(rng, (h.shape[0],))
-    return np.sqrt(power) * (h_est.conj().T @ (h @ symbols)) + h_est.conj().T @ n
-
-
 def zf_detect(
     channel_est: ChannelMatrix | np.ndarray, received: np.ndarray
 ) -> np.ndarray:
@@ -192,89 +174,6 @@ def uplink_sinr(
     interference = cross.sum(axis=1) - signal
     norms = np.sum(np.abs(combiner) ** 2, axis=0)
     return power * signal / (power * interference + norms * noise_variance)
-
-
-@dataclass(frozen=True)
-class UplinkScenario:
-    """System description for ergodic uplink SE simulation."""
-
-    num_transmit: int
-    num_receive: int
-    num_users: int
-    paths_per_user: int
-    selection: str
-    power: float
-    pilot_power: float | None = None
-    pilot_length: int | None = None
-    estimator: str = "lmmse"
-    angle_low: float = np.deg2rad(-60.0)
-    angle_high: float = np.deg2rad(60.0)
-    spacing: float = 0.5
-
-    @property
-    def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.num_transmit, self.spacing)
-
-
-def uplink_se(
-    scenario: UplinkScenario,
-    trials: int,
-    rng: np.random.Generator,
-    detector: str = "mrc",
-) -> tuple[np.ndarray, float, float]:
-    """Ergodic per-user and system SE, Monte-Carlo averaged.
-
-    Returns (per-user SE, system SE, standard error of the system SE).
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    per_user = np.zeros(scenario.num_users)
-    totals = np.zeros(trials)
-    for t in range(trials):
-        rates = _uplink_rates_once(scenario, detector, rng)
-        per_user += rates
-        totals[t] = rates.sum()
-    per_user /= trials
-    stderr = float(totals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return per_user, float(totals.mean()), stderr
-
-
-def uplink_se_mrc(
-    scenario: UplinkScenario, trials: int, rng: np.random.Generator
-) -> tuple[np.ndarray, float, float]:
-    """Ergodic SE with the matched-filter receiver."""
-    return uplink_se(scenario, trials, rng, detector="mrc")
-
-
-def _uplink_rates_once(
-    scenario: UplinkScenario, detector: str, rng: np.random.Generator
-) -> np.ndarray:
-    geometry = scenario.geometry
-    selection = make_selection(
-        scenario.selection, scenario.num_transmit, scenario.num_receive, rng
-    )
-    paths = [
-        draw_path_set(
-            scenario.paths_per_user, scenario.angle_low, scenario.angle_high, rng
-        )
-        for _ in range(scenario.num_users)
-    ]
-    h_up, _ = user_channels(paths, selection, geometry)
-    if scenario.estimator == "perfect":
-        h_est = h_up
-    else:
-        pilot_power = scenario.pilot_power or scenario.power
-        length = scenario.pilot_length or scenario.num_users
-        pilots = generate_pilots(scenario.num_users, length, pilot_power)
-        y = received_pilot(h_up, pilots, NoiseModel(), rng)
-        if scenario.estimator == "ls":
-            h_est = estimate_ls(y, pilots)
-        elif scenario.estimator == "lmmse":
-            h_est = estimate_lmmse(y, pilots)
-        else:
-            raise ValueError(f"unknown estimator {scenario.estimator!r}")
-    sinr = uplink_sinr(h_est, h_up, scenario.power, detector)
-    return np.log2(1.0 + sinr)
 
 
 def make_selection(
@@ -437,28 +336,6 @@ def resolved_path_count(
         response, height=0.5 * top, prominence=0.1 * top
     )
     return int(len(peaks))
-
-
-def resolved_peak_freqs(
-    channel: np.ndarray,
-    selection: AntennaSelection,
-    geometry: ArrayGeometry,
-    w_center: float,
-    w_halfwidth: float | None = None,
-    grid_multiplier: int = 16,
-) -> np.ndarray:
-    """Spatial frequencies of the peaks counted by resolved_path_count."""
-    if w_halfwidth is None:
-        w_halfwidth = 4.0 / selection.num_receive
-    lo = max(-1.0, w_center - w_halfwidth)
-    hi = min(1.0, w_center + w_halfwidth)
-    grid = np.linspace(lo, hi, grid_multiplier * geometry.num_transmit)
-    response = steered_response(channel, selection, geometry, grid)
-    top = response.max()
-    peaks, _ = _find_signal_peaks(
-        response, height=0.5 * top, prominence=0.1 * top
-    )
-    return grid[peaks]
 
 
 def _uplink_data(channels: ChannelMatrix | np.ndarray) -> np.ndarray:

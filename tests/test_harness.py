@@ -1,15 +1,21 @@
 """Experiment harness: config parsing, seeding, determinism, CSV, CLI."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import asymx.harness as harness
 from asymx.cli import main as cli_main
+from asymx.cli import resolve_config
 from asymx.harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
     config_from_values,
     load_config,
+    load_config_values,
     parse_config_text,
     run,
     seed_stream,
@@ -64,6 +70,29 @@ def test_parse_rejects_bad_lines():
         parse_config_text("include")
 
 
+def test_include_cycle_names_the_file(tmp_path):
+    loop = tmp_path / "loop.cfg"
+    loop.write_text("include loop.cfg\nexperiment = se\n")
+    with pytest.raises(ConfigError, match="loop.cfg"):
+        load_config(loop)
+    (tmp_path / "a.cfg").write_text("include b.cfg\n")
+    (tmp_path / "b.cfg").write_text("include a.cfg\n")
+    with pytest.raises(ConfigError, match="include cycle"):
+        load_config(tmp_path / "a.cfg")
+
+
+def test_include_matches_only_the_whole_first_word():
+    assert parse_config_text("included_paths = 3") == {"included_paths": "3"}
+    with pytest.raises(ConfigError, match=r"config\.included_paths"):
+        config_from_values({"experiment": "se", "included_paths": "3"})
+
+
+def test_empty_list_value_names_the_field():
+    values = parse_config_text("experiment = se\nselection =\n")
+    with pytest.raises(ConfigError, match=r"config\.selection"):
+        config_from_values(values)
+
+
 def test_unknown_key_reports_field_path():
     with pytest.raises(ConfigError, match=r"config\.exponent"):
         config_from_values({"experiment": "se", "exponent": "3"})
@@ -94,6 +123,24 @@ def test_config_validation_messages():
         ExperimentConfig("se", paths_per_user=2, path_powers=(0.9, 0.2))
     with pytest.raises(ConfigError, match=r"config\.systems"):
         ExperimentConfig("se", systems=("asym", "hal9000"))
+
+
+def test_zero_forcing_needs_no_more_users_than_receive_antennas():
+    for cfg in (dict(experiment="se", link="uplink"),
+                dict(experiment="se", link="downlink",
+                     systems=("full_digital_n",)),
+                dict(experiment="ee")):
+        with pytest.raises(ConfigError, match=r"config\.num_users"):
+            ExperimentConfig(num_users=20, num_receive=(16,), **cfg)
+    # MRC detection, MRT precoding, and ZF on M antennas stay legal
+    ExperimentConfig("se", link="uplink", detector="mrc", num_users=20,
+                     num_receive=(16,))
+    ExperimentConfig("se", link="downlink", precoder="mrt",
+                     systems=("full_digital_n",), num_users=20,
+                     num_receive=(16,))
+    ExperimentConfig("se", link="downlink", systems=("asym",), num_users=20,
+                     num_receive=(16,))
+    ExperimentConfig("transfer-nmse", num_users=20, num_receive=(16,))
 
 
 def test_optional_fields_accept_none_and_auto():
@@ -130,6 +177,25 @@ def test_seed_stream_reproducible_and_decorrelated():
     assert np.array_equal(a, b)
     for other in (c, d, e):
         assert not np.array_equal(a, other)
+
+
+def test_trial_stream_keys_never_collide(monkeypatch):
+    # 1000 users: the user index reaches the range of the per-setup streams
+    keys = []
+    original = harness.seed_stream
+
+    def recording(*args):
+        rng = original(*args)
+        keys.append(rng.bit_generator.seed_seq.entropy)
+        return rng
+
+    monkeypatch.setattr(harness, "seed_stream", recording)
+    run(tiny("transfer-nmse", num_users=1000, trials=1, algorithm=("dft",),
+             selection=("random", "comb"), snr_db=(0.0, 10.0),
+             estimator="perfect"))
+    assert len(keys) >= 1000
+    assert len(set(keys)) == len(keys)
+    assert len({len(key) for key in keys}) == 1
 
 
 # ------------------------------------------------------------ experiments
@@ -206,6 +272,65 @@ def test_parallel_equals_serial():
     parallel = tiny("se", link="downlink",
                     systems=("asym", "full_digital_n"), workers=4)
     assert run(serial).csv_text() == run(parallel).csv_text()
+
+
+@pytest.mark.parametrize("experiment, link", [
+    ("beam-pattern", "downlink"), ("snr-loss", "downlink"),
+    ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
+    ("ee", "downlink"), ("cost-table", "downlink")])
+def test_every_experiment_is_deterministic_and_thread_safe(experiment, link):
+    cfg = tiny(experiment, link=link, trials=3,
+               selection=("random", "successive"), algorithm=("dft", "mnomp"))
+    first = run(cfg).csv_text()
+    assert run(cfg).csv_text() == first
+    assert run(replace(cfg, workers=2)).csv_text() == first
+
+
+RECIPE_DIR = Path(harness.__file__).parent / "recipes"
+RECIPES = sorted(p.name for p in RECIPE_DIR.glob("*.cfg")
+                 if p.name != "common.cfg")
+NMSE_COLUMNS = ("snr_db", "algorithm", "selection", "N", "nmse_db",
+                "mean_paths_found", "mean_runtime_us", "nmse_db_stderr",
+                "trials")
+RECIPE_COLUMNS = {
+    "beam_pattern.cfg": ("selection", "w", "angle_deg", "magnitude",
+                         "magnitude_db"),
+    "cost_table.cfg": ("architecture", "num_transmit", "num_receive",
+                       "cost_usd", "power_w"),
+    "ee.cfg": ("snr_db", "system", "se_uplink", "se_downlink", "power_w",
+               "ee_bits_per_joule", "se_uplink_stderr", "se_downlink_stderr",
+               "ee_stderr", "trials"),
+    "se_downlink.cfg": ("snr_db", "system", "precoder", "transfer_algorithm",
+                        "se_bits", "se_bits_stderr", "trials"),
+    "se_uplink.cfg": ("snr_db", "selection", "detector", "se_bits",
+                      "se_bits_stderr", "trials"),
+    "snr_loss.cfg": ("phase_diff_rad", "loss_closed", "loss_numeric",
+                     "resolved_path_count"),
+    "transfer_nmse.cfg": NMSE_COLUMNS,
+    "transfer_nmse_multipath.cfg": NMSE_COLUMNS,
+}
+
+
+def test_every_bundled_recipe_has_a_smoke_test():
+    assert RECIPES == sorted(RECIPE_COLUMNS)
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_bundled_recipe_runs_at_two_trials(name):
+    values = load_config_values(resolve_config(name))
+    values["trials"] = "2"
+    cfg = config_from_values(values)
+    result = run(cfg)
+    assert result.columns == RECIPE_COLUMNS[name]
+    assert result.rows
+    for row in result.rows:
+        for column, value in zip(result.columns, row):
+            if column == "mean_runtime_us":  # nan unless measure_runtime
+                assert np.isnan(value)
+            elif isinstance(value, float):
+                assert np.isfinite(value), (column, row)
+    if name == "ee.cfg":
+        assert run(replace(cfg, workers=2)).csv_text() == result.csv_text()
 
 
 def test_se_uplink_schema_and_values():
@@ -313,6 +438,26 @@ def test_cli_experiment_mismatch_rejected(tmp_path, capsys):
     code = cli_main(["se", "--config", str(cfg)])
     assert code == 2
     assert "config.experiment" in capsys.readouterr().err
+
+
+def test_cli_rejects_rank_deficient_zero_forcing(tmp_path, capsys):
+    cfg = tmp_path / "zf.cfg"
+    cfg.write_text("experiment = se\nnum_users = 20\nnum_receive = 16\n"
+                   "systems = full_digital_n\ntrials = 2\n")
+    code = cli_main(["se", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config.num_users" in capsys.readouterr().err
+    assert not (tmp_path / "se.csv").exists()
+
+
+def test_cli_write_failure_is_one_line(tmp_path, capsys):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("a file, not a directory\n")
+    code = cli_main(["cost-table", "--out", str(occupied)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("asymx: error:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_bad_value_rejected(tmp_path, capsys):

@@ -10,7 +10,6 @@ from asymx.uplink import (
     NoiseModel,
     PilotBlock,
     SnrLossInputs,
-    UplinkScenario,
     composite_angle,
     dirichlet_ratio,
     estimate_lmmse,
@@ -19,12 +18,9 @@ from asymx.uplink import (
     make_selection,
     received_pilot,
     resolved_path_count,
-    resolved_peak_freqs,
     snr_loss_closed_form,
     snr_loss_numeric,
     steered_response,
-    uplink_se,
-    uplink_se_mrc,
     uplink_sinr,
     zf_detect,
 )
@@ -162,24 +158,6 @@ def test_unknown_detector_rejected():
         uplink_sinr(h_up, h_up, 1.0, "mmse")
 
 
-def test_uplink_se_runs_and_reports_stderr():
-    scenario = UplinkScenario(M, N, 4, 3, "successive", power=10.0)
-    per_user, total, err = uplink_se(scenario, 8, np.random.default_rng(0),
-                                     detector="zf")
-    assert per_user.shape == (4,)
-    assert total == pytest.approx(per_user.sum() * 1.0, rel=1e-9)
-    assert total > 0 and err > 0
-    _, _, err_single = uplink_se(scenario, 1, np.random.default_rng(0))
-    assert err_single == 0.0
-
-
-def test_uplink_se_mrc_wrapper():
-    scenario = UplinkScenario(M, N, 2, 3, "successive", power=1.0)
-    a = uplink_se_mrc(scenario, 4, np.random.default_rng(1))
-    b = uplink_se(scenario, 4, np.random.default_rng(1), detector="mrc")
-    assert a[1] == pytest.approx(b[1], rel=1e-12)
-
-
 def test_make_selection_dispatch():
     rng = np.random.default_rng(0)
     assert make_selection("successive", M, N).kind == "successive"
@@ -299,12 +277,4 @@ def test_resolved_path_count_merged_vs_split():
     split = PathSet(np.array([1.0, np.exp(1.5j * np.pi)]), np.array([t1, t2]))
     h2 = uplink_channel(split, sel, geom)
     assert resolved_path_count(h2, sel, geom, w_mid) == 2
-    freqs = resolved_peak_freqs(h2, sel, geom, w_mid)
-    assert len(freqs) == 2
-    assert np.all(np.abs(freqs - w_mid) < 4.0 / 32)
 
-
-def test_scenario_geometry_property():
-    sc = UplinkScenario(M, N, K, 3, "random", power=1.0)
-    assert sc.geometry.num_transmit == M
-    assert sc.geometry.spacing == 0.5
