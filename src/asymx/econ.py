@@ -7,58 +7,35 @@ Four base stations are compared at matched antenna count M:
 * ``hbfn`` - full-connected hybrid: N RF chains behind an M*N phase network.
 * ``hbsn`` - subarray hybrid: N RF chains, one phase shifter per element.
 
-Costs follow the per-architecture bills of materials below.  Power weights
-the transmit-side components by the downlink slot share (1 - eps) and the
-receive side by the uplink share eps; mixers and LO amplifiers are active on
-both sides and appear in both groups with that side's chain count.
+Each architecture is one bill of materials: the part counts of its transmit
+side and of its receive side (``_parts``).  Cost and power are two
+reductions of it.  Power weights the transmit side by the downlink slot
+share (1 - eps) and the receive side by the uplink share eps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-COMPONENTS = (
-    "pa",
-    "pa_driver",
-    "lna",
-    "switch",
-    "mixer",
-    "lo_amp",
-    "phase_shifter",
-    "if_tx",
-    "if_rx",
-    "dac",
-    "adc",
-)
-
-# 28 GHz testbed reference numbers: USD per part, watts per part.
-_DEFAULT_COST = {
-    "pa": 50.0,
-    "pa_driver": 30.0,
-    "lna": 27.0,
-    "switch": 27.0,
-    "mixer": 24.0,
-    "lo_amp": 30.0,
-    "phase_shifter": 170.0,
-    "if_tx": 140.0,
-    "if_rx": 140.0,
-    "dac": 55.0,
-    "adc": 451.0,
+# 28 GHz testbed reference numbers: (USD, W) per part.
+_PRICES = {
+    "pa": (50.0, 3.68),
+    "pa_driver": (30.0, 0.85),
+    "lna": (27.0, 0.33),
+    "switch": (27.0, 0.10),
+    "mixer": (24.0, 0.0),
+    "lo_amp": (30.0, 0.60),
+    "phase_shifter": (170.0, 0.0),
+    "if_tx": (140.0, 1.75),
+    "if_rx": (140.0, 1.25),
+    "dac": (55.0, 2.07),
+    "adc": (451.0, 2.82),
 }
-_DEFAULT_POWER = {
-    "pa": 3.68,
-    "pa_driver": 0.85,
-    "lna": 0.33,
-    "switch": 0.10,
-    "mixer": 0.0,
-    "lo_amp": 0.60,
-    "phase_shifter": 0.0,
-    "if_tx": 1.75,
-    "if_rx": 1.25,
-    "dac": 2.07,
-    "adc": 2.82,
-}
+# Shared parts serve both directions: they are bought once, as many as the
+# larger side needs, but draw power on each side with that side's count.
+_SHARED = frozenset({"mixer", "lo_amp", "phase_shifter"})
 
+COMPONENTS = tuple(_PRICES)
 ARCHITECTURES = ("adbn", "dbm", "hbfn", "hbsn")
 
 
@@ -66,8 +43,10 @@ ARCHITECTURES = ("adbn", "dbm", "hbfn", "hbsn")
 class HardwareProfile:
     """Per-component cost (USD) and power (W) table."""
 
-    cost_usd: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_COST))
-    power_w: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_POWER))
+    cost_usd: dict[str, float] = field(
+        default_factory=lambda: {k: usd for k, (usd, _) in _PRICES.items()})
+    power_w: dict[str, float] = field(
+        default_factory=lambda: {k: w for k, (_, w) in _PRICES.items()})
 
     def __post_init__(self) -> None:
         for table, label in ((self.cost_usd, "cost"), (self.power_w, "power")):
@@ -98,40 +77,39 @@ class Architecture:
                 "full digital BS pairs a receive chain with every antenna")
 
 
+def _parts(arch: Architecture) -> tuple[dict[str, int], dict[str, int]]:
+    """(transmit side, receive side) part counts of one architecture."""
+    m, n = arch.num_transmit, arch.num_receive
+    if arch.kind in ("adbn", "dbm"):
+        # one full chain per antenna; dbm is adbn with N = M
+        return (
+            dict.fromkeys(("pa", "pa_driver", "mixer", "lo_amp", "if_tx",
+                           "dac"), m),
+            dict.fromkeys(("lna", "switch", "mixer", "lo_amp", "if_rx",
+                           "adc"), n),
+        )
+    # hybrids: a front end (with its T/R switch) per element on each side,
+    # an RF chain per stream, and the phase network between them
+    shifters = m * n if arch.kind == "hbfn" else m
+    return (
+        {**dict.fromkeys(("pa", "pa_driver", "switch"), m),
+         **dict.fromkeys(("mixer", "lo_amp", "if_tx", "dac"), n),
+         "phase_shifter": shifters},
+        {**dict.fromkeys(("lna", "switch"), m),
+         **dict.fromkeys(("mixer", "lo_amp", "if_rx", "adc"), n),
+         "phase_shifter": shifters},
+    )
+
+
 def cost(arch: Architecture, profile: HardwareProfile | None = None) -> float:
     """Bill-of-materials cost in USD."""
     p = (profile or HardwareProfile()).cost_usd
-    m, n = arch.num_transmit, arch.num_receive
-    if arch.kind == "adbn":
-        return m * (
-            p["pa"] + p["pa_driver"] + p["mixer"] + p["lo_amp"] + p["if_tx"]
-            + p["dac"]
-        ) + n * (p["lna"] + p["switch"] + p["if_rx"] + p["adc"])
-    if arch.kind == "dbm":
-        return m * (
-            p["pa"] + p["pa_driver"] + p["lna"] + p["switch"] + p["mixer"]
-            + p["lo_amp"] + p["if_tx"] + p["if_rx"] + p["adc"] + p["dac"]
-        )
-    if arch.kind == "hbfn":
-        return (
-            m * (p["pa"] + p["pa_driver"] + p["lna"] + 2 * p["switch"])
-            + m * n * p["phase_shifter"]
-            + n * (
-                p["mixer"] + p["lo_amp"] + p["if_tx"] + p["if_rx"] + p["adc"]
-                + p["dac"]
-            )
-        )
-    # hbsn: one phase shifter per element instead of a full network
-    return (
-        m * (
-            p["pa"] + p["pa_driver"] + p["lna"] + 2 * p["switch"]
-            + p["phase_shifter"]
-        )
-        + n * (
-            p["mixer"] + p["lo_amp"] + p["if_tx"] + p["if_rx"] + p["adc"]
-            + p["dac"]
-        )
-    )
+    tx, rx = _parts(arch)
+    total = 0.0
+    for part in COMPONENTS:
+        t, r = tx.get(part, 0), rx.get(part, 0)
+        total += p[part] * (max(t, r) if part in _SHARED else t + r)
+    return total
 
 
 def power(
@@ -139,45 +117,13 @@ def power(
     profile: HardwareProfile | None = None,
     slot_ratio: float = 1.0 / 3.0,
 ) -> float:
-    """Slot-weighted power draw in watts.
-
-    Transmit-side components are active during the downlink share (1 - eps)
-    of slots, receive-side during the uplink share eps.  Mixer/LO amp serve
-    both directions and are counted on each side with that side's chain
-    count.
-    """
+    """Slot-weighted power draw in watts: (1 - eps) tx + eps rx."""
     if not 0.0 <= slot_ratio <= 1.0:
         raise ValueError("slot ratio must lie in [0, 1]")
     p = (profile or HardwareProfile()).power_w
-    m, n = arch.num_transmit, arch.num_receive
-    tx_share = 1.0 - slot_ratio
-    rx_share = slot_ratio
-    tx_chain = (
-        p["pa"] + p["pa_driver"] + p["mixer"] + p["lo_amp"] + p["if_tx"]
-        + p["dac"]
-    )
-    rx_chain = (
-        p["lna"] + p["switch"] + p["mixer"] + p["lo_amp"] + p["if_rx"]
-        + p["adc"]
-    )
-    if arch.kind == "adbn":
-        return tx_share * m * tx_chain + rx_share * n * rx_chain
-    if arch.kind == "dbm":
-        return tx_share * m * tx_chain + rx_share * m * rx_chain
-    # Hybrids: front ends per element (one T/R switch each side), RF chains
-    # per stream; the phase network burns (zero) power in both directions.
-    shifters = m * n if arch.kind == "hbfn" else m
-    tx_hybrid = (
-        m * (p["pa"] + p["pa_driver"] + p["switch"])
-        + shifters * p["phase_shifter"]
-        + n * (p["mixer"] + p["lo_amp"] + p["if_tx"] + p["dac"])
-    )
-    rx_hybrid = (
-        m * (p["lna"] + p["switch"])
-        + shifters * p["phase_shifter"]
-        + n * (p["mixer"] + p["lo_amp"] + p["if_rx"] + p["adc"])
-    )
-    return tx_share * tx_hybrid + rx_share * rx_hybrid
+    tx, rx = (sum(p[part] * count for part, count in side.items())
+              for side in _parts(arch))
+    return (1.0 - slot_ratio) * tx + slot_ratio * rx
 
 
 def energy_efficiency(

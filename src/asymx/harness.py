@@ -19,7 +19,8 @@ sweepable list fields.
 
 from __future__ import annotations
 
-import dataclasses
+import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -120,6 +121,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name, (kind, _, _) in _FIELDS.items():
+            value = getattr(self, name)
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            _require(kind is not float
+                     or all(v is None or math.isfinite(v) for v in values),
+                     name, "must be finite")
         _require(self.experiment in EXPERIMENTS, "experiment",
                  f"must be one of {', '.join(EXPERIMENTS)}")
         for name in ("num_receive", "selection", "algorithm", "snr_db",
@@ -132,6 +139,9 @@ class ExperimentConfig:
                      "entries must lie in [1, num_transmit]")
         _require(self.num_users >= 1, "num_users", "must be positive")
         _require(self.paths_per_user >= 1, "paths_per_user", "must be positive")
+        _require(self.pilot_length is None
+                 or self.pilot_length >= self.num_users, "pilot_length",
+                 "must be at least num_users")
         if self.path_powers is not None:
             _require(len(self.path_powers) == self.paths_per_user,
                      "path_powers", "needs one fraction per path")
@@ -152,6 +162,12 @@ class ExperimentConfig:
                  "must be >= 1")
         _require(self.threshold is None or self.threshold > 0, "threshold",
                  "must be positive (or omitted for the N/rho default)")
+        _require(self.newton_rounds >= 0, "newton_rounds",
+                 "must be non-negative")
+        _require(self.cyclic_rounds >= 0, "cyclic_rounds",
+                 "must be non-negative")
+        _require(self.max_paths >= 1, "max_paths", "must be positive")
+        _require(self.regularizer >= 0, "regularizer", "must be non-negative")
         _require(self.detector in ("mrc", "zf"), "detector",
                  "must be 'mrc' or 'zf'")
         _require(self.precoder in ("mrt", "zf"), "precoder",
@@ -165,6 +181,7 @@ class ExperimentConfig:
         _require(0.0 <= self.slot_ratio <= 1.0, "slot_ratio",
                  "must lie in [0, 1]")
         _require(self.bandwidth_hz > 0, "bandwidth_hz", "must be positive")
+        _require(self.spacing > 0, "spacing", "must be positive")
         _require(self.phase_points >= 2, "phase_points", "must be >= 2")
         _require(self.grid_points >= 16, "grid_points", "must be >= 16")
         _require(self.workers >= 1, "workers", "must be positive")
@@ -180,6 +197,22 @@ class ExperimentConfig:
                     se_link == "downlink" and "full_digital_n" in self.systems))))
         _require(not zf_on_n or self.num_users <= self.num_receive[0],
                  "num_users", "zero forcing needs num_users <= num_receive")
+
+
+def _field_kind(hint) -> tuple[type, bool, bool]:
+    """(scalar type, is a list, may be None) of one field annotation."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:
+        hint = next(arg for arg in args if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return typing.get_args(hint)[0], True, optional
+    return hint, False, optional
+
+
+# Parsing and the finiteness check both read the field types from here.
+_FIELDS = {name: _field_kind(hint) for name, hint
+           in typing.get_type_hints(ExperimentConfig).items()}
 
 
 @dataclass(frozen=True)
@@ -263,22 +296,17 @@ def load_config_values(path: str | Path,
                              _including=(*_including, p.resolve()))
 
 
-_LIST_STR_FIELDS = {"selection", "algorithm", "systems"}
-_LIST_INT_FIELDS = {"num_receive"}
-_LIST_FLOAT_FIELDS = {"snr_db", "path_powers"}
-_OPTIONAL_FIELDS = {"pilot_length", "threshold", "pilot_snr_db",
-                    "data_snr_db", "downlink_snr_db", "path_powers"}
-_BOOL_FIELDS = {"pinned_random", "measure_runtime"}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
 
 
 def config_from_values(values: dict[str, str]) -> ExperimentConfig:
     """Coerce raw strings onto ExperimentConfig, reporting the field path."""
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}
     for key, raw in values.items():
-        if key not in fields:
+        if key not in _FIELDS:
             raise ConfigError(f"config.{key}: unknown key")
-        kwargs[key] = _coerce(key, raw, fields[key].type)
+        kwargs[key] = _coerce(key, raw)
     if "experiment" not in kwargs:
         raise ConfigError("config.experiment: required key is missing")
     try:
@@ -293,30 +321,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_values(load_config_values(path))
 
 
-def _coerce(key: str, raw: str, annotation: str):
+def _coerce(key: str, raw: str):
+    kind, is_list, optional = _FIELDS[key]
     try:
-        if key in _OPTIONAL_FIELDS and raw.lower() in ("none", "auto", ""):
+        if optional and raw.lower() in ("none", "auto", ""):
             return None
-        if key in _BOOL_FIELDS:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError("expected a boolean")
-        if key in _LIST_STR_FIELDS:
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        if key in _LIST_INT_FIELDS:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        if key in _LIST_FLOAT_FIELDS:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
-        if key in ("experiment", "detector", "precoder", "estimator", "link"):
-            return raw
-        if "int" in annotation:
-            return int(raw)
-        if "float" in annotation:
-            return float(raw)
-        return raw
+        if is_list:
+            return tuple(kind(part.strip()) for part in raw.split(",")
+                         if part.strip())
+        if kind is bool:
+            if raw.lower() not in _BOOLEANS:
+                raise ValueError("expected a boolean")
+            return _BOOLEANS[raw.lower()]
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"config.{key}: cannot parse {raw!r} ({exc})") from exc
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import find_peaks as _find_signal_peaks
 
 from .arrays import (
     AntennaSelection,
@@ -287,6 +285,9 @@ def composite_angle(
     Maximizes the periodogram |a_U(w)^H h| over a grid of 16*M points on
     [-1, 1], then polishes with a bounded scalar minimizer to 1e-6 in w.
     """
+    # imported here so that only snr-loss pays for loading SciPy
+    from scipy.optimize import minimize_scalar
+
     paths = PathSet(
         np.array([np.exp(1j * phi1), np.exp(1j * phi2)]),
         np.array([theta1, theta2]),
@@ -325,6 +326,9 @@ def resolved_path_count(
     Dirichlet side lobes (-13 dB, i.e. 0.22 of the peak) stay excluded
     while a genuinely split composite (two comparable lobes) counts as 2.
     """
+    # imported here so that only snr-loss pays for loading SciPy
+    from scipy.signal import find_peaks
+
     if w_halfwidth is None:
         w_halfwidth = 4.0 / selection.num_receive
     lo = max(-1.0, w_center - w_halfwidth)
@@ -332,7 +336,7 @@ def resolved_path_count(
     grid = np.linspace(lo, hi, grid_multiplier * geometry.num_transmit)
     response = steered_response(channel, selection, geometry, grid)
     top = response.max()
-    peaks, _ = _find_signal_peaks(
+    peaks, _ = find_peaks(
         response, height=0.5 * top, prominence=0.1 * top
     )
     return int(len(peaks))

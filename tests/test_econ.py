@@ -163,3 +163,73 @@ def test_power_is_positive_everywhere():
 def test_cost_monotone_in_receive_chains():
     assert cost(Architecture("adbn", M, 32)) > cost(Architecture("adbn", M, 16))
     assert cost(Architecture("hbfn", M, 32)) > cost(Architecture("hbfn", M, 16))
+
+
+# Values computed by the per-architecture formulas that the part table
+# replaced, frozen so that the table must reproduce them.
+_EPS = (0.0, 1.0 / 3.0, 0.5, 1.0)
+FROZEN = {
+    # (M, N, kind): (cost, power at each slot ratio in _EPS)
+    (128, 16, "adbn"): (52432.0, (1145.6, 790.9333333333334,
+                                  613.5999999999999, 81.6)),
+    (128, 16, "dbm"): (124672.0, (1145.6, 981.3333333333333,
+                                  899.1999999999999, 652.8)),
+    (128, 16, "hbfn"): (382208.0, (663.36, 485.4933333333334, 396.56,
+                                   129.76)),
+    (128, 16, "hbsn"): (55808.0, (663.36, 485.4933333333334, 396.56,
+                                  129.76)),
+    (128, 32, "adbn"): (62752.0, (1145.6, 818.1333333333333, 654.4, 163.2)),
+    (128, 32, "dbm"): (124672.0, (1145.6, 981.3333333333333,
+                                  899.1999999999999, 652.8)),
+    (128, 32, "hbfn"): (743808.0, (734.0799999999999, 557.5466666666666,
+                                   469.28, 204.48000000000002)),
+    (128, 32, "hbsn"): (69248.0, (734.0799999999999, 557.5466666666666,
+                                  469.28, 204.48000000000002)),
+    (64, 8, "adbn"): (26216.0, (572.8, 395.4666666666667,
+                                306.79999999999995, 40.8)),
+    (64, 8, "dbm"): (62336.0, (572.8, 490.66666666666663,
+                               449.59999999999997, 326.4)),
+    (64, 8, "hbfn"): (104064.0, (331.68, 242.7466666666667, 198.28, 64.88)),
+    (64, 8, "hbsn"): (27904.0, (331.68, 242.7466666666667, 198.28, 64.88)),
+}
+
+# Parts bought per architecture, the cost change per unit price, in the
+# order pa, pa_driver, lna, switch, mixer, lo_amp, phase_shifter, if_tx,
+# if_rx, dac, adc.
+_ORDER = ("pa", "pa_driver", "lna", "switch", "mixer", "lo_amp",
+          "phase_shifter", "if_tx", "if_rx", "dac", "adc")
+FROZEN_COUNTS = {
+    (128, 16, "adbn"): (128, 128, 16, 16, 128, 128, 0, 128, 16, 128, 16),
+    (128, 16, "dbm"): (128,) * 6 + (0,) + (128,) * 4,
+    (128, 16, "hbfn"): (128, 128, 128, 256, 16, 16, 2048, 16, 16, 16, 16),
+    (128, 16, "hbsn"): (128, 128, 128, 256, 16, 16, 128, 16, 16, 16, 16),
+    (128, 32, "adbn"): (128, 128, 32, 32, 128, 128, 0, 128, 32, 128, 32),
+    (128, 32, "dbm"): (128,) * 6 + (0,) + (128,) * 4,
+    (128, 32, "hbfn"): (128, 128, 128, 256, 32, 32, 4096, 32, 32, 32, 32),
+    (128, 32, "hbsn"): (128, 128, 128, 256, 32, 32, 128, 32, 32, 32, 32),
+    (64, 8, "adbn"): (64, 64, 8, 8, 64, 64, 0, 64, 8, 64, 8),
+    (64, 8, "dbm"): (64,) * 6 + (0,) + (64,) * 4,
+    (64, 8, "hbfn"): (64, 64, 64, 128, 8, 8, 512, 8, 8, 8, 8),
+    (64, 8, "hbsn"): (64, 64, 64, 128, 8, 8, 64, 8, 8, 8, 8),
+}
+
+
+@pytest.mark.parametrize("m, n, kind", sorted(FROZEN))
+def test_cost_and_power_match_frozen_formulas(m, n, kind):
+    a = arch(kind, m, n)
+    expected_cost, expected_power = FROZEN[m, n, kind]
+    assert cost(a) == expected_cost
+    for eps, expected in zip(_EPS, expected_power):
+        assert power(a, slot_ratio=eps) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, n, kind", sorted(FROZEN_COUNTS))
+def test_unit_price_rise_adds_the_frozen_part_count(m, n, kind):
+    assert set(_ORDER) == set(COMPONENTS)
+    a = arch(kind, m, n)
+    base = HardwareProfile()
+    for part, count in zip(_ORDER, FROZEN_COUNTS[m, n, kind]):
+        bumped = HardwareProfile(
+            cost_usd={**base.cost_usd, part: base.cost_usd[part] + 1.0},
+            power_w=base.power_w)
+        assert cost(a, bumped) - cost(a, base) == count, part

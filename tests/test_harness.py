@@ -1,5 +1,9 @@
 """Experiment harness: config parsing, seeding, determinism, CSV, CLI."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -163,6 +167,88 @@ def test_list_coercion():
     assert cfg.snr_db == (0.0, 10.0)
     assert cfg.selection == ("random", "comb")
     assert cfg.path_powers == (0.9, 0.1)
+
+
+
+def test_every_default_round_trips_through_recipe_text():
+    def text(value):
+        if value is None:
+            return "none"
+        if isinstance(value, tuple):
+            return ",".join(str(v) for v in value)
+        return str(value)
+
+    default = ExperimentConfig("se")
+    values = {f.name: text(getattr(default, f.name))
+              for f in dataclasses.fields(ExperimentConfig)}
+    assert config_from_values(values) == default
+
+
+@pytest.mark.parametrize("fieldname, values", [
+    ("snr_db", (float("nan"),)),
+    ("snr_db", (0.0, float("inf"))),
+    ("path_powers", (float("nan"), 1.0)),
+    ("bandwidth_hz", float("inf")),
+    ("threshold", float("-inf")),
+    ("spacing", float("nan")),
+])
+def test_non_finite_float_fields_rejected(fieldname, values):
+    overrides = {fieldname: values}
+    if fieldname == "path_powers":
+        overrides["paths_per_user"] = 2
+    with pytest.raises(ConfigError, match=rf"config\.{fieldname}: must be finite"):
+        ExperimentConfig("se", **overrides)
+
+
+@pytest.mark.parametrize("experiment, line", [
+    ("transfer-nmse", "snr_db = nan"),
+    ("ee", "bandwidth_hz = inf"),
+    ("se", "snr_db = 0, inf"),
+])
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, experiment, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = {experiment}\nnum_users = 2\n{line}\n")
+    code = cli_main([experiment, "--config", str(cfg), "--trials", "1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config.{line.split()[0]}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("line", [
+    "max_paths = 0",
+    "regularizer = -1",
+    "newton_rounds = -1",
+    "cyclic_rounds = -1",
+    "pilot_length = 1",
+    "spacing = 0",
+])
+def test_cli_rejects_bad_transfer_pilot_and_geometry_fields(
+        tmp_path, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = transfer-nmse\nnum_users = 2\n{line}\n")
+    code = cli_main(["transfer-nmse", "--config", str(cfg), "--trials", "1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config.{line.split()[0]}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_scipy_is_imported_only_by_snr_loss():
+    # SciPy dominates the import time of the package; only the snr-loss
+    # experiment needs it
+    src = Path(harness.__file__).parents[1]
+    script = (
+        "import sys\n"
+        "import asymx\n"
+        "asymx.run(asymx.ExperimentConfig('transfer-nmse', trials=1))\n"
+        "print(','.join(m for m in ('scipy.optimize', 'scipy.signal')\n"
+        "               if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 # ---------------------------------------------------------------- seeding
