@@ -67,7 +67,7 @@ def monte_carlo():
     config = ExperimentConfig(
         "transfer-nmse", snr_db=(0.0, 10.0, 20.0), algorithm=("dft", "mnomp"),
         selection=("random",), num_receive=(NUM_RECEIVE,), paths_per_user=3,
-        trials=200, master_seed=SEED, workers=4)
+        trials=200, master_seed=SEED)
     result = run(config)
     print("noisy recovery, %d trials per point, threshold %.3g at 20 dB:"
           % (200, default_threshold(NUM_RECEIVE, 100.0)))

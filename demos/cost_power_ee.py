@@ -31,7 +31,7 @@ def main():
     result = run(ExperimentConfig(
         "ee", snr_db=(10.0,), num_transmit=NUM_TRANSMIT,
         num_receive=(NUM_RECEIVE,), selection=("random",),
-        algorithm=("mnomp",), trials=TRIALS, master_seed=SEED, workers=4))
+        algorithm=("mnomp",), trials=TRIALS, master_seed=SEED))
     print("energy efficiency at 10 dB, %d trials:" % TRIALS)
     print("%-16s %-10s %-10s %-10s %-12s" % ("system", "SE up", "SE down",
                                              "power W", "Mbits/joule"))

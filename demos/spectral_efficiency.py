@@ -19,7 +19,7 @@ def main():
     up = run(ExperimentConfig(
         "se", link="uplink", snr_db=SNR_DB,
         selection=("random", "successive", "comb"), num_receive=(32,),
-        trials=TRIALS, master_seed=SEED, workers=4))
+        trials=TRIALS, master_seed=SEED))
     print("uplink sum spectral efficiency, ZF combining, %d trials:" % TRIALS)
     print("%-8s %-12s %-12s" % ("snr dB", "selection", "bits/s/Hz"))
     for row in up.rows:
@@ -29,7 +29,7 @@ def main():
     down = run(ExperimentConfig(
         "se", link="downlink", snr_db=SNR_DB, selection=("random",),
         algorithm=("mnomp",), num_receive=(32,), trials=TRIALS,
-        master_seed=SEED, workers=4))
+        master_seed=SEED))
     print("downlink sum spectral efficiency, ZF precoding, %d trials:"
           % TRIALS)
     print("%-8s %-16s %-12s" % ("snr dB", "system", "bits/s/Hz"))

@@ -61,12 +61,6 @@ class AntennaSelection:
         """Occupied aperture in elements, max(indices) - min(indices) + 1."""
         return int(self.indices[-1] - self.indices[0] + 1)
 
-    def mask(self) -> np.ndarray:
-        """Boolean length-M mask, True at selected elements."""
-        m = np.zeros(self.num_transmit, dtype=bool)
-        m[self.indices - 1] = True
-        return m
-
 
 def select_successive(num_transmit: int, num_receive: int) -> AntennaSelection:
     """First ``num_receive`` elements: indices {1, ..., N}."""

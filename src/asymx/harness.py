@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
@@ -75,6 +74,9 @@ SYSTEMS = ("asym", "full_digital_m", "full_digital_n", "perfect_csi_m")
 # Stream tags, the third field of every seed_stream key.
 _PATHS, _SELECTION, _NOISE = 0, 1, 2
 
+# Spatial-spectrum oversampling of each transfer algorithm.
+_OVERSAMPLING = {"dft": 8, "mnomp": 4}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -88,16 +90,10 @@ class ExperimentConfig:
     path_powers: tuple[float, ...] | None = None
     selection: tuple[str, ...] = ("random",)
     algorithm: tuple[str, ...] = ("mnomp",)
-    pilot_length: int | None = None
     angle_min_deg: float = -60.0
     angle_max_deg: float = 60.0
     snr_db: tuple[float, ...] = (10.0,)
-    pilot_snr_db: float | None = None
-    data_snr_db: float | None = None
-    downlink_snr_db: float | None = None
     trials: int = 1000
-    oversampling_dft: int = 8
-    oversampling_mnomp: int = 4
     newton_rounds: int = 2
     cyclic_rounds: int = 2
     threshold: float | None = None
@@ -117,7 +113,6 @@ class ExperimentConfig:
     theta2_deg: float = 54.285
     grid_points: int = 4096
     pinned_random: bool = False
-    measure_runtime: bool = False
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -133,15 +128,20 @@ class ExperimentConfig:
                      "systems"):
             _require(len(getattr(self, name)) > 0, name,
                      "needs at least one value")
+        for snr in self.snr_db:
+            try:
+                rho = _linear(snr)
+            except OverflowError:
+                rho = math.inf
+            # the LMMSE filter and the default threshold divide by rho
+            _require(0.0 < rho < math.inf and 1.0 / rho < math.inf, "snr_db",
+                     "linear power 10^(snr_db/10) over- or underflows")
         _require(self.num_transmit >= 1, "num_transmit", "must be positive")
         for n in self.num_receive:
             _require(1 <= n <= self.num_transmit, "num_receive",
                      "entries must lie in [1, num_transmit]")
         _require(self.num_users >= 1, "num_users", "must be positive")
         _require(self.paths_per_user >= 1, "paths_per_user", "must be positive")
-        _require(self.pilot_length is None
-                 or self.pilot_length >= self.num_users, "pilot_length",
-                 "must be at least num_users")
         if self.path_powers is not None:
             _require(len(self.path_powers) == self.paths_per_user,
                      "path_powers", "needs one fraction per path")
@@ -154,12 +154,26 @@ class ExperimentConfig:
         for alg in self.algorithm:
             _require(alg in ("dft", "mnomp"), "algorithm",
                      f"unknown algorithm {alg!r}")
+        if "comb" in self.selection:
+            _require(all(self.num_transmit % n == 0 for n in self.num_receive),
+                     "num_receive",
+                     "comb selection needs entries that divide num_transmit")
+        if self.pinned_random and "random" in self.selection:
+            _require(min(self.num_receive) >= 2, "num_receive",
+                     "pinned random selection needs entries >= 2")
+        # sin(theta) aliases outside [-90, 90] degrees, so a ULA cannot tell
+        # those angles apart
+        for name in ("angle_min_deg", "angle_max_deg", "theta1_deg",
+                     "theta2_deg"):
+            _require(-90.0 <= getattr(self, name) <= 90.0, name,
+                     "must lie in [-90, 90] degrees")
         _require(self.angle_min_deg <= self.angle_max_deg, "angle_min_deg",
                  "angle range is empty")
+        _require(not np.isclose(np.sin(np.deg2rad(self.theta1_deg)),
+                                np.sin(np.deg2rad(self.theta2_deg))),
+                 "theta2_deg", "paths need distinct spatial frequencies, "
+                 "so theta2_deg must differ from theta1_deg")
         _require(self.trials >= 1, "trials", "must be positive")
-        _require(self.oversampling_dft >= 1, "oversampling_dft", "must be >= 1")
-        _require(self.oversampling_mnomp >= 1, "oversampling_mnomp",
-                 "must be >= 1")
         _require(self.threshold is None or self.threshold > 0, "threshold",
                  "must be positive (or omitted for the N/rho default)")
         _require(self.newton_rounds >= 0, "newton_rounds",
@@ -438,15 +452,6 @@ def _linear(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def _powers(cfg: ExperimentConfig, snr_db: float) -> tuple[float, float, float]:
-    """(pilot, uplink data, downlink) powers for one sweep point."""
-    pilot = _linear(cfg.pilot_snr_db if cfg.pilot_snr_db is not None else snr_db)
-    data = _linear(cfg.data_snr_db if cfg.data_snr_db is not None else snr_db)
-    down = _linear(cfg.downlink_snr_db if cfg.downlink_snr_db is not None
-                   else snr_db)
-    return pilot, data, down
-
-
 def _user_paths(cfg: ExperimentConfig, trial: int) -> list[PathSet]:
     lo, hi = np.deg2rad(cfg.angle_min_deg), np.deg2rad(cfg.angle_max_deg)
     powers = (np.asarray(cfg.path_powers)
@@ -463,8 +468,9 @@ def _estimate(cfg: ExperimentConfig, h_up: ChannelMatrix, pilot_power: float,
               rng: np.random.Generator) -> ChannelMatrix:
     if cfg.estimator == "perfect":
         return h_up
-    pilots = generate_pilots(cfg.num_users,
-                             cfg.pilot_length or cfg.num_users, pilot_power)
+    # orthonormal pilot rows give the same CN(0, I/rho) error at any length
+    # tau >= K, so the shortest one is used
+    pilots = generate_pilots(cfg.num_users, cfg.num_users, pilot_power)
     y = received_pilot(h_up, pilots, NoiseModel(), rng)
     if cfg.estimator == "ls":
         return estimate_ls(y, pilots)
@@ -476,8 +482,7 @@ def _transfer(cfg: ExperimentConfig, algorithm: str, est: ChannelMatrix,
               pilot_power: float) -> list[TransferResult]:
     """Every user's downlink rebuilt from its uplink estimate."""
     tconf = TransferConfig(
-        oversampling=(cfg.oversampling_dft if algorithm == "dft"
-                      else cfg.oversampling_mnomp),
+        oversampling=_OVERSAMPLING[algorithm],
         threshold=(cfg.threshold if cfg.threshold is not None
                    else default_threshold(sel.num_receive, pilot_power)),
         newton_rounds=cfg.newton_rounds,
@@ -552,24 +557,20 @@ def _trial(cfg: ExperimentConfig, setups: dict, trial: int) -> dict:
         h_up, h_down = user_channels(paths, sel, geometry)
         noise = seed_stream(cfg.master_seed, trial, _NOISE, index)
         for snr in cfg.snr_db:
-            pilot_power, data_power, down_power = _powers(cfg, snr)
-            est = _estimate(cfg, h_up, pilot_power, noise)
+            rho = _linear(snr)
+            est = _estimate(cfg, h_up, rho, noise)
             if cfg.experiment == "transfer-nmse":
                 for alg in cfg.algorithm:
-                    start = perf_counter()
-                    results = _transfer(cfg, alg, est, sel, geometry,
-                                        pilot_power)
-                    runtime_us = (perf_counter() - start) * 1e6 / cfg.num_users
+                    results = _transfer(cfg, alg, est, sel, geometry, rho)
                     ratios = [nmse(r.downlink_estimate, h_down.data[k])
                               for k, r in enumerate(results)]
                     samples[snr, alg, kind, n] = (
                         float(np.mean(ratios)),
-                        float(np.mean([r.paths_found for r in results])),
-                        runtime_us)
+                        float(np.mean([r.paths_found for r in results])))
                 continue
             se_up = ()
             if uplink:
-                sinr = uplink_sinr(est, h_up, data_power, cfg.detector)
+                sinr = uplink_sinr(est, h_up, rho, cfg.detector)
                 se_up = (float(np.log2(1.0 + sinr).sum()),)
             if not downlink:
                 samples[snr, kind] = se_up
@@ -578,15 +579,14 @@ def _trial(cfg: ExperimentConfig, setups: dict, trial: int) -> dict:
                 if system == "asym":
                     down_est = np.stack([
                         r.downlink_estimate for r in _transfer(
-                            cfg, cfg.algorithm[0], est, sel, geometry,
-                            pilot_power)])
+                            cfg, cfg.algorithm[0], est, sel, geometry, rho)])
                 elif system == "perfect_csi_m":
                     down_est = h_down.data
                 else:
                     # full digital: the uplink estimate is the downlink one
                     down_est = est.data.T
                 samples[snr, system] = se_up + (_downlink_system_se(
-                    cfg, down_est, h_down, down_power),)
+                    cfg, down_est, h_down, rho),)
     return samples
 
 
@@ -620,7 +620,7 @@ def _run_transfer_nmse(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     for snr, alg, kind, n in product(cfg.snr_db, cfg.algorithm,
                                      cfg.selection, cfg.num_receive):
-        (ratio, found, runtime_us), (ratio_err, _, _) = cells[snr, alg, kind, n]
+        (ratio, found), (ratio_err, _) = cells[snr, alg, kind, n]
         # delta-method transfer of the linear-domain error into dB
         nmse_db_err = (10.0 / np.log(10.0) * ratio_err / ratio
                        if ratio > 0 else 0.0)
@@ -628,14 +628,13 @@ def _run_transfer_nmse(cfg: ExperimentConfig) -> ExperimentResult:
             float(snr), alg, kind, n,
             float(10.0 * np.log10(ratio)),
             float(found),
-            float(runtime_us) if cfg.measure_runtime else float("nan"),
             float(nmse_db_err),
             cfg.trials,
         ))
     return ExperimentResult(
         "transfer-nmse",
         ("snr_db", "algorithm", "selection", "N", "nmse_db",
-         "mean_paths_found", "mean_runtime_us", "nmse_db_stderr", "trials"),
+         "mean_paths_found", "nmse_db_stderr", "trials"),
         tuple(rows),
     )
 
@@ -687,8 +686,6 @@ def _run_ee(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -138,14 +138,6 @@ def estimate_lmmse(
     return ChannelMatrix(ls @ filt, "uplink")
 
 
-def zf_detect(
-    channel_est: ChannelMatrix | np.ndarray, received: np.ndarray
-) -> np.ndarray:
-    """Zero-forcing combining: pseudo-inverse of the estimate applied to y."""
-    h_est = _uplink_data(channel_est)
-    return np.linalg.pinv(h_est) @ received
-
-
 def uplink_sinr(
     channel_est: ChannelMatrix | np.ndarray,
     channel_true: ChannelMatrix | np.ndarray,

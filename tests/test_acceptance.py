@@ -185,14 +185,14 @@ def test_criterion_07_receive_chain_gap_and_selection_order():
         "transfer-nmse", snr_db=(20.0,), algorithm=("mnomp",),
         selection=("random",), num_receive=(32, 16), paths_per_user=2,
         path_powers=(0.9, 0.1), pinned_random=True, trials=1500,
-        master_seed=11, workers=4))
+        master_seed=11))
     by_n = {row[3]: row[4] for row in gap_run.rows}
     gap = by_n[16] - by_n[32]
     order_run = run(ExperimentConfig(
         "transfer-nmse", snr_db=(20.0,), algorithm=("mnomp",),
         selection=("random", "successive", "comb"), num_receive=(16,),
         paths_per_user=2, path_powers=(0.9, 0.1), pinned_random=True,
-        trials=800, master_seed=11, workers=4))
+        trials=800, master_seed=11))
     by_sel = {row[2]: row[4] for row in order_run.rows}
     ordered = by_sel["random"] < by_sel["successive"] < by_sel["comb"]
     elapsed = time.perf_counter() - start
@@ -271,13 +271,12 @@ def test_criterion_10_spectral_efficiency_orderings():
     start = time.perf_counter()
     up = run(ExperimentConfig(
         "se", link="uplink", snr_db=(10.0,), num_receive=(32,),
-        selection=("random", "successive"), trials=500, master_seed=17,
-        workers=4))
+        selection=("random", "successive"), trials=500, master_seed=17))
     up_se = {row[1]: (row[3], row[4]) for row in up.rows}
     down = run(ExperimentConfig(
         "se", link="downlink", snr_db=(10.0,), num_receive=(32,),
         selection=("random",), algorithm=("mnomp",), trials=500,
-        master_seed=17, workers=4))
+        master_seed=17))
     dn_se = {row[1]: (row[4], row[5]) for row in down.rows}
     up_ok = up_se["random"][0] > up_se["successive"][0]
     asym, asym_err = dn_se["asym"]

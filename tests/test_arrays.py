@@ -68,14 +68,6 @@ def test_selection_validation():
         AntennaSelection(np.array([1, 2]), M, "spiral")  # known kind
 
 
-def test_mask_scatters_indices():
-    sel = select_comb(16, 4)
-    mask = sel.mask()
-    assert mask.shape == (16,)
-    assert mask.sum() == 4
-    assert np.all(np.flatnonzero(mask) + 1 == sel.indices)
-
-
 def test_array_factor_peak_at_broadside():
     rng = np.random.default_rng(2)
     for sel in (select_successive(M, N), select_comb(M, N),

@@ -22,7 +22,6 @@ from asymx.uplink import (
     snr_loss_numeric,
     steered_response,
     uplink_sinr,
-    zf_detect,
 )
 
 M, N, K = 128, 32, 10
@@ -143,13 +142,6 @@ def test_zf_sinr_perfect_csi_removes_interference():
     v = np.linalg.pinv(h_up.data).conj().T
     expected = rho / np.sum(np.abs(v) ** 2, axis=0)
     assert np.allclose(sinr, expected, rtol=1e-9)
-
-
-def test_zf_detect_inverts_channel():
-    sel, h_up = random_uplink(9)
-    x = np.exp(2j * np.pi * np.arange(K) / K)
-    y = h_up.data @ x
-    assert np.allclose(zf_detect(h_up, y), x, atol=1e-8)
 
 
 def test_unknown_detector_rejected():
