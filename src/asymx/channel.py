@@ -116,10 +116,16 @@ def draw_path_set(
     return PathSet(gains, angles)
 
 
-def steering_downlink(geometry: ArrayGeometry, w: float) -> np.ndarray:
-    """Unit-norm M-element steering vector at spatial frequency w."""
+def steering_downlink(
+    geometry: ArrayGeometry, w: float | np.ndarray
+) -> np.ndarray:
+    """Unit-norm M-element steering vector at spatial frequency w.
+
+    A 1-D array of P frequencies gives the M x P matrix of their vectors,
+    column for column the same numbers as one call per frequency.
+    """
     m = np.arange(geometry.num_transmit)
-    phase = -2j * np.pi * geometry.spacing * m * w
+    phase = np.multiply.outer(-2j * np.pi * geometry.spacing * m, w)
     return np.exp(phase) / np.sqrt(geometry.num_transmit)
 
 

@@ -5,12 +5,20 @@ gains and angles, so the downlink can be reconstructed by estimating those
 path parameters from the uplink estimate.  Two estimators are provided:
 
 * ``dft_transfer``  - score an oversampled DFT of the zero-padded estimate,
-  keep descending peaks until the unexplained energy falls under a noise
-  threshold, and rebuild the downlink channel from the kept bins.
-* ``mnomp_transfer`` - greedy single-path detection on the padded residual,
-  Newton refinement of each path's spatial frequency (the padding makes the
-  steering vector differentiable on the full aperture), cyclic re-refinement
-  of all paths, and a regularized least-squares gain re-fit per iteration.
+  keep descending peaks until the energy they leave unexplained falls under
+  a noise threshold, and rebuild the downlink channel from the kept bins.
+* ``mnomp_transfer`` - Newtonized orthogonal matching pursuit (NOMP;
+  Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016): greedy single-path
+  detection on the oversampled grid, Newton refinement of each path's
+  spatial frequency, cyclic re-refinement of all paths, and a regularized
+  least-squares gain re-fit per iteration.
+
+The Newton algebra runs on the N selected entries alone.  Selected element
+a_n carries the steering entry exp(-j*2*pi*(d/lambda)*(a_n - 1)*w) /
+sqrt(N), and each w-derivative multiplies it by the fixed phase slope
+-j*2*pi*(d/lambda)*(a_n - 1), so the N-vector is differentiable on its own.
+Only grid detection scatters the N-element residual onto the M-element
+aperture: one zero-padded FFT scores every oversampled bin.
 
 Both stop against the same energy threshold N/rho_tau: the expected noise
 energy left in an N-element LS estimate.
@@ -23,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import AntennaSelection
-from .channel import ArrayGeometry, steering_downlink, steering_masked
+from .channel import ArrayGeometry, steering_downlink
+# Unused here, but benchmarks/tracer.py wraps asymx.transfer.steering_masked.
+from .channel import steering_masked  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,13 @@ class TransferConfig:
 class TransferResult:
     """Estimated path parameters and the rebuilt downlink channel.
 
-    ``truncated`` flags an exit forced by max_paths (or exhausted peaks)
-    while the residual energy still exceeded the threshold.
+    ``residual_energy`` is the quantity each algorithm stops on.  For mNOMP
+    it is ||h - sqrt(N) * sum_i g_i a_S(w_i)||^2 on the N selected
+    entries.  For DFT it is ||h||^2 - sum_i N |score_i|^2, which treats the
+    kept oversampled bins as orthogonal: it is not the fit error, and it
+    goes negative when neighbouring bins overlap.  ``truncated`` flags an
+    exit forced by max_paths (or exhausted peaks) while that quantity still
+    exceeded the threshold.
     """
 
     gains: np.ndarray
@@ -123,11 +138,10 @@ def find_peaks(scores: np.ndarray) -> np.ndarray:
     mags = np.abs(np.asarray(scores))
     if mags.size == 1:
         return np.array([0])
-    left = np.roll(mags, 1)
-    right = np.roll(mags, -1)
-    idx = np.nonzero((mags >= left) & (mags >= right))[0]
-    order = np.lexsort((idx, -mags[idx]))
-    return idx[order]
+    ring = np.concatenate((mags[-1:], mags, mags[:1]))
+    idx = np.flatnonzero((mags >= ring[:-2]) & (mags >= ring[2:]))
+    # a stable sort keeps equal magnitudes in ascending bin order
+    return idx[np.argsort(-mags[idx], kind="stable")]
 
 
 def dft_transfer(
@@ -139,9 +153,12 @@ def dft_transfer(
     """Rebuild the downlink channel from the strongest DFT peaks.
 
     Accumulates peaks in descending magnitude until the unexplained energy
-    ||h||^2 - sum_i N |g_i|^2 drops to the threshold, then maps bins to
+    ||h||^2 - sum_i N |score_i|^2 drops to the threshold, then maps bins to
     spatial frequencies and sums steering vectors with the de-conjugated
-    gains.
+    gains.  The subtraction treats the kept bins as orthogonal, which
+    oversampled bins are not, so this stopping quantity (returned as
+    ``residual_energy``) is not ||h - reconstruction||^2 and can be far
+    below zero; it is the rule of the reproduced algorithm and is kept.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
     padded = zero_pad(h_up, selection)
@@ -168,9 +185,7 @@ def dft_transfer(
     freqs = np.asarray(
         bin_to_spatial_freq(np.asarray(kept), scores.size), dtype=float
     )
-    basis = np.stack(
-        [steering_downlink(geometry, w) for w in freqs], axis=1
-    )
+    basis = steering_downlink(geometry, freqs)
     downlink = np.sqrt(geometry.num_transmit / count) * (basis @ gains)
     return TransferResult(
         gains=gains,
@@ -203,26 +218,18 @@ def newton_objective(
 ) -> tuple[float, float, float]:
     """Value and first two w-derivatives of J(w) = ||y - sqrt(N) g a_S(w)||^2.
 
-    a_S is the masked (zero-padded) steering vector; its entries carry the
-    factor -j*2*pi*(d/lambda)*(a_n - 1) per derivative order.
+    ``observation`` is zero-padded onto the M-element aperture; J is taken
+    over its selected entries, the only ones a_S (the masked steering
+    vector) reaches.  Each derivative order multiplies the steering entries
+    by -j*2*pi*(d/lambda)*(a_n - 1).
     """
-    num_receive = selection.num_receive
-    root_n = np.sqrt(num_receive)
-    steer = steering_masked(selection, geometry, w)
-    factor = np.zeros(geometry.num_transmit, dtype=complex)
-    factor[selection.indices - 1] = (
-        -2j * np.pi * geometry.spacing * (selection.indices - 1)
-    )
-    d_steer = factor * steer
-    dd_steer = factor * d_steer
-    resid = observation - root_n * gain * steer
-    value = float(np.vdot(resid, resid).real)
-    d1 = -2.0 * root_n * float(np.real(gain * np.vdot(resid, d_steer)))
-    d2 = -2.0 * root_n * float(np.real(gain * np.vdot(resid, dd_steer)))
-    d2 += 2.0 * num_receive * float(
-        np.abs(gain) ** 2 * np.vdot(d_steer, d_steer).real
-    )
-    return value, d1, d2
+    pos = _phase_slopes(selection, geometry)
+    root_n = np.sqrt(selection.num_receive)
+    steer = _steer(pos, w, root_n)
+    obs = np.asarray(observation, dtype=complex)[selection.indices - 1]
+    resid = obs - root_n * gain * steer
+    d1, d2 = _derivatives(resid, gain, steer, pos, root_n)
+    return float(np.vdot(resid, resid).real), d1, d2
 
 
 def newton_refine(
@@ -235,37 +242,22 @@ def newton_refine(
 ) -> tuple[complex, float, np.ndarray]:
     """Refine one path against the data with all other paths removed.
 
-    ``residual`` excludes this path's contribution; it is re-added to form
-    the single-path observation, then each round takes a Newton step in w
-    followed by a least-squares gain re-fit.  A step is committed only when
-    the curvature is positive and the fit error does not grow; the first
-    rejected step ends the refinement.  Returns the updated (gain, w) and
-    the residual with the refined path removed again.
+    ``residual`` (zero-padded onto the M-element aperture) excludes this
+    path's contribution; it is re-added to form the single-path
+    observation, then each round takes a Newton step in w followed by a
+    least-squares gain re-fit.  A step is committed only when the curvature
+    is positive and the fit error does not grow; the first rejected step
+    ends the refinement.  Returns the updated (gain, w) and the residual
+    with the refined path removed again.
     """
-    num_receive = selection.num_receive
-    root_n = np.sqrt(num_receive)
-    observation = residual + root_n * gain * steering_masked(
-        selection, geometry, w
+    rows = selection.indices - 1
+    pos = _phase_slopes(selection, geometry)
+    root_n = np.sqrt(selection.num_receive)
+    final = np.array(residual, dtype=complex)
+    gain, w, _, refined = _refine(
+        final[rows], gain, w, _steer(pos, w, root_n), pos, root_n, rounds
     )
-    for _ in range(rounds):
-        value, d1, d2 = newton_objective(
-            observation, gain, w, selection, geometry
-        )
-        if d2 <= 0.0:
-            break
-        w_new = _wrap_freq(w - d1 / d2)
-        steer_new = steering_masked(selection, geometry, w_new)
-        norm_sq = float(np.vdot(steer_new, steer_new).real)
-        gain_new = complex(
-            np.vdot(steer_new, observation) / (root_n * norm_sq)
-        )
-        trial = observation - root_n * gain_new * steer_new
-        if float(np.vdot(trial, trial).real) > value:
-            break
-        gain, w = gain_new, w_new
-    final = observation - root_n * gain * steering_masked(
-        selection, geometry, w
-    )
+    final[rows] = refined
     return gain, w, final
 
 
@@ -284,64 +276,135 @@ def mnomp_transfer(
     residual energy falls below the threshold or max_paths is hit.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
+    # detection buffer: the residual scattered onto the aperture, 0 elsewhere
     padded = zero_pad(h_up, selection)
+    rows = selection.indices - 1
     num_receive = selection.num_receive
     root_n = np.sqrt(num_receive)
+    pos = _phase_slopes(selection, geometry)
 
     gains: list[complex] = []
     freqs: list[float] = []
-    residual = padded.copy()
-
-    def residual_energy() -> float:
-        return float(np.vdot(residual, residual).real)
-
-    while residual_energy() >= config.threshold and len(gains) < config.max_paths:
-        raw, w0 = nomp_detect(residual, config.oversampling, num_receive)
+    steers: list[np.ndarray] = []
+    residual = h_up
+    energy = float(np.vdot(residual, residual).real)
+    while energy >= config.threshold and len(gains) < config.max_paths:
+        padded[rows] = residual
+        raw, w0 = nomp_detect(padded, config.oversampling, num_receive)
         gain0 = np.conj(raw)  # filter scores live in the conjugate domain
-        residual = residual - root_n * gain0 * steering_masked(
-            selection, geometry, w0
-        )
-        gain, w, residual = newton_refine(
-            residual, gain0, w0, selection, geometry, config.newton_rounds
+        steer0 = _steer(pos, w0, root_n)
+        residual = residual - root_n * gain0 * steer0
+        gain, w, steer, residual = _refine(
+            residual, gain0, w0, steer0, pos, root_n, config.newton_rounds
         )
         gains.append(gain)
         freqs.append(w)
+        steers.append(steer)
 
         for _ in range(config.cyclic_rounds):
             for i in range(len(gains)):
-                gains[i], freqs[i], residual = newton_refine(
+                gains[i], freqs[i], steers[i], residual = _refine(
                     residual,
                     gains[i],
                     freqs[i],
-                    selection,
-                    geometry,
+                    steers[i],
+                    pos,
+                    root_n,
                     config.newton_rounds,
                 )
 
-        basis = np.stack(
-            [steering_masked(selection, geometry, w) for w in freqs], axis=1
-        )
+        basis = np.stack(steers, axis=1)
         gram = basis.conj().T @ basis + config.regularizer * np.eye(len(gains))
-        refit = np.linalg.solve(gram, basis.conj().T @ padded) / root_n
+        refit = np.linalg.solve(gram, basis.conj().T @ h_up) / root_n
         gains = list(refit)
-        residual = padded - root_n * (basis @ refit)
+        residual = h_up - root_n * (basis @ refit)
+        energy = float(np.vdot(residual, residual).real)
 
     freqs_arr = np.asarray(freqs, dtype=float)
     gains_arr = np.asarray(gains, dtype=complex)
     if gains_arr.size:
-        downlink_basis = np.stack(
-            [steering_downlink(geometry, w) for w in freqs_arr], axis=1
+        downlink = np.sqrt(geometry.num_transmit) * (
+            steering_downlink(geometry, freqs_arr) @ gains_arr
         )
-        downlink = np.sqrt(geometry.num_transmit) * (downlink_basis @ gains_arr)
     else:
         downlink = np.zeros(geometry.num_transmit, dtype=complex)
     return TransferResult(
         gains=gains_arr,
         spatial_freqs=freqs_arr,
         downlink_estimate=downlink,
-        residual_energy=residual_energy(),
-        truncated=residual_energy() >= config.threshold,
+        residual_energy=energy,
+        truncated=energy >= config.threshold,
     )
+
+
+def _phase_slopes(
+    selection: AntennaSelection, geometry: ArrayGeometry
+) -> np.ndarray:
+    """-j*2*pi*(d/lambda)*(a_n - 1): d/dw of each selected steering phase."""
+    return -2j * np.pi * geometry.spacing * (selection.indices - 1)
+
+
+def _steer(pos: np.ndarray, w: float, root_n: float) -> np.ndarray:
+    """N-element steering vector; the same bits as ``steering_uplink``."""
+    return np.exp(pos * w) / root_n
+
+
+def _derivatives(
+    resid: np.ndarray,
+    gain: complex,
+    steer: np.ndarray,
+    pos: np.ndarray,
+    root_n: float,
+) -> tuple[float, float]:
+    """dJ/dw and d2J/dw2 at resid = y - sqrt(N) g a_S(w), on N entries."""
+    d_steer = pos * steer
+    dd_steer = pos * d_steer
+    d1 = -2.0 * root_n * float(np.real(gain * np.vdot(resid, d_steer)))
+    d2 = -2.0 * root_n * float(np.real(gain * np.vdot(resid, dd_steer)))
+    d2 += 2.0 * steer.size * float(
+        np.abs(gain) ** 2 * np.vdot(d_steer, d_steer).real
+    )
+    return d1, d2
+
+
+def _refine(
+    residual: np.ndarray,
+    gain: complex,
+    w: float,
+    steer: np.ndarray,
+    pos: np.ndarray,
+    root_n: float,
+    rounds: int,
+) -> tuple[complex, float, np.ndarray, np.ndarray]:
+    """``newton_refine`` on the N selected entries.
+
+    ``steer`` is the steering vector at ``w``; the refined one is returned
+    with (gain, w) and the residual.  An accepted trial's residual and its
+    energy are exactly what the next round would recompute, so they are
+    carried over, and the last one accepted is the returned residual.
+    """
+    path = root_n * gain * steer
+    observation = residual + path
+    resid = observation - path
+    value = float(np.vdot(resid, resid).real)
+    for _ in range(rounds):
+        d1, d2 = _derivatives(resid, gain, steer, pos, root_n)
+        if d2 <= 0.0:
+            break
+        w_new = _wrap_freq(w - d1 / d2)
+        steer_new = _steer(pos, w_new, root_n)
+        norm_sq = float(np.vdot(steer_new, steer_new).real)
+        gain_new = complex(
+            np.vdot(steer_new, observation) / (root_n * norm_sq)
+        )
+        trial = observation - root_n * gain_new * steer_new
+        trial_value = float(np.vdot(trial, trial).real)
+        if trial_value > value:
+            break
+        gain, w, steer, resid, value = (
+            gain_new, w_new, steer_new, trial, trial_value
+        )
+    return gain, w, steer, resid
 
 
 def _wrap_freq(w: float) -> float:

@@ -10,6 +10,7 @@ from asymx.channel import (
     PathSet,
     downlink_channel,
     steering_masked,
+    steering_uplink,
     uplink_channel,
 )
 from asymx.downlink import nmse
@@ -350,3 +351,66 @@ def test_transfer_result_reports_path_count():
     h_up, _ = channel_pair(paths, sel)
     res = mnomp_transfer(h_up, sel, GEOM, EXACT)
     assert res.paths_found == res.gains.size == res.spatial_freqs.size
+
+
+# ------------------------------------------------------ Cramér–Rao gate
+
+# Upper bounds on MSE/CRB per (selection, SNR dB, newton_rounds): about
+# 1.15x the largest ratio over seeds 0-19 at CRB_DRAWS draws, N = 16 and 32
+# (medians 1.01-1.17 successive, 1.13-1.30 random).  At 20 dB the default
+# two Newton rounds stop short of the bound on the wide random aperture
+# (medians 2.6-3.0); six rounds reach it again at 30 dB.
+CRB_DRAWS = 300
+CRB_BOUNDS = {
+    ("successive", 10.0, 2): 1.35,
+    ("successive", 20.0, 2): 1.6,
+    ("successive", 30.0, 6): 1.3,
+    ("random", 10.0, 2): 1.75,
+    ("random", 20.0, 2): 4.2,
+    ("random", 30.0, 6): 1.6,
+}
+
+
+def crb_ratio(kind, num_receive, snr_db, newton_rounds, draws, seed=0):
+    """Mean of (w_hat - w)^2 / CRB over single-path draws at M = 128.
+
+    Each draw takes a fresh selection, an off-grid frequency and a
+    unit-magnitude gain; w_hat is the strongest path mNOMP returns.  With
+    the complex gain unknown, the CRB of w is
+    1 / (2 rho |g|^2 sum_n (2 pi d (a_n - mean(a)))^2).
+    """
+    rng = np.random.default_rng([seed, num_receive, int(snr_db),
+                                 kind == "random"])
+    rho = 10.0 ** (snr_db / 10.0)
+    config = TransferConfig(4, default_threshold(num_receive, rho),
+                            newton_rounds=newton_rounds)
+    ratios = []
+    for _ in range(draws):
+        sel = make_selection(kind, M, num_receive, rng)
+        pos = 2.0 * np.pi * GEOM.spacing * (sel.indices - 1)
+        crb = 1.0 / (2.0 * rho * np.sum((pos - pos.mean()) ** 2))
+        w = rng.uniform(-0.9, 0.9)
+        gain = np.exp(2j * np.pi * rng.uniform())
+        noise = (rng.standard_normal(num_receive)
+                 + 1j * rng.standard_normal(num_receive))
+        h_up = (np.sqrt(num_receive) * gain * steering_uplink(sel, GEOM, w)
+                + noise / np.sqrt(2.0 * rho))
+        res = mnomp_transfer(h_up, sel, GEOM, config)
+        w_hat = res.spatial_freqs[np.argmax(np.abs(res.gains))]
+        ratios.append(((w_hat - w + 1.0) % 2.0 - 1.0) ** 2 / crb)
+    return float(np.mean(ratios))
+
+
+@pytest.mark.parametrize("kind", ["successive", "random"])
+@pytest.mark.parametrize("num_receive", [16, 32])
+def test_mnomp_frequency_error_near_cramer_rao_bound(kind, num_receive):
+    # comb selections are left out: grating lobes alias the frequency, so
+    # the local bound says nothing about their error
+    ratios = {(snr, rounds): crb_ratio(kind, num_receive, snr, rounds,
+                                       CRB_DRAWS)
+              for (k, snr, rounds) in CRB_BOUNDS if k == kind}
+    for (snr, rounds), ratio in ratios.items():
+        # far under the bound would mean the draws lost their noise
+        assert 0.6 < ratio <= CRB_BOUNDS[kind, snr, rounds], (
+            f"{kind} N={num_receive} {snr} dB rounds={rounds}: "
+            f"MSE/CRB {ratio:.3f}")
