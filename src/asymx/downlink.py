@@ -44,10 +44,19 @@ def mrt_precoder(channel_est: ChannelMatrix | np.ndarray) -> Precoder:
 
 
 def zf_precoder(channel_est: ChannelMatrix | np.ndarray) -> Precoder:
-    """Null inter-user leakage: columns of H^H (H H^H)^-1, normalized."""
+    """Null inter-user leakage: columns of H^H (H H^H)^-1, normalized.
+
+    An exactly singular Gram matrix (two users' estimates collinear, as
+    when both are rebuilt from the same single on-grid path) takes the
+    pseudo-inverse: such users cannot be separated, and they share a beam.
+    """
     h = _downlink_data(channel_est)
     gram = h @ h.conj().T
-    raw = h.conj().T @ np.linalg.inv(gram)
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        inverse = np.linalg.pinv(gram, hermitian=True)
+    raw = h.conj().T @ inverse
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0):
         raise ValueError("ZF produced a zero beam; channel is degenerate")

@@ -77,6 +77,13 @@ def test_zf_removes_interference():
     assert np.max(np.abs(off)) < 1e-9
 
 
+def test_zf_shares_a_beam_between_identical_estimates():
+    # an exactly singular Gram matrix: both users get the matched beam
+    row = np.array([1.0, 2.0j, -2.0])
+    w = zf_precoder(ChannelMatrix(np.stack([row, row]), "downlink")).matrix
+    assert np.allclose(w, (row.conj() / 3.0)[:, None], atol=1e-12)
+
+
 def test_zf_sinr_equals_rho_times_gain():
     # with zero leakage, SINR_k = rho |h_k w_k|^2
     h = random_downlink(4)

@@ -34,7 +34,7 @@ FIXTURE = Path(__file__).with_name("transfer_fixture.npz")
 M = 128
 GEOM = ArrayGeometry(M)
 KERNELS = {"dft": (dft_transfer, 8), "mnomp": (mnomp_transfer, 4)}
-SCENARIOS = {"los": (0.9, 0.1), "equal3": (1 / 3, 1 / 3, 1 / 3)}
+SCENARIOS = ((0.9, 0.1), (1 / 3, 1 / 3, 1 / 3))  # LOS, equal-power 3-path
 MAX_N = 32
 MAX_PATHS = TransferConfig(1, 1.0).max_paths
 RTOL = 1e-9
@@ -45,7 +45,7 @@ def _inputs():
     cases, truncating = [], []
     for num_receive in (16, 32):
         for kind in ("successive", "comb", "random"):
-            for scenario, powers in SCENARIOS.items():
+            for powers in SCENARIOS:
                 for snr_db in (-10.0, 0.0, 10.0, 20.0, 30.0):
                     rng = np.random.default_rng([6, len(cases)])
                     sel = make_selection(kind, M, num_receive, rng)
@@ -69,7 +69,7 @@ def _config(algorithm, num_receive, snr_db, max_paths):
                           max_paths=int(max_paths))
 
 
-def _write_fixture(path=FIXTURE):
+def _write_fixture():
     cases = _inputs()
     count = len(cases)
     data = {
@@ -101,7 +101,7 @@ def _write_fixture(path=FIXTURE):
                      f"{alg}_paths": np.array(paths),
                      f"{alg}_truncated": np.array(truncated),
                      f"{alg}_residual": np.array(residual)})
-    np.savez_compressed(path, **data)
+    np.savez_compressed(FIXTURE, **data)
 
 
 @pytest.mark.parametrize("algorithm", sorted(KERNELS))
