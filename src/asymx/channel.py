@@ -167,9 +167,7 @@ def uplink_channel(
 def downlink_channel(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
     """M-element downlink channel sqrt(M/P) * sum_i g_i * a_D(w_i)."""
     scale = np.sqrt(geometry.num_transmit / paths.count)
-    vecs = np.stack(
-        [steering_downlink(geometry, w) for w in paths.spatial_freqs], axis=1
-    )
+    vecs = steering_downlink(geometry, paths.spatial_freqs)
     return scale * (vecs @ paths.gains)
 
 
