@@ -4,7 +4,7 @@ The N-element uplink estimate and the M-element downlink channel share path
 gains and angles, so the downlink can be reconstructed by estimating those
 path parameters from the uplink estimate.  Two estimators are provided:
 
-* ``dft_transfer``  - score an oversampled DFT of the zero-padded estimate,
+* ``dft_transfer``  - score the estimate on an oversampled DFT grid,
   keep descending peaks until the energy they leave unexplained falls under
   a noise threshold, and rebuild the downlink channel from the kept bins.
 * ``mnomp_transfer`` - Newtonized orthogonal matching pursuit (NOMP;
@@ -13,12 +13,12 @@ path parameters from the uplink estimate.  Two estimators are provided:
   spatial frequency, cyclic re-refinement of all paths, and a regularized
   least-squares gain re-fit per iteration.
 
-The Newton algebra runs on the N selected entries alone.  Selected element
-a_n carries the steering entry exp(-j*2*pi*(d/lambda)*(a_n - 1)*w) /
-sqrt(N), and each w-derivative multiplies it by the fixed phase slope
--j*2*pi*(d/lambda)*(a_n - 1), so the N-vector is differentiable on its own.
-Only grid detection scatters the N-element residual onto the M-element
-aperture: one zero-padded FFT scores every oversampled bin.
+Both work on N-element vectors.  Selected element a_n carries the steering
+entry exp(-j*2*pi*(d/lambda)*(a_n - 1)*w) / sqrt(N), and each w-derivative
+multiplies it by the fixed phase slope -j*2*pi*(d/lambda)*(a_n - 1), so the
+Newton algebra needs no other element.  Only ``spatial_matched_filter``
+scatters an N-vector onto the M-element aperture: one zero-padded FFT
+scores every oversampled bin.
 
 Both stop against the same energy threshold N/rho_tau: the expected noise
 energy left in an N-element LS estimate.
@@ -97,27 +97,23 @@ def default_threshold(num_receive: int, pilot_power: float) -> float:
     return num_receive / pilot_power
 
 
-def zero_pad(h_up: np.ndarray, selection: AntennaSelection) -> np.ndarray:
-    """Scatter the N-element estimate onto the M-element aperture."""
+def spatial_matched_filter(
+    h_up: np.ndarray, selection: AntennaSelection, oversampling: int
+) -> np.ndarray:
+    """Per-bin path-gain scores (1/N) * F_{M*zeta} [conj(h) on the selection].
+
+    Correlating the N-element estimate with every steering candidate on the
+    oversampled grid is one FFT of its conjugate scattered onto the
+    M-element aperture, zero elsewhere.  A path of gain g at an on-grid
+    frequency scores conj(g) at its bin.
+    """
     h = np.asarray(h_up, dtype=complex)
     if h.shape != (selection.num_receive,):
         raise ValueError("estimate length must match the selection")
-    out = np.zeros(selection.num_transmit, dtype=complex)
-    out[selection.indices - 1] = h
-    return out
-
-
-def spatial_matched_filter(
-    h_padded: np.ndarray, oversampling: int, num_receive: int
-) -> np.ndarray:
-    """Per-bin path-gain scores (1/N) * F_{M*zeta} [conj(h); 0].
-
-    Correlating the padded estimate with every steering candidate on the
-    oversampled grid is one FFT of the conjugated vector.  A path of gain g
-    at an on-grid frequency scores conj(g) at its bin.
-    """
-    h = np.asarray(h_padded, dtype=complex)
-    return np.fft.fft(np.conj(h), n=h.size * oversampling) / num_receive
+    padded = np.zeros(selection.num_transmit, dtype=complex)
+    padded[selection.indices - 1] = np.conj(h)
+    return (np.fft.fft(padded, n=padded.size * oversampling)
+            / selection.num_receive)
 
 
 def bin_to_spatial_freq(bins: np.ndarray | int, size: int) -> np.ndarray | float:
@@ -161,9 +157,8 @@ def dft_transfer(
     below zero; it is the rule of the reproduced algorithm and is kept.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
-    padded = zero_pad(h_up, selection)
     num_receive = selection.num_receive
-    scores = spatial_matched_filter(padded, config.oversampling, num_receive)
+    scores = spatial_matched_filter(h_up, selection, config.oversampling)
     peak_bins = find_peaks(scores)
 
     energy = float(np.vdot(h_up, h_up).real)
@@ -196,71 +191,6 @@ def dft_transfer(
     )
 
 
-def nomp_detect(
-    residual: np.ndarray, oversampling: int, num_receive: int
-) -> tuple[complex, float]:
-    """Strongest single-path hypothesis on the oversampled grid.
-
-    Returns the raw filter score (the conjugate of the model-domain gain)
-    and the bin's spatial frequency; ties go to the lower bin.
-    """
-    scores = spatial_matched_filter(residual, oversampling, num_receive)
-    best = int(np.argmax(np.abs(scores)))
-    return complex(scores[best]), float(bin_to_spatial_freq(best, scores.size))
-
-
-def newton_objective(
-    observation: np.ndarray,
-    gain: complex,
-    w: float,
-    selection: AntennaSelection,
-    geometry: ArrayGeometry,
-) -> tuple[float, float, float]:
-    """Value and first two w-derivatives of J(w) = ||y - sqrt(N) g a_S(w)||^2.
-
-    ``observation`` is zero-padded onto the M-element aperture; J is taken
-    over its selected entries, the only ones a_S (the masked steering
-    vector) reaches.  Each derivative order multiplies the steering entries
-    by -j*2*pi*(d/lambda)*(a_n - 1).
-    """
-    pos = _phase_slopes(selection, geometry)
-    root_n = np.sqrt(selection.num_receive)
-    steer = _steer(pos, w, root_n)
-    obs = np.asarray(observation, dtype=complex)[selection.indices - 1]
-    resid = obs - root_n * gain * steer
-    d1, d2 = _derivatives(resid, gain, steer, pos, root_n)
-    return float(np.vdot(resid, resid).real), d1, d2
-
-
-def newton_refine(
-    residual: np.ndarray,
-    gain: complex,
-    w: float,
-    selection: AntennaSelection,
-    geometry: ArrayGeometry,
-    rounds: int,
-) -> tuple[complex, float, np.ndarray]:
-    """Refine one path against the data with all other paths removed.
-
-    ``residual`` (zero-padded onto the M-element aperture) excludes this
-    path's contribution; it is re-added to form the single-path
-    observation, then each round takes a Newton step in w followed by a
-    least-squares gain re-fit.  A step is committed only when the curvature
-    is positive and the fit error does not grow; the first rejected step
-    ends the refinement.  Returns the updated (gain, w) and the residual
-    with the refined path removed again.
-    """
-    rows = selection.indices - 1
-    pos = _phase_slopes(selection, geometry)
-    root_n = np.sqrt(selection.num_receive)
-    final = np.array(residual, dtype=complex)
-    gain, w, _, refined = _refine(
-        final[rows], gain, w, _steer(pos, w, root_n), pos, root_n, rounds
-    )
-    final[rows] = refined
-    return gain, w, final
-
-
 def mnomp_transfer(
     h_up_est: np.ndarray,
     selection: AntennaSelection,
@@ -276,11 +206,7 @@ def mnomp_transfer(
     residual energy falls below the threshold or max_paths is hit.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
-    # detection buffer: the residual scattered onto the aperture, 0 elsewhere
-    padded = zero_pad(h_up, selection)
-    rows = selection.indices - 1
-    num_receive = selection.num_receive
-    root_n = np.sqrt(num_receive)
+    root_n = np.sqrt(selection.num_receive)
     pos = _phase_slopes(selection, geometry)
 
     gains: list[complex] = []
@@ -289,9 +215,11 @@ def mnomp_transfer(
     residual = h_up
     energy = float(np.vdot(residual, residual).real)
     while energy >= config.threshold and len(gains) < config.max_paths:
-        padded[rows] = residual
-        raw, w0 = nomp_detect(padded, config.oversampling, num_receive)
-        gain0 = np.conj(raw)  # filter scores live in the conjugate domain
+        scores = spatial_matched_filter(residual, selection,
+                                        config.oversampling)
+        best = int(np.argmax(np.abs(scores)))  # ties go to the lower bin
+        w0 = float(bin_to_spatial_freq(best, scores.size))
+        gain0 = np.conj(scores[best])  # scores live in the conjugate domain
         steer0 = _steer(pos, w0, root_n)
         residual = residual - root_n * gain0 * steer0
         gain, w, steer, residual = _refine(
@@ -356,7 +284,10 @@ def _derivatives(
     pos: np.ndarray,
     root_n: float,
 ) -> tuple[float, float]:
-    """dJ/dw and d2J/dw2 at resid = y - sqrt(N) g a_S(w), on N entries."""
+    """dJ/dw and d2J/dw2 of J(w) = ||y - sqrt(N) g a_S(w)||^2, on N entries.
+
+    ``resid`` is y - sqrt(N) g a_S(w) and ``steer`` is a_S(w).
+    """
     d_steer = pos * steer
     dd_steer = pos * d_steer
     d1 = -2.0 * root_n * float(np.real(gain * np.vdot(resid, d_steer)))
@@ -376,12 +307,16 @@ def _refine(
     root_n: float,
     rounds: int,
 ) -> tuple[complex, float, np.ndarray, np.ndarray]:
-    """``newton_refine`` on the N selected entries.
+    """Refine one path against the data with all other paths removed.
 
-    ``steer`` is the steering vector at ``w``; the refined one is returned
-    with (gain, w) and the residual.  An accepted trial's residual and its
-    energy are exactly what the next round would recompute, so they are
-    carried over, and the last one accepted is the returned residual.
+    ``residual`` excludes this path's contribution; it is re-added to form
+    the single-path observation, then each round takes a Newton step in w
+    followed by a least-squares gain re-fit.  A step is committed only when
+    the curvature is positive and the fit error does not grow; the first
+    rejected step ends the refinement.  ``steer`` is a_S(w).  Returns the
+    updated (gain, w, steer) and the residual with the refined path removed
+    again; an accepted trial's residual and energy are carried into the
+    next round, which would recompute the same values.
     """
     path = root_n * gain * steer
     observation = residual + path
