@@ -130,15 +130,20 @@ def steering_downlink(
 
 
 def steering_uplink(
-    selection: AntennaSelection, geometry: ArrayGeometry, w: float
+    selection: AntennaSelection,
+    geometry: ArrayGeometry,
+    w: float | np.ndarray,
 ) -> np.ndarray:
     """Unit-norm N-element steering vector of the selected elements.
 
     Element n carries the phase of physical element a_n, i.e. exponent
     (a_n - 1), so it is exactly the downlink steering vector sampled at the
-    selection (up to the sqrt(M/N) renormalization).
+    selection (up to the sqrt(M/N) renormalization).  A 1-D array of P
+    frequencies gives the N x P matrix of their vectors, as in
+    ``steering_downlink``.
     """
-    phase = -2j * np.pi * geometry.spacing * (selection.indices - 1) * w
+    slopes = -2j * np.pi * geometry.spacing * (selection.indices - 1)
+    phase = np.multiply.outer(slopes, w)
     return np.exp(phase) / np.sqrt(selection.num_receive)
 
 
@@ -157,10 +162,7 @@ def uplink_channel(
     """N-element uplink channel sqrt(N/P) * sum_i g_i * a_U(w_i)."""
     n = selection.num_receive
     scale = np.sqrt(n / paths.count)
-    vecs = np.stack(
-        [steering_uplink(selection, geometry, w) for w in paths.spatial_freqs],
-        axis=1,
-    )
+    vecs = steering_uplink(selection, geometry, paths.spatial_freqs)
     return scale * (vecs @ paths.gains)
 
 

@@ -48,6 +48,17 @@ def test_steering_uplink_samples_downlink():
                        atol=1e-12)
 
 
+def test_steering_uplink_matrix_matches_columns():
+    # an array of P frequencies gives the N x P matrix, column for column
+    # the same bits as one call per frequency
+    sel = make_selection("random", M, N, np.random.default_rng(8))
+    freqs = np.array([-0.61, 0.0, 0.23, 0.9])
+    matrix = steering_uplink(sel, GEOM, freqs)
+    assert matrix.shape == (N, freqs.size)
+    for p, w in enumerate(freqs):
+        assert np.array_equal(matrix[:, p], steering_uplink(sel, GEOM, w))
+
+
 def test_steering_masked_zero_fills():
     rng = np.random.default_rng(2)
     sel = make_selection("random", M, N, rng)
