@@ -118,24 +118,15 @@ def estimate_ls(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
     return ChannelMatrix(est, "uplink")
 
 
-def estimate_lmmse(
-    received: np.ndarray,
-    pilots: PilotBlock,
-    correlation: np.ndarray | None = None,
-) -> ChannelMatrix:
+def estimate_lmmse(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
     """LMMSE estimate (1/sqrt(rho)) * Y * P^H * ((1/rho) R^-1 + I)^-1.
 
-    ``correlation`` is the K x K user-correlation E{H^H H}; the default
-    N * I_K follows from unit-variance path gains.
+    Unit-variance path gains make the user correlation R = E{H^H H} equal
+    N * I_K, so the filter is the scalar shrinkage 1 / ((1/N)(1/rho) + 1).
     """
     ls = estimate_ls(received, pilots).data
-    num_receive, num_users = ls.shape
-    if correlation is None:
-        correlation = num_receive * np.eye(num_users)
-    correlation = np.asarray(correlation, dtype=complex)
-    inv_r = np.linalg.inv(correlation)
-    filt = np.linalg.inv(inv_r / pilots.power + np.eye(num_users))
-    return ChannelMatrix(ls @ filt, "uplink")
+    shrink = 1.0 / ((1.0 / ls.shape[0]) * (1.0 / pilots.power) + 1.0)
+    return ChannelMatrix(ls * shrink, "uplink")
 
 
 def uplink_sinr(

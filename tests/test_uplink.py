@@ -109,18 +109,6 @@ def test_lmmse_approaches_ls_at_high_snr():
     assert np.allclose(estimate_lmmse(y, pilots).data, h_up.data, atol=1e-6)
 
 
-def test_lmmse_custom_correlation_matches_manual_filter():
-    sel, h_up = random_uplink(6)
-    rho = 2.0
-    pilots = generate_pilots(K, K, power=rho)
-    y = received_pilot(h_up, pilots, NoiseModel(0.0), np.random.default_rng(0))
-    corr = np.diag(np.linspace(1.0, 4.0, K))
-    got = estimate_lmmse(y, pilots, corr).data
-    ls = estimate_ls(y, pilots).data
-    filt = np.linalg.inv(np.linalg.inv(corr) / rho + np.eye(K))
-    assert np.allclose(got, ls @ filt, atol=1e-10)
-
-
 # ------------------------------------------------------------- detection
 
 
