@@ -128,11 +128,11 @@ def angular_resolution(kind: str, num_transmit: int, num_receive: int) -> float:
 
     The successive aperture spans only N elements, so it resolves 2/N; comb
     and random selections span the full array and resolve 2/M, the same as
-    the transmit side (kinds ``transmit``/``full`` report that directly).
+    the transmit side.
     """
     if kind == "successive":
         return 2.0 / num_receive
-    if kind in ("comb", "random", "transmit", "full"):
+    if kind in ("comb", "random"):
         return 2.0 / num_transmit
     raise ValueError(f"unknown selection kind {kind!r}")
 

@@ -122,6 +122,8 @@ def test_angular_resolution_by_kind():
     assert angular_resolution("successive", M, N) == pytest.approx(2.0 / N)
     assert angular_resolution("comb", M, N) == pytest.approx(2.0 / M)
     assert angular_resolution("random", M, N) == pytest.approx(2.0 / M)
+    with pytest.raises(ValueError):
+        angular_resolution("full", M, N)
 
 
 def test_array_factor_spacing_rescales_frequency():
