@@ -84,8 +84,8 @@ def main(argv: list[str] | None = None) -> int:
             values["trials"] = str(args.trials)
         if args.workers is not None:
             values["workers"] = str(args.workers)
-        config = config_from_values(values)
-        result = run(config, args.out)
+        result = run(config_from_values(values))
+        out_path = result.write_csv(args.out)
     except ConfigError as exc:
         print(f"asymx: error: {exc}", file=sys.stderr)
         return 2
@@ -96,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"asymx: error: {exc}", file=sys.stderr)
         return 1
 
-    out_path = Path(args.out) / f"{config.experiment.replace('-', '_')}.csv"
     print(f"wrote {out_path} ({len(result.rows)} rows)")
     return 0
 
