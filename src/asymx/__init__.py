@@ -30,6 +30,15 @@ from .channel import (
     uplink_channel,
     user_channels,
 )
+from .config import (
+    EXPERIMENTS,
+    ConfigError,
+    ExperimentConfig,
+    config_from_values,
+    load_config,
+    load_config_values,
+    parse_config_text,
+)
 from .downlink import (
     Precoder,
     downlink_se,
@@ -48,18 +57,7 @@ from .econ import (
     energy_efficiency,
     power,
 )
-from .harness import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    ExperimentResult,
-    config_from_values,
-    load_config,
-    load_config_values,
-    parse_config_text,
-    run,
-    seed_stream,
-)
+from .harness import ExperimentResult, run, seed_stream
 from .transfer import (
     TransferConfig,
     TransferResult,

@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (
+from .config import (
     EXPERIMENTS,
     ConfigError,
     config_from_values,
     load_config_values,
-    run,
 )
+from .harness import run
 
 
 def build_parser() -> argparse.ArgumentParser:

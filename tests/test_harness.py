@@ -10,20 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import asymx.cli
 import asymx.harness as harness
 from asymx.cli import main as cli_main
 from asymx.cli import resolve_config
-from asymx.harness import (
+from asymx.config import (
     ConfigError,
     ExperimentConfig,
-    ExperimentResult,
     config_from_values,
     load_config,
     load_config_values,
     parse_config_text,
-    run,
-    seed_stream,
 )
+from asymx.harness import ExperimentResult, run, seed_stream
 
 
 def tiny(experiment, **overrides):
@@ -487,9 +486,10 @@ def test_trials_of_one_reports_zero_stderr():
 
 
 def test_float_formatting_nine_significant_digits():
-    result = ExperimentResult("se", ("a", "b"),
-                              ((1.0 / 3.0, float("nan")),))
-    assert result.csv_text() == "a,b\n0.333333333,nan\n"
+    result = ExperimentResult("se", ("a", "b", "c", "d"),
+                              ((1.0 / 3.0, float("nan"), float("inf"),
+                                float("-inf")),))
+    assert result.csv_text() == "a,b,c,d\n0.333333333,nan,inf,-inf\n"
 
 
 # ---------------------------------------------------------------- the CLI
@@ -558,6 +558,22 @@ def test_cli_write_failure_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("asymx: error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("error", [
+    ValueError("no such cell"),
+    np.linalg.LinAlgError("Singular matrix"),
+], ids=["ValueError", "LinAlgError"])
+def test_cli_runtime_failure_is_one_line(tmp_path, capsys, monkeypatch, error):
+    def failing_run(config):
+        raise error
+
+    monkeypatch.setattr(asymx.cli, "run", failing_run)
+    code = cli_main(["cost-table", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"asymx: runtime failure: {error}"]
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_bad_value_rejected(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymx.channel import (
@@ -254,6 +254,10 @@ def test_fit_error_vanishes_at_the_true_path():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 6))
+# seeds whose least-squares start gets worse if a worse step is kept
+@example(seed=10, rounds=1)
+@example(seed=43, rounds=2)
+@example(seed=74, rounds=5)
 def test_refine_never_worsens_fit(seed, rounds):
     rng = np.random.default_rng(seed)
     sel = make_selection("random", M, N, rng, pinned=True)
@@ -264,11 +268,17 @@ def test_refine_never_worsens_fit(seed, rounds):
     obs = uplink_channel(paths, sel, GEOM)
     w0 = float(rng.uniform(-1.0, 1.0))
     g0 = complex(rng.standard_normal(), rng.standard_normal())
-    start = obs - np.sqrt(N) * g0 * steering_uplink(sel, GEOM, w0)
-    before = float(np.vdot(start, start).real)
-    gain, w, after = refine(start, g0, w0, sel, rounds)
-    assert float(np.vdot(after, after).real) <= before + 1e-9
-    assert -1.0 <= w < 1.0
+    a0 = steering_uplink(sel, GEOM, w0)
+    # the first trial's gain refit beats a random start gain whatever the
+    # step does; only a start at the least-squares gain for w0 leaves the
+    # acceptance test to judge the step itself
+    g_ls = complex(np.vdot(a0, obs) / (np.sqrt(N) * np.vdot(a0, a0).real))
+    for g in (g0, g_ls):
+        start = obs - np.sqrt(N) * g * a0
+        before = float(np.vdot(start, start).real)
+        gain, w, after = refine(start, g, w0, sel, rounds)
+        assert float(np.vdot(after, after).real) <= before + 1e-9
+        assert -1.0 <= w < 1.0
 
 
 def test_refine_polishes_single_path():
