@@ -64,8 +64,9 @@ class ChannelMatrix:
     """Multi-user channel with an explicit orientation tag.
 
     ``uplink`` data is N x K (one column per user); ``downlink`` data is
-    K x M (one row per user).  The tag exists so that transfer/precoding
-    code cannot silently mix the two layouts.
+    K x M (one row per user).  Leading axes, if any, index a stack of such
+    matrices.  The tag exists so that transfer/precoding code cannot
+    silently mix the two layouts.
     """
 
     data: np.ndarray
@@ -74,14 +75,14 @@ class ChannelMatrix:
     def __post_init__(self) -> None:
         d = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", d)
-        if d.ndim != 2:
-            raise ValueError("channel matrix must be 2-D")
+        if d.ndim < 2:
+            raise ValueError("channel matrix must be at least 2-D")
         if self.orientation not in ("uplink", "downlink"):
             raise ValueError("orientation must be 'uplink' or 'downlink'")
 
     @property
     def num_users(self) -> int:
-        return self.data.shape[1 if self.orientation == "uplink" else 0]
+        return self.data.shape[-1 if self.orientation == "uplink" else -2]
 
 
 def draw_path_set(
@@ -122,7 +123,8 @@ def steering_downlink(
     """Unit-norm M-element steering vector at spatial frequency w.
 
     A 1-D array of P frequencies gives the M x P matrix of their vectors,
-    column for column the same numbers as one call per frequency.
+    column for column the same numbers as one call per frequency; a K x P
+    array gives M x K x P.
     """
     m = np.arange(geometry.num_transmit)
     phase = np.multiply.outer(-2j * np.pi * geometry.spacing * m, w)
@@ -138,8 +140,8 @@ def steering_uplink(
 
     Element n carries the phase of physical element a_n, i.e. exponent
     (a_n - 1), so it is exactly the downlink steering vector sampled at the
-    selection (up to the sqrt(M/N) renormalization).  A 1-D array of P
-    frequencies gives the N x P matrix of their vectors, as in
+    selection (up to the sqrt(M/N) renormalization).  An array of
+    frequencies adds its axes after the element axis, as in
     ``steering_downlink``.
     """
     slopes = -2j * np.pi * geometry.spacing * (selection.indices - 1)
@@ -178,11 +180,33 @@ def user_channels(
     selection: AntennaSelection,
     geometry: ArrayGeometry,
 ) -> tuple[ChannelMatrix, ChannelMatrix]:
-    """Stack per-user channels into (uplink N x K, downlink K x M)."""
-    up = np.stack(
-        [uplink_channel(p, selection, geometry) for p in path_sets], axis=1
-    )
-    down = np.stack(
-        [downlink_channel(p, geometry) for p in path_sets], axis=0
-    )
-    return ChannelMatrix(up, "uplink"), ChannelMatrix(down, "downlink")
+    """Stack per-user channels into (uplink N x K, downlink K x M).
+
+    Users with equally many paths share one steering call per direction
+    and one stacked product with their gains, column for column the same
+    numbers as ``uplink_channel`` and ``downlink_channel``.
+    """
+    num_paths = {p.count for p in path_sets}
+    if len(num_paths) > 1:
+        up = np.stack(
+            [uplink_channel(p, selection, geometry) for p in path_sets], axis=1
+        )
+        down = np.stack(
+            [downlink_channel(p, geometry) for p in path_sets], axis=0
+        )
+        return ChannelMatrix(up, "uplink"), ChannelMatrix(down, "downlink")
+    (count,) = num_paths
+    freqs = np.stack([p.spatial_freqs for p in path_sets])
+    gains = np.stack([p.gains for p in path_sets])[:, :, None]
+
+    def combine(vecs: np.ndarray, size: int) -> np.ndarray:
+        # (elements, K, P) steering stack -> K x elements channel rows
+        return np.sqrt(size / count) * (vecs.swapaxes(0, 1) @ gains)[..., 0]
+
+    up = combine(steering_uplink(selection, geometry, freqs),
+                 selection.num_receive)
+    down = combine(steering_downlink(geometry, freqs), geometry.num_transmit)
+    # N x K in C order, the layout the per-user stack has, so that later
+    # BLAS products see the same memory order
+    return (ChannelMatrix(np.ascontiguousarray(up.T), "uplink"),
+            ChannelMatrix(down, "downlink"))

@@ -107,6 +107,8 @@ def _downlink_data(channels: ChannelMatrix | np.ndarray) -> np.ndarray:
     if isinstance(channels, ChannelMatrix):
         if channels.orientation != "downlink":
             raise ValueError("expected a downlink-oriented channel matrix")
+        if channels.data.ndim != 2:
+            raise ValueError("expected one K x M channel matrix, not a stack")
         return channels.data
     arr = np.asarray(channels, dtype=complex)
     return arr[None, :] if arr.ndim == 1 else arr

@@ -3,8 +3,8 @@
 Every metric cell is a pure function of (config, master seed).  The Monte
 Carlo experiments share one trial pipeline: a trial draws every user's
 paths once, builds each setup's selection and channels once, makes one
-pilot estimate per (setup, SNR) and one transfer per algorithm, and
-reduces that one draw to every cell, so the cells of a trial are paired.
+stacked estimate per setup over all SNRs and one transfer per algorithm
+and SNR, and reduces that one draw to every cell, so cells are paired.
 
 Streams come from ``seed_stream(master_seed, trial, tag, index)``, a key of
 fixed length whose tag names the draw: user paths, or a setup's selection
@@ -42,6 +42,7 @@ from .transfer import (
 )
 from .uplink import (
     NoiseModel,
+    PilotBlock,
     SnrLossInputs,
     composite_angle,
     estimate_lmmse,
@@ -207,20 +208,7 @@ def _user_paths(cfg: ExperimentConfig, trial: int) -> list[PathSet]:
     ]
 
 
-def _estimate(cfg: ExperimentConfig, h_up: ChannelMatrix, pilot_power: float,
-              rng: np.random.Generator) -> ChannelMatrix:
-    if cfg.estimator == "perfect":
-        return h_up
-    # orthonormal pilot rows give the same CN(0, I/rho) error at any length
-    # tau >= K, so the shortest one is used
-    pilots = generate_pilots(cfg.num_users, cfg.num_users, pilot_power)
-    y = received_pilot(h_up, pilots, NoiseModel(), rng)
-    if cfg.estimator == "ls":
-        return estimate_ls(y, pilots)
-    return estimate_lmmse(y, pilots)
-
-
-def _transfer(cfg: ExperimentConfig, algorithm: str, est: ChannelMatrix,
+def _transfer(cfg: ExperimentConfig, algorithm: str, est: np.ndarray,
               sel: AntennaSelection, geometry: ArrayGeometry,
               pilot_power: float) -> list[TransferResult]:
     """Every user's downlink rebuilt from its uplink estimate."""
@@ -234,7 +222,7 @@ def _transfer(cfg: ExperimentConfig, algorithm: str, est: ChannelMatrix,
         regularizer=cfg.regularizer,
     )
     transfer = dft_transfer if algorithm == "dft" else mnomp_transfer
-    return [transfer(est.data[:, k], sel, geometry, tconf)
+    return [transfer(est[:, k], sel, geometry, tconf)
             for k in range(cfg.num_users)]
 
 
@@ -283,10 +271,12 @@ def _setups(cfg: ExperimentConfig) -> dict[tuple, tuple[str, ...]]:
     return setups
 
 
-def _trial(cfg: ExperimentConfig, setups: dict, trial: int) -> dict:
+def _trial(cfg: ExperimentConfig, setups: dict, pilots: list[PilotBlock],
+           trial: int) -> dict:
     """Every cell's samples from one trial: one draw, reduced many ways."""
     paths = _user_paths(cfg, trial)
     uplink, downlink = cfg.reports_uplink, bool(cfg.downlink_systems)
+    rhos = [p.power for p in pilots]
     samples: dict[tuple, tuple[float, ...]] = {}
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
         geometry = ArrayGeometry(m, cfg.spacing)
@@ -295,9 +285,19 @@ def _trial(cfg: ExperimentConfig, setups: dict, trial: int) -> dict:
             cfg.pinned_random)
         h_up, h_down = user_channels(paths, sel, geometry)
         noise = seed_stream(cfg.master_seed, trial, _NOISE, index)
-        for snr in cfg.snr_db:
-            rho = _linear(snr)
-            est = _estimate(cfg, h_up, rho, noise)
+        # S x N x K, one slice per SNR; the noise is drawn in SNR order
+        if cfg.estimator == "perfect":
+            ests = np.broadcast_to(h_up.data, (len(pilots), *h_up.data.shape))
+        else:
+            estimate = estimate_ls if cfg.estimator == "ls" else estimate_lmmse
+            ests = estimate(np.stack([
+                received_pilot(h_up, p, NoiseModel(), noise) for p in pilots
+            ]), pilots).data
+        se_up = [()] * len(pilots)
+        if uplink:
+            sinr = uplink_sinr(ests, h_up, rhos, cfg.detector)
+            se_up = [(float(se),) for se in np.log2(1.0 + sinr).sum(axis=-1)]
+        for snr, rho, est, up in zip(cfg.snr_db, rhos, ests, se_up):
             if cfg.experiment == "transfer-nmse":
                 for alg in cfg.algorithm:
                     results = _transfer(cfg, alg, est, sel, geometry, rho)
@@ -307,12 +307,8 @@ def _trial(cfg: ExperimentConfig, setups: dict, trial: int) -> dict:
                         float(np.mean(ratios)),
                         float(np.mean([r.paths_found for r in results])))
                 continue
-            se_up = ()
-            if uplink:
-                sinr = uplink_sinr(est, h_up, rho, cfg.detector)
-                se_up = (float(np.log2(1.0 + sinr).sum()),)
             if not downlink:
-                samples[snr, kind] = se_up
+                samples[snr, kind] = up
                 continue
             for system in systems:
                 if system == "asym":
@@ -323,8 +319,8 @@ def _trial(cfg: ExperimentConfig, setups: dict, trial: int) -> dict:
                     down_est = h_down.data
                 else:
                     # full digital: the uplink estimate is the downlink one
-                    down_est = est.data.T
-                samples[snr, system] = se_up + (_downlink_system_se(
+                    down_est = est.T
+                samples[snr, system] = up + (_downlink_system_se(
                     cfg, down_est, h_down, rho),)
     return samples
 
@@ -348,7 +344,11 @@ def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
 def _monte_carlo(cfg: ExperimentConfig) -> dict:
     """(mean, stderr) over all trials of every cell's samples."""
     setups = _setups(cfg)
-    outcomes = _map_trials(lambda trial: _trial(cfg, setups, trial),
+    # orthonormal pilot rows give the same CN(0, I/rho) error at any length
+    # tau >= K, so the shortest one is used
+    pilots = [generate_pilots(cfg.num_users, cfg.num_users, _linear(snr))
+              for snr in cfg.snr_db]
+    outcomes = _map_trials(lambda trial: _trial(cfg, setups, pilots, trial),
                            cfg.trials, cfg.workers)
     return {key: _mean_stderr([o[key] for o in outcomes])
             for key in outcomes[0]}

@@ -10,6 +10,7 @@ brute-force vectors.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,27 +113,38 @@ def received_pilot(
     return y
 
 
-def estimate_ls(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
-    """Least-squares estimate Y * P^H / sqrt(rho_tau)."""
-    est = received @ pilots.matrix.conj().T / np.sqrt(pilots.power)
+def estimate_ls(
+    received: np.ndarray, pilots: PilotBlock | Sequence[PilotBlock]
+) -> ChannelMatrix:
+    """Least-squares estimate Y * P^H / sqrt(rho_tau).
+
+    A sequence of S blocks estimates an S x N x K stack of received blocks,
+    slice s with block s; each slice equals its own one-block call.
+    """
+    rows, power = _rows_and_power(pilots)
+    est = received @ rows.conj().swapaxes(-1, -2) / np.sqrt(power)
     return ChannelMatrix(est, "uplink")
 
 
-def estimate_lmmse(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
+def estimate_lmmse(
+    received: np.ndarray, pilots: PilotBlock | Sequence[PilotBlock]
+) -> ChannelMatrix:
     """LMMSE estimate (1/sqrt(rho)) * Y * P^H * ((1/rho) R^-1 + I)^-1.
 
     Unit-variance path gains make the user correlation R = E{H^H H} equal
     N * I_K, so the filter is the scalar shrinkage 1 / ((1/N)(1/rho) + 1).
+    Stacks as ``estimate_ls`` does, with one shrinkage per block.
     """
     ls = estimate_ls(received, pilots).data
-    shrink = 1.0 / ((1.0 / ls.shape[0]) * (1.0 / pilots.power) + 1.0)
+    _, power = _rows_and_power(pilots)
+    shrink = 1.0 / ((1.0 / ls.shape[-2]) * (1.0 / power) + 1.0)
     return ChannelMatrix(ls * shrink, "uplink")
 
 
 def uplink_sinr(
     channel_est: ChannelMatrix | np.ndarray,
     channel_true: ChannelMatrix | np.ndarray,
-    power: float,
+    power: float | Sequence[float],
     detector: str = "mrc",
     noise_variance: float = 1.0,
 ) -> np.ndarray:
@@ -141,20 +153,24 @@ def uplink_sinr(
     MRC combines with the estimate itself; ZF with the pseudo-inverse
     columns.  SINR_k = rho |v_k^H h_k|^2 /
     (rho * sum_{i != k} |v_k^H h_i|^2 + ||v_k||^2 sigma_n^2).
+    An S x N x K stack of estimates with S powers gives S x K, slice s
+    equal to its own call.
     """
     h_est = _uplink_data(channel_est)
     h = _uplink_data(channel_true)
     if detector == "mrc":
         combiner = h_est
     elif detector == "zf":
-        combiner = np.linalg.pinv(h_est).conj().T
+        combiner = np.linalg.pinv(h_est).conj().swapaxes(-1, -2)
     else:
         raise ValueError(f"unknown detector {detector!r}")
-    cross = np.abs(combiner.conj().T @ h) ** 2  # K x K, [k, i] = |v_k^H h_i|^2
-    signal = np.diag(cross)
-    interference = cross.sum(axis=1) - signal
-    norms = np.sum(np.abs(combiner) ** 2, axis=0)
-    return power * signal / (power * interference + norms * noise_variance)
+    # [..., k, i] = |v_k^H h_i|^2
+    cross = np.abs(combiner.conj().swapaxes(-1, -2) @ h) ** 2
+    signal = np.diagonal(cross, axis1=-2, axis2=-1)
+    interference = cross.sum(axis=-1) - signal
+    norms = np.sum(np.abs(combiner) ** 2, axis=-2)
+    rho = np.asarray(power, dtype=float)[..., None]
+    return rho * signal / (rho * interference + norms * noise_variance)
 
 
 def make_selection(
@@ -323,6 +339,17 @@ def resolved_path_count(
         response, height=0.5 * top, prominence=0.1 * top
     )
     return int(len(peaks))
+
+
+def _rows_and_power(
+    pilots: PilotBlock | Sequence[PilotBlock],
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Pilot rows and power of one block, or S x K x tau rows and S powers
+    shaped to broadcast over an S x N x K stack."""
+    if isinstance(pilots, PilotBlock):
+        return pilots.matrix, pilots.power
+    rows = np.stack([p.matrix for p in pilots])
+    return rows, np.array([p.power for p in pilots])[:, None, None]
 
 
 def _uplink_data(channels: ChannelMatrix | np.ndarray) -> np.ndarray:

@@ -149,11 +149,40 @@ def test_user_channels_shapes():
                            downlink_channel(path_sets[k], GEOM))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_users=st.integers(1, 8),
+       num_paths=st.integers(1, 6), weighted=st.booleans(),
+       unequal=st.booleans())
+def test_user_channels_equal_per_user_channels(seed, num_users, num_paths,
+                                               weighted, unequal):
+    # one steering call per direction for all users (equal path counts) or
+    # the per-user loop (unequal): either way the bytes of the per-user calls
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 129))
+    sel = make_selection("random", m, int(rng.integers(1, m + 1)), rng)
+    geometry = ArrayGeometry(m, float(rng.choice([0.25, 0.5, 1.0])))
+    path_sets = []
+    for k in range(num_users):
+        count = num_paths + (k % 2 if unequal else 0)
+        weights = rng.random(count) + 0.1
+        path_sets.append(draw_path_set(
+            count, -np.pi / 2, np.pi / 2, rng,
+            weights / weights.sum() if weighted else None))
+    h_up, h_down = user_channels(path_sets, sel, geometry)
+    assert np.array_equal(h_up.data, np.stack(
+        [uplink_channel(p, sel, geometry) for p in path_sets], axis=1))
+    assert np.array_equal(h_down.data, np.stack(
+        [downlink_channel(p, geometry) for p in path_sets]))
+
+
 def test_channel_matrix_validation():
     with pytest.raises(ValueError):
         ChannelMatrix(np.zeros((4, 4)), "sideways")
     with pytest.raises(ValueError):
         ChannelMatrix(np.zeros(4), "uplink")
+    stack = ChannelMatrix(np.zeros((3, 4, 2)), "uplink")
+    assert stack.num_users == 2
+    assert ChannelMatrix(np.zeros((3, 2, 4)), "downlink").num_users == 2
 
 
 def test_path_set_validation():

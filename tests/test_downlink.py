@@ -169,3 +169,6 @@ def test_uplink_orientation_rejected():
     flipped = ChannelMatrix(h.data.T, "uplink")
     with pytest.raises(ValueError):
         mrt_precoder(flipped)
+    stacked = ChannelMatrix(np.stack([h.data, h.data]), "downlink")
+    with pytest.raises(ValueError, match="stack"):
+        zf_precoder(stacked)

@@ -18,7 +18,6 @@ from asymx.config import (
     ConfigError,
     ExperimentConfig,
     config_from_values,
-    load_config,
     load_config_values,
     parse_config_text,
 )
@@ -42,52 +41,6 @@ def tiny(experiment, **overrides):
 
 
 # ------------------------------------------------------------ config file
-
-
-def test_parse_key_values_and_comments():
-    text = """
-    # a comment
-    experiment = se   # trailing comment
-    snr_db = 0, 5, 10
-    trials = 7
-    pinned_random = true
-    """
-    values = parse_config_text(text)
-    assert values == {"experiment": "se", "snr_db": "0, 5, 10",
-                      "trials": "7", "pinned_random": "true"}
-
-
-def test_parse_include_merges_with_later_wins(tmp_path):
-    (tmp_path / "base.cfg").write_text("trials = 3\nnum_users = 5\n")
-    child = tmp_path / "child.cfg"
-    child.write_text("include base.cfg\nexperiment = se\ntrials = 9\n")
-    cfg = load_config(child)
-    assert cfg.trials == 9
-    assert cfg.num_users == 5
-
-
-def test_parse_rejects_bad_lines():
-    with pytest.raises(ConfigError):
-        parse_config_text("this is not a key value pair")
-    with pytest.raises(ConfigError):
-        parse_config_text("include")
-
-
-def test_include_cycle_names_the_file(tmp_path):
-    loop = tmp_path / "loop.cfg"
-    loop.write_text("include loop.cfg\nexperiment = se\n")
-    with pytest.raises(ConfigError, match="loop.cfg"):
-        load_config(loop)
-    (tmp_path / "a.cfg").write_text("include b.cfg\n")
-    (tmp_path / "b.cfg").write_text("include a.cfg\n")
-    with pytest.raises(ConfigError, match="include cycle"):
-        load_config(tmp_path / "a.cfg")
-
-
-def test_include_matches_only_the_whole_first_word():
-    assert parse_config_text("included_paths = 3") == {"included_paths": "3"}
-    with pytest.raises(ConfigError, match=r"config\.included_paths"):
-        config_from_values({"experiment": "se", "included_paths": "3"})
 
 
 def test_empty_list_value_names_the_field():

@@ -347,6 +347,25 @@ def test_mnomp_truncates_at_max_paths():
     assert res.residual_energy >= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_paths=st.integers(1, 4),
+       max_paths=st.integers(1, 4), snr_db=st.floats(-10.0, 30.0))
+def test_truncated_mnomp_found_max_paths(seed, num_paths, max_paths, snr_db):
+    # truncated means the residual still met the threshold when the loop
+    # stopped, which only the path budget can force
+    sel = pinned_random(seed)
+    h_up, _ = channel_pair(on_model_channel(seed, num_paths), sel)
+    rho = 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng((seed, 1))
+    noise = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) \
+        / np.sqrt(2.0 * rho)
+    res = mnomp_transfer(h_up + noise, sel, GEOM, TransferConfig(
+        4, default_threshold(N, rho), max_paths=max_paths))
+    assert res.paths_found <= max_paths
+    if res.truncated:
+        assert res.paths_found == max_paths
+
+
 def test_mnomp_threshold_honored_when_not_truncated():
     sel = pinned_random(15)
     paths = on_model_channel(16, 2)

@@ -138,6 +138,38 @@ def test_unknown_detector_rejected():
         uplink_sinr(h_up, h_up, 1.0, "mmse")
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), num_snrs=st.integers(1, 8),
+       num_receive=st.integers(1, 40), detector=st.sampled_from(["mrc", "zf"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_snr_stack_equals_per_slice_calls(data, num_snrs, num_receive,
+                                          detector, seed):
+    # the trial pipeline estimates and detects all SNRs of a setup in one
+    # call each; every slice must be the bytes of its own call
+    num_users = data.draw(st.integers(1, num_receive))
+    snr_db = data.draw(st.lists(st.floats(-10.0, 30.0), min_size=num_snrs,
+                                max_size=num_snrs))
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((num_receive, num_users))
+         + 1j * rng.standard_normal((num_receive, num_users))) / np.sqrt(2)
+    pilots = [generate_pilots(num_users, num_users, 10.0 ** (db / 10.0))
+              for db in snr_db]
+    powers = [p.power for p in pilots]
+    received = np.stack([received_pilot(h, p, NoiseModel(), rng)
+                         for p in pilots])
+    for estimate in (estimate_ls, estimate_lmmse):
+        stack = estimate(received, pilots)
+        assert stack.data.shape == (num_snrs, num_receive, num_users)
+        assert stack.num_users == num_users
+        assert np.array_equal(stack.data, [
+            estimate(y, p).data for y, p in zip(received, pilots)])
+        sinr = uplink_sinr(stack, h, powers, detector)
+        assert sinr.shape == (num_snrs, num_users)
+        assert np.array_equal(sinr, [
+            uplink_sinr(est, h, rho, detector)
+            for est, rho in zip(stack.data, powers)])
+
+
 def test_make_selection_dispatch():
     rng = np.random.default_rng(0)
     assert make_selection("successive", M, N).kind == "successive"
