@@ -152,3 +152,93 @@ def test_include_matches_only_the_whole_first_word():
     assert parse_config_text("included_paths = 3") == {"included_paths": "3"}
     with pytest.raises(ConfigError, match=r"config\.included_paths"):
         config_from_values({"experiment": "se", "included_paths": "3"})
+
+
+def test_empty_list_value_names_the_field():
+    values = parse_config_text("experiment = se\nselection =\n")
+    with pytest.raises(ConfigError, match=r"config\.selection"):
+        config_from_values(values)
+
+
+def test_unknown_key_reports_field_path():
+    with pytest.raises(ConfigError, match=r"config\.exponent"):
+        config_from_values({"experiment": "se", "exponent": "3"})
+
+
+def test_bad_type_reports_field_path():
+    with pytest.raises(ConfigError, match=r"config\.trials"):
+        config_from_values({"experiment": "se", "trials": "many"})
+    with pytest.raises(ConfigError, match=r"config\.pinned_random"):
+        config_from_values({"experiment": "se", "pinned_random": "maybe"})
+
+
+def test_missing_experiment_rejected():
+    with pytest.raises(ConfigError, match=r"config\.experiment"):
+        config_from_values({"trials": "3"})
+
+
+def test_config_validation_messages():
+    with pytest.raises(ConfigError, match=r"config\.experiment"):
+        ExperimentConfig("warp-drive")
+    with pytest.raises(ConfigError, match=r"config\.num_receive"):
+        ExperimentConfig("se", num_receive=(256,), num_transmit=128)
+    with pytest.raises(ConfigError, match=r"config\.selection"):
+        ExperimentConfig("se", selection=("sparse",))
+    with pytest.raises(ConfigError, match=r"config\.threshold"):
+        ExperimentConfig("se", threshold=0.0)
+    with pytest.raises(ConfigError, match=r"config\.path_powers"):
+        ExperimentConfig("se", paths_per_user=2, path_powers=(0.9, 0.2))
+    with pytest.raises(ConfigError, match=r"config\.systems"):
+        ExperimentConfig("se", systems=("asym", "hal9000"))
+
+
+def test_optional_fields_accept_none_and_auto():
+    cfg = config_from_values({"experiment": "se", "threshold": "auto",
+                              "path_powers": "none"})
+    assert cfg.threshold is None
+    assert cfg.path_powers is None
+
+
+def test_list_coercion():
+    cfg = config_from_values({
+        "experiment": "transfer-nmse",
+        "num_receive": "16, 32",
+        "snr_db": "0,10",
+        "selection": "random , comb",
+        "path_powers": "0.9,0.1",
+        "paths_per_user": "2",
+    })
+    assert cfg.num_receive == (16, 32)
+    assert cfg.snr_db == (0.0, 10.0)
+    assert cfg.selection == ("random", "comb")
+    assert cfg.path_powers == (0.9, 0.1)
+
+
+def test_every_default_round_trips_through_recipe_text():
+    def text(value):
+        if value is None:
+            return "none"
+        if isinstance(value, tuple):
+            return ",".join(str(v) for v in value)
+        return str(value)
+
+    default = ExperimentConfig("se")
+    values = {f.name: text(getattr(default, f.name))
+              for f in dataclasses.fields(ExperimentConfig)}
+    assert config_from_values(values) == default
+
+
+@pytest.mark.parametrize("fieldname, values", [
+    ("snr_db", (float("nan"),)),
+    ("snr_db", (0.0, float("inf"))),
+    ("path_powers", (float("nan"), 1.0)),
+    ("bandwidth_hz", float("inf")),
+    ("threshold", float("-inf")),
+    ("spacing", float("nan")),
+])
+def test_non_finite_float_fields_rejected(fieldname, values):
+    overrides = {fieldname: values}
+    if fieldname == "path_powers":
+        overrides["paths_per_user"] = 2
+    with pytest.raises(ConfigError, match=rf"config\.{fieldname}: must be finite"):
+        ExperimentConfig("se", **overrides)
