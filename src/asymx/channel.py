@@ -179,22 +179,27 @@ def user_channels(
     path_sets: list[PathSet],
     selection: AntennaSelection,
     geometry: ArrayGeometry,
-) -> tuple[ChannelMatrix, ChannelMatrix]:
+    downlink: bool = True,
+) -> tuple[ChannelMatrix, ChannelMatrix | None]:
     """Stack per-user channels into (uplink N x K, downlink K x M).
 
     Users with equally many paths share one steering call per direction
     and one stacked product with their gains, column for column the same
-    numbers as ``uplink_channel`` and ``downlink_channel``.
+    numbers as ``uplink_channel`` and ``downlink_channel``.  With
+    ``downlink=False`` the M-element channel is not built and ``None``
+    takes its place; the uplink is the same.
     """
     num_paths = {p.count for p in path_sets}
     if len(num_paths) > 1:
         up = np.stack(
             [uplink_channel(p, selection, geometry) for p in path_sets], axis=1
         )
-        down = np.stack(
-            [downlink_channel(p, geometry) for p in path_sets], axis=0
-        )
-        return ChannelMatrix(up, "uplink"), ChannelMatrix(down, "downlink")
+        down = None
+        if downlink:
+            down = ChannelMatrix(np.stack(
+                [downlink_channel(p, geometry) for p in path_sets], axis=0
+            ), "downlink")
+        return ChannelMatrix(up, "uplink"), down
     (count,) = num_paths
     freqs = np.stack([p.spatial_freqs for p in path_sets])
     gains = np.stack([p.gains for p in path_sets])[:, :, None]
@@ -205,8 +210,26 @@ def user_channels(
 
     up = combine(steering_uplink(selection, geometry, freqs),
                  selection.num_receive)
-    down = combine(steering_downlink(geometry, freqs), geometry.num_transmit)
+    down = None
+    if downlink:
+        down = ChannelMatrix(combine(steering_downlink(geometry, freqs),
+                                     geometry.num_transmit), "downlink")
     # N x K in C order, the layout the per-user stack has, so that later
     # BLAS products see the same memory order
-    return (ChannelMatrix(np.ascontiguousarray(up.T), "uplink"),
-            ChannelMatrix(down, "downlink"))
+    return ChannelMatrix(np.ascontiguousarray(up.T), "uplink"), down
+
+
+def _gram_inverse(gram: np.ndarray) -> np.ndarray:
+    """Inverse of a K x K Gram matrix, or of each one in a stack.
+
+    An exactly singular Gram (two users' channels collinear) takes the
+    Hermitian pseudo-inverse, the zero-forcing rule of both links: then
+    pinv(A^H A) A^H = pinv(A), and such users share one beam.  In a stack
+    only the singular slices do, so every slice equals its own call.
+    """
+    try:
+        return np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        if gram.ndim > 2:
+            return np.stack([_gram_inverse(g) for g in gram])
+        return np.linalg.pinv(gram, hermitian=True)

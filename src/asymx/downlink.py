@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, _gram_inverse
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,7 @@ def zf_precoder(channel_est: ChannelMatrix | np.ndarray) -> Precoder:
     pseudo-inverse: such users cannot be separated, and they share a beam.
     """
     h = _downlink_data(channel_est)
-    gram = h @ h.conj().T
-    try:
-        inverse = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        inverse = np.linalg.pinv(gram, hermitian=True)
-    raw = h.conj().T @ inverse
+    raw = h.conj().T @ _gram_inverse(h @ h.conj().T)
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0):
         raise ValueError("ZF produced a zero beam; channel is degenerate")

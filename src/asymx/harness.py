@@ -276,6 +276,8 @@ def _trial(cfg: ExperimentConfig, setups: dict, pilots: list[PilotBlock],
     """Every cell's samples from one trial: one draw, reduced many ways."""
     paths = _user_paths(cfg, trial)
     uplink, downlink = cfg.reports_uplink, bool(cfg.downlink_systems)
+    # only the NMSE of transfer and the downlink systems read h_down
+    reads_down = downlink or cfg.experiment == "transfer-nmse"
     rhos = [p.power for p in pilots]
     samples: dict[tuple, tuple[float, ...]] = {}
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
@@ -283,16 +285,15 @@ def _trial(cfg: ExperimentConfig, setups: dict, pilots: list[PilotBlock],
         sel = make_selection(
             kind, m, n, seed_stream(cfg.master_seed, trial, _SELECTION, index),
             cfg.pinned_random)
-        h_up, h_down = user_channels(paths, sel, geometry)
+        h_up, h_down = user_channels(paths, sel, geometry, reads_down)
         noise = seed_stream(cfg.master_seed, trial, _NOISE, index)
         # S x N x K, one slice per SNR; the noise is drawn in SNR order
         if cfg.estimator == "perfect":
             ests = np.broadcast_to(h_up.data, (len(pilots), *h_up.data.shape))
         else:
             estimate = estimate_ls if cfg.estimator == "ls" else estimate_lmmse
-            ests = estimate(np.stack([
-                received_pilot(h_up, p, NoiseModel(), noise) for p in pilots
-            ]), pilots).data
+            ests = estimate(received_pilot(h_up, pilots, NoiseModel(), noise),
+                            pilots).data
         se_up = [()] * len(pilots)
         if uplink:
             sinr = uplink_sinr(ests, h_up, rhos, cfg.detector)

@@ -25,6 +25,7 @@ from .channel import (
     ArrayGeometry,
     ChannelMatrix,
     PathSet,
+    _gram_inverse,
     steering_uplink,
     uplink_channel,
 )
@@ -60,8 +61,15 @@ class NoiseModel:
             raise ValueError("noise variance must be non-negative")
 
     def draw(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-        re = rng.standard_normal(shape)
-        im = rng.standard_normal(shape)
+        """Noise of ``shape`` whose last two axes form one block.
+
+        A block is drawn as its real part, then its imaginary part; each
+        leading index draws its block in turn, so a stack of S blocks reads
+        the stream exactly as S one-block draws in order.
+        """
+        axis = max(len(shape) - 2, 0)
+        parts = rng.standard_normal((*shape[:axis], 2, *shape[axis:]))
+        re, im = np.moveaxis(parts, axis, 0)
         return np.sqrt(self.variance / 2.0) * (re + 1j * im)
 
 
@@ -101,13 +109,20 @@ def generate_pilots(num_users: int, length: int, power: float = 1.0) -> PilotBlo
 
 def received_pilot(
     channels: ChannelMatrix | np.ndarray,
-    pilots: PilotBlock,
+    pilots: PilotBlock | Sequence[PilotBlock],
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Y = sqrt(rho_tau) * H * P + W, one row per receive element."""
+    """Y = sqrt(rho_tau) * H * P + W, one row per receive element.
+
+    A sequence of S blocks gives the S x N x tau stack, slice s sent with
+    block s.  Its noise is one draw laid out (S, real/imaginary, N, tau),
+    the numbers that S one-block calls in order take from ``rng``, so each
+    slice equals its own call.
+    """
     h = _uplink_data(channels)
-    y = np.sqrt(pilots.power) * (h @ pilots.matrix)
+    rows, power = _rows_and_power(pilots)
+    y = np.sqrt(power) * (h @ rows)
     if noise.variance > 0:
         y = y + noise.draw(rng, y.shape)
     return y
@@ -150,8 +165,12 @@ def uplink_sinr(
 ) -> np.ndarray:
     """Per-user SINR for one channel realization.
 
-    MRC combines with the estimate itself; ZF with the pseudo-inverse
-    columns.  SINR_k = rho |v_k^H h_k|^2 /
+    MRC combines with the estimate itself; ZF with the columns of
+    H (H^H H)^-1, the pseudo-inverse columns computed through the K x K
+    Gram.  An exactly singular Gram, as from two equal estimated columns,
+    takes its Hermitian pseudo-inverse, which again gives the
+    pseudo-inverse columns of the rank-deficient H.
+    SINR_k = rho |v_k^H h_k|^2 /
     (rho * sum_{i != k} |v_k^H h_i|^2 + ||v_k||^2 sigma_n^2).
     An S x N x K stack of estimates with S powers gives S x K, slice s
     equal to its own call.
@@ -161,7 +180,8 @@ def uplink_sinr(
     if detector == "mrc":
         combiner = h_est
     elif detector == "zf":
-        combiner = np.linalg.pinv(h_est).conj().swapaxes(-1, -2)
+        gram = h_est.conj().swapaxes(-1, -2) @ h_est
+        combiner = h_est @ _gram_inverse(gram)
     else:
         raise ValueError(f"unknown detector {detector!r}")
     # [..., k, i] = |v_k^H h_i|^2

@@ -156,7 +156,8 @@ def test_user_channels_shapes():
 def test_user_channels_equal_per_user_channels(seed, num_users, num_paths,
                                                weighted, unequal):
     # one steering call per direction for all users (equal path counts) or
-    # the per-user loop (unequal): either way the bytes of the per-user calls
+    # the per-user loop (unequal): either way the bytes of the per-user calls;
+    # without the downlink, the same uplink and None in the downlink's place
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 129))
     sel = make_selection("random", m, int(rng.integers(1, m + 1)), rng)
@@ -173,6 +174,10 @@ def test_user_channels_equal_per_user_channels(seed, num_users, num_paths,
         [uplink_channel(p, sel, geometry) for p in path_sets], axis=1))
     assert np.array_equal(h_down.data, np.stack(
         [downlink_channel(p, geometry) for p in path_sets]))
+    up_only, no_down = user_channels(path_sets, sel, geometry, downlink=False)
+    assert no_down is None
+    assert up_only.orientation == "uplink"
+    assert np.array_equal(up_only.data, h_up.data)
 
 
 def test_channel_matrix_validation():

@@ -297,6 +297,35 @@ def test_refine_polishes_single_path():
 
 # ------------------------------------------------------- mNOMP end to end
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), algorithm=st.sampled_from(["dft", "mnomp"]),
+       kind=st.sampled_from(["successive", "random"]),
+       num_receive=st.sampled_from([16, 32]),
+       magnitude=st.floats(0.1, 3.0), phase=st.floats(0.0, 2 * np.pi),
+       seed=st.integers(0, 2**32 - 1))
+def test_noiseless_on_grid_path_recovered_exactly(data, algorithm, kind,
+                                                  num_receive, magnitude,
+                                                  phase, seed):
+    # without noise, one path on a bin of the kernel's own grid is found
+    # alone, at its frequency, and rebuilds the downlink to rounding; mNOMP
+    # runs without the ridge term, whose 1/(1 + 1e-4) shrinkage of the
+    # refit gain would leave energy over the threshold.  Comb selection is
+    # left out: its grating lobes alias the bin.
+    kernel, oversampling = {"dft": (dft_transfer, 8),
+                            "mnomp": (mnomp_transfer, 4)}[algorithm]
+    size = M * oversampling
+    w = float(bin_to_spatial_freq(data.draw(st.integers(0, size - 1)), size))
+    sel = make_selection(kind, M, num_receive, np.random.default_rng(seed))
+    paths = PathSet(np.array([magnitude * np.exp(1j * phase)]),
+                    np.array([np.arcsin(w)]))
+    h_up, h_dn = channel_pair(paths, sel)
+    res = kernel(h_up, sel, GEOM,
+                 TransferConfig(oversampling, 1e-6, regularizer=0.0))
+    assert res.paths_found == 1
+    assert abs(res.spatial_freqs[0] - w) <= 1e-12
+    assert np.max(np.abs(res.downlink_estimate - h_dn)) <= 1e-12
+
+
 EXACT = TransferConfig(4, 1e-6, newton_rounds=8, cyclic_rounds=4)
 
 

@@ -132,6 +132,26 @@ def test_zf_sinr_perfect_csi_removes_interference():
     assert np.allclose(sinr, expected, rtol=1e-9)
 
 
+def test_zf_sinr_rank_deficient_estimate_takes_pseudo_inverse():
+    # two equal estimated columns make the Gram exactly singular; ZF then
+    # combines with the pseudo-inverse columns of the estimate
+    sel, h_up = random_uplink(9)
+    est = h_up.data.copy()
+    est[:, 1] = est[:, 0]
+    rho = 2.0
+    sinr = uplink_sinr(est, h_up, rho, "zf")
+    assert np.all(np.isfinite(sinr))
+    v = np.linalg.pinv(est).conj().T
+    cross = np.abs(v.conj().T @ h_up.data) ** 2
+    signal = np.diag(cross)
+    expected = rho * signal / (rho * (cross.sum(axis=1) - signal)
+                               + np.sum(np.abs(v) ** 2, axis=0))
+    assert np.allclose(sinr, expected, rtol=1e-9, atol=0.0)
+    # in a stack only the singular slice falls back; each slice is its call
+    stack = uplink_sinr(np.stack([h_up.data, est]), h_up, [rho, rho], "zf")
+    assert np.array_equal(stack, [uplink_sinr(h_up, h_up, rho, "zf"), sinr])
+
+
 def test_unknown_detector_rejected():
     sel, h_up = random_uplink(10)
     with pytest.raises(ValueError):
@@ -144,8 +164,9 @@ def test_unknown_detector_rejected():
        seed=st.integers(0, 2**32 - 1))
 def test_snr_stack_equals_per_slice_calls(data, num_snrs, num_receive,
                                           detector, seed):
-    # the trial pipeline estimates and detects all SNRs of a setup in one
-    # call each; every slice must be the bytes of its own call
+    # the trial pipeline receives, estimates and detects all SNRs of a
+    # setup in one call each; every slice must be the bytes of its own call,
+    # the noise included: one stacked draw reads the stream as S draws do
     num_users = data.draw(st.integers(1, num_receive))
     snr_db = data.draw(st.lists(st.floats(-10.0, 30.0), min_size=num_snrs,
                                 max_size=num_snrs))
@@ -155,8 +176,12 @@ def test_snr_stack_equals_per_slice_calls(data, num_snrs, num_receive,
     pilots = [generate_pilots(num_users, num_users, 10.0 ** (db / 10.0))
               for db in snr_db]
     powers = [p.power for p in pilots]
-    received = np.stack([received_pilot(h, p, NoiseModel(), rng)
-                         for p in pilots])
+    received = received_pilot(h, pilots, NoiseModel(),
+                              np.random.default_rng([seed, 1]))
+    assert received.shape == (num_snrs, num_receive, num_users)
+    noise = np.random.default_rng([seed, 1])
+    assert np.array_equal(received, [received_pilot(h, p, NoiseModel(), noise)
+                                     for p in pilots])
     for estimate in (estimate_ls, estimate_lmmse):
         stack = estimate(received, pilots)
         assert stack.data.shape == (num_snrs, num_receive, num_users)
