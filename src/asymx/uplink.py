@@ -69,8 +69,12 @@ class NoiseModel:
         """
         axis = max(len(shape) - 2, 0)
         parts = rng.standard_normal((*shape[:axis], 2, *shape[axis:]))
-        re, im = np.moveaxis(parts, axis, 0)
-        return np.sqrt(self.variance / 2.0) * (re + 1j * im)
+        # scaled and split in place: a stacked draw makes no complex
+        # temporaries, the same numbers as scale * (re + 1j * im)
+        parts *= np.sqrt(self.variance / 2.0)
+        noise = np.empty(shape, dtype=complex)
+        noise.real, noise.imag = np.moveaxis(parts, axis, 0)
+        return noise
 
 
 @dataclass(frozen=True)
@@ -122,9 +126,10 @@ def received_pilot(
     """
     h = _uplink_data(channels)
     rows, power = _rows_and_power(pilots)
-    y = np.sqrt(power) * (h @ rows)
+    y = h @ rows
+    y *= np.sqrt(power)
     if noise.variance > 0:
-        y = y + noise.draw(rng, y.shape)
+        y += noise.draw(rng, y.shape)
     return y
 
 
