@@ -59,6 +59,22 @@ def test_zero_forcing_needs_no_more_users_than_receive_antennas():
     ExperimentConfig("transfer-nmse", num_users=20, num_receive=(16,))
 
 
+@pytest.mark.parametrize("fieldname, values", [
+    ("snr_db", (float("nan"),)),
+    ("snr_db", (0.0, float("inf"))),
+    ("path_powers", (float("nan"), 1.0)),
+    ("bandwidth_hz", float("inf")),
+    ("threshold", float("-inf")),
+    ("spacing", float("nan")),
+])
+def test_non_finite_float_fields_rejected(fieldname, values):
+    overrides = {fieldname: values}
+    if fieldname == "path_powers":
+        overrides["paths_per_user"] = 2
+    with pytest.raises(ConfigError, match=rf"config\.{fieldname}: must be finite"):
+        ExperimentConfig("se", **overrides)
+
+
 @pytest.mark.parametrize("experiment, line", [
     ("transfer-nmse", "snr_db = nan"),
     ("ee", "bandwidth_hz = inf"),
