@@ -69,7 +69,6 @@ from .transfer import (
     spatial_matched_filter,
 )
 from .uplink import (
-    NoiseModel,
     PilotBlock,
     SnrLossInputs,
     composite_angle,
@@ -138,7 +137,6 @@ __all__ = [
     "find_peaks",
     "mnomp_transfer",
     "spatial_matched_filter",
-    "NoiseModel",
     "PilotBlock",
     "SnrLossInputs",
     "composite_angle",

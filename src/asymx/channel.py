@@ -20,6 +20,12 @@ import numpy as np
 
 from .arrays import AntennaSelection
 
+# Gram condition number above which zero forcing takes the shared-beam
+# rule: six decades above any Gram the bundled recipes build, and far below
+# the 1e16 at which inv starts to fail or not by rounding.  The rule's
+# pseudo-inverse drops eigenvalues below 1/_MAX_CONDITION of the largest.
+_MAX_CONDITION = 1e8
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -183,24 +189,16 @@ def user_channels(
 ) -> tuple[ChannelMatrix, ChannelMatrix | None]:
     """Stack per-user channels into (uplink N x K, downlink K x M).
 
-    Users with equally many paths share one steering call per direction
-    and one stacked product with their gains, column for column the same
-    numbers as ``uplink_channel`` and ``downlink_channel``.  With
-    ``downlink=False`` the M-element channel is not built and ``None``
-    takes its place; the uplink is the same.
+    Every user must have equally many paths.  The users share one steering
+    call per direction and one stacked product with their gains, column
+    for column the same numbers as ``uplink_channel`` and
+    ``downlink_channel``.  With ``downlink=False`` the M-element channel is
+    not built and ``None`` takes its place; the uplink is the same.
     """
-    num_paths = {p.count for p in path_sets}
-    if len(num_paths) > 1:
-        up = np.stack(
-            [uplink_channel(p, selection, geometry) for p in path_sets], axis=1
-        )
-        down = None
-        if downlink:
-            down = ChannelMatrix(np.stack(
-                [downlink_channel(p, geometry) for p in path_sets], axis=0
-            ), "downlink")
-        return ChannelMatrix(up, "uplink"), down
-    (count,) = num_paths
+    counts = {p.count for p in path_sets}
+    if len(counts) != 1:
+        raise ValueError("every user must have the same number of paths")
+    (count,) = counts
     freqs = np.stack([p.spatial_freqs for p in path_sets])
     gains = np.stack([p.gains for p in path_sets])[:, :, None]
 
@@ -214,22 +212,33 @@ def user_channels(
     if downlink:
         down = ChannelMatrix(combine(steering_downlink(geometry, freqs),
                                      geometry.num_transmit), "downlink")
-    # N x K in C order, the layout the per-user stack has, so that later
-    # BLAS products see the same memory order
+    # N x K in C order, the layout of the per-user columns stacked, so that
+    # later BLAS products see the memory order the frozen CSVs were made with
     return ChannelMatrix(np.ascontiguousarray(up.T), "uplink"), down
 
 
 def _gram_inverse(gram: np.ndarray) -> np.ndarray:
     """Inverse of a K x K Gram matrix, or of each one in a stack.
 
-    An exactly singular Gram (two users' channels collinear) takes the
-    Hermitian pseudo-inverse, the zero-forcing rule of both links: then
-    pinv(A^H A) A^H = pinv(A), and such users share one beam.  In a stack
-    only the singular slices do, so every slice equals its own call.
+    A singular or near-singular Gram (two users' channels collinear, or
+    nearly) takes the Hermitian pseudo-inverse, the zero-forcing rule of
+    both links: then pinv(A^H A) A^H = pinv(A), and such users share one
+    beam.  Near-singular means a 1-norm condition number above
+    ``_MAX_CONDITION``, read from the inverse ``inv`` returned, so the rule
+    does not hang on whether rounding makes ``inv`` fail.  In a stack only
+    those slices take it, so every slice equals its own call.
     """
     try:
-        return np.linalg.inv(gram)
+        inverse = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
         if gram.ndim > 2:
             return np.stack([_gram_inverse(g) for g in gram])
-        return np.linalg.pinv(gram, hermitian=True)
+        return np.linalg.pinv(gram, rcond=1.0 / _MAX_CONDITION,
+                              hermitian=True)
+    condition = (np.linalg.norm(gram, 1, axis=(-2, -1))
+                 * np.linalg.norm(inverse, 1, axis=(-2, -1)))
+    ill = condition > _MAX_CONDITION
+    if np.any(ill):
+        inverse[ill] = np.linalg.pinv(gram[ill], rcond=1.0 / _MAX_CONDITION,
+                                      hermitian=True)
+    return inverse

@@ -7,9 +7,10 @@ stacked estimate per setup over all SNRs and one transfer per algorithm
 and SNR, and reduces that one draw to every cell, so cells are paired.
 
 Streams come from ``seed_stream(master_seed, trial, tag, index)``, a key of
-fixed length whose tag names the draw: user paths, or a setup's selection
-or pilot noise.  Trials share no state, so serial and threaded runs agree
-and a run executed twice writes byte-identical CSV.
+fixed length whose tag names the draw: user paths, a random setup's
+selection, or a setup's pilot noise under the ls and lmmse estimators; no
+stream is built that nothing reads.  Trials share no state, so serial and
+threaded runs agree and a run executed twice writes byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .transfer import (
     mnomp_transfer,
 )
 from .uplink import (
-    NoiseModel,
     PilotBlock,
     SnrLossInputs,
     composite_angle,
@@ -150,8 +150,7 @@ def _run_beam_pattern(cfg: ExperimentConfig) -> ExperimentResult:
     grid = np.linspace(-1.0, 1.0, cfg.grid_points)
     rows = []
     for kind in cfg.selection:
-        rng = seed_stream(cfg.master_seed, 0, _SELECTION, 0)
-        sel = make_selection(kind, cfg.num_transmit, n, rng, cfg.pinned_random)
+        sel = _selection(cfg, kind, cfg.num_transmit, n, 0, 0)
         mags = array_factor(sel, grid, cfg.spacing)
         for w, mag in zip(grid, mags):
             angle = float(np.degrees(np.arcsin(np.clip(w, -1.0, 1.0))))
@@ -271,32 +270,37 @@ def _setups(cfg: ExperimentConfig) -> dict[tuple, tuple[str, ...]]:
     return setups
 
 
-def _trial(cfg: ExperimentConfig, setups: dict, pilots: list[PilotBlock],
+def _selection(cfg: ExperimentConfig, kind: str, m: int, n: int, trial: int,
+               index: int) -> AntennaSelection:
+    """A setup's antenna selection; only a random one reads its stream."""
+    rng = (seed_stream(cfg.master_seed, trial, _SELECTION, index)
+           if kind == "random" else None)
+    return make_selection(kind, m, n, rng, cfg.pinned_random)
+
+
+def _trial(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
            trial: int) -> dict:
     """Every cell's samples from one trial: one draw, reduced many ways."""
     paths = _user_paths(cfg, trial)
     uplink, downlink = cfg.reports_uplink, bool(cfg.downlink_systems)
     # only the NMSE of transfer and the downlink systems read h_down
     reads_down = downlink or cfg.experiment == "transfer-nmse"
-    rhos = [p.power for p in pilots]
+    rhos = pilots.power.tolist()
     samples: dict[tuple, tuple[float, ...]] = {}
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
         geometry = ArrayGeometry(m, cfg.spacing)
-        sel = make_selection(
-            kind, m, n, seed_stream(cfg.master_seed, trial, _SELECTION, index),
-            cfg.pinned_random)
+        sel = _selection(cfg, kind, m, n, trial, index)
         h_up, h_down = user_channels(paths, sel, geometry, reads_down)
-        noise = seed_stream(cfg.master_seed, trial, _NOISE, index)
         # S x N x K, one slice per SNR; the noise is drawn in SNR order
         if cfg.estimator == "perfect":
-            ests = np.broadcast_to(h_up.data, (len(pilots), *h_up.data.shape))
+            ests = np.broadcast_to(h_up.data, (len(rhos), *h_up.data.shape))
         else:
             estimate = estimate_ls if cfg.estimator == "ls" else estimate_lmmse
-            ests = estimate(received_pilot(h_up, pilots, NoiseModel(), noise),
-                            pilots).data
-        se_up = [()] * len(pilots)
+            noise = seed_stream(cfg.master_seed, trial, _NOISE, index)
+            ests = estimate(received_pilot(h_up, pilots, noise), pilots).data
+        se_up = [()] * len(rhos)
         if uplink:
-            sinr = uplink_sinr(ests, h_up, rhos, cfg.detector)
+            sinr = uplink_sinr(ests, h_up, pilots.power, cfg.detector)
             se_up = [(float(se),) for se in np.log2(1.0 + sinr).sum(axis=-1)]
         for snr, rho, est, up in zip(cfg.snr_db, rhos, ests, se_up):
             if cfg.experiment == "transfer-nmse":
@@ -347,8 +351,8 @@ def _monte_carlo(cfg: ExperimentConfig) -> dict:
     setups = _setups(cfg)
     # orthonormal pilot rows give the same CN(0, I/rho) error at any length
     # tau >= K, so the shortest one is used
-    pilots = [generate_pilots(cfg.num_users, cfg.num_users, _linear(snr))
-              for snr in cfg.snr_db]
+    pilots = generate_pilots(cfg.num_users, cfg.num_users,
+                             np.array([_linear(snr) for snr in cfg.snr_db]))
     outcomes = _map_trials(lambda trial: _trial(cfg, setups, pilots, trial),
                            cfg.trials, cfg.workers)
     return {key: _mean_stderr([o[key] for o in outcomes])

@@ -132,8 +132,6 @@ def find_peaks(scores: np.ndarray) -> np.ndarray:
     bin index.
     """
     mags = np.abs(np.asarray(scores))
-    if mags.size == 1:
-        return np.array([0])
     ring = np.concatenate((mags[-1:], mags, mags[:1]))
     idx = np.flatnonzero((mags >= ring[:-2]) & (mags >= ring[2:]))
     # a stable sort keeps equal magnitudes in ascending bin order

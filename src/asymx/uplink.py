@@ -10,7 +10,6 @@ brute-force vectors.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,15 @@ from .channel import (
 
 @dataclass(frozen=True)
 class PilotBlock:
-    """K orthonormal pilot rows of length tau, sent at power ``power``."""
+    """K orthonormal pilot rows of length tau, sent at ``power``.
+
+    ``power`` is one rho, or a 1-D array of S of them for a sweep: the
+    block is then sent once per power, and the functions below give an
+    S-slice stack whose slice s is the call with power s alone.
+    """
 
     matrix: np.ndarray
-    power: float
+    power: float | np.ndarray
 
     def __post_init__(self) -> None:
         p = np.asarray(self.matrix, dtype=complex)
@@ -46,35 +50,12 @@ class PilotBlock:
         gram = p @ p.conj().T
         if not np.allclose(gram, np.eye(p.shape[0]), atol=1e-12):
             raise ValueError("pilot rows must be orthonormal")
-        if self.power <= 0:
+        power = np.asarray(self.power, dtype=float)
+        if power.ndim > 1:
+            raise ValueError("pilot power must be a scalar or a 1-D array")
+        if not np.all(power > 0):
             raise ValueError("pilot power must be positive")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Circularly symmetric complex Gaussian noise."""
-
-    variance: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError("noise variance must be non-negative")
-
-    def draw(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-        """Noise of ``shape`` whose last two axes form one block.
-
-        A block is drawn as its real part, then its imaginary part; each
-        leading index draws its block in turn, so a stack of S blocks reads
-        the stream exactly as S one-block draws in order.
-        """
-        axis = max(len(shape) - 2, 0)
-        parts = rng.standard_normal((*shape[:axis], 2, *shape[axis:]))
-        # scaled and split in place: a stacked draw makes no complex
-        # temporaries, the same numbers as scale * (re + 1j * im)
-        parts *= np.sqrt(self.variance / 2.0)
-        noise = np.empty(shape, dtype=complex)
-        noise.real, noise.imag = np.moveaxis(parts, axis, 0)
-        return noise
+        object.__setattr__(self, "power", power if power.ndim else float(power))
 
 
 @dataclass(frozen=True)
@@ -101,7 +82,9 @@ class SnrLossInputs:
             raise ValueError("paths must have distinct spatial frequencies")
 
 
-def generate_pilots(num_users: int, length: int, power: float = 1.0) -> PilotBlock:
+def generate_pilots(
+    num_users: int, length: int, power: float | np.ndarray = 1.0
+) -> PilotBlock:
     """First K rows of the scaled tau-point DFT; rows are orthonormal."""
     if length < num_users:
         raise ValueError("pilot length must be at least the user count")
@@ -113,70 +96,69 @@ def generate_pilots(num_users: int, length: int, power: float = 1.0) -> PilotBlo
 
 def received_pilot(
     channels: ChannelMatrix | np.ndarray,
-    pilots: PilotBlock | Sequence[PilotBlock],
-    noise: NoiseModel,
+    pilots: PilotBlock,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Y = sqrt(rho_tau) * H * P + W, one row per receive element.
 
-    A sequence of S blocks gives the S x N x tau stack, slice s sent with
-    block s.  Its noise is one draw laid out (S, real/imaginary, N, tau),
-    the numbers that S one-block calls in order take from ``rng``, so each
+    W is unit-variance circularly symmetric complex Gaussian noise, drawn
+    per block as its real part, then its imaginary part.  S powers give the
+    S x N x tau stack, whose noise is laid out (S, real/imaginary, N, tau):
+    the numbers that S one-power calls in order take from ``rng``, so each
     slice equals its own call.
     """
-    h = _uplink_data(channels)
-    rows, power = _rows_and_power(pilots)
-    y = h @ rows
-    y *= np.sqrt(power)
-    if noise.variance > 0:
-        y += noise.draw(rng, y.shape)
+    y = _uplink_data(channels) @ pilots.matrix
+    y = y * np.sqrt(pilots.power)[..., None, None]
+    axis = y.ndim - 2
+    parts = rng.standard_normal((*y.shape[:axis], 2, *y.shape[axis:]))
+    # scaled and split in place: a stacked draw makes no complex
+    # temporaries, the same numbers as sqrt(1/2) * (re + 1j * im)
+    parts *= np.sqrt(0.5)
+    noise = np.empty(y.shape, dtype=complex)
+    noise.real, noise.imag = np.moveaxis(parts, axis, 0)
+    y += noise
     return y
 
 
-def estimate_ls(
-    received: np.ndarray, pilots: PilotBlock | Sequence[PilotBlock]
-) -> ChannelMatrix:
+def estimate_ls(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
     """Least-squares estimate Y * P^H / sqrt(rho_tau).
 
-    A sequence of S blocks estimates an S x N x K stack of received blocks,
-    slice s with block s; each slice equals its own one-block call.
+    With S powers, the S x N x tau stack of received blocks gives an
+    S x N x K stack, slice s equal to its own one-power call.
     """
-    rows, power = _rows_and_power(pilots)
-    est = received @ rows.conj().swapaxes(-1, -2) / np.sqrt(power)
+    est = received @ pilots.matrix.conj().T
+    est /= np.sqrt(pilots.power)[..., None, None]
     return ChannelMatrix(est, "uplink")
 
 
-def estimate_lmmse(
-    received: np.ndarray, pilots: PilotBlock | Sequence[PilotBlock]
-) -> ChannelMatrix:
+def estimate_lmmse(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
     """LMMSE estimate (1/sqrt(rho)) * Y * P^H * ((1/rho) R^-1 + I)^-1.
 
     Unit-variance path gains make the user correlation R = E{H^H H} equal
     N * I_K, so the filter is the scalar shrinkage 1 / ((1/N)(1/rho) + 1).
-    Stacks as ``estimate_ls`` does, with one shrinkage per block.
+    Stacks as ``estimate_ls`` does, with one shrinkage per power.
     """
     ls = estimate_ls(received, pilots).data
-    _, power = _rows_and_power(pilots)
-    shrink = 1.0 / ((1.0 / ls.shape[-2]) * (1.0 / power) + 1.0)
+    rho = np.asarray(pilots.power)[..., None, None]
+    shrink = 1.0 / ((1.0 / ls.shape[-2]) * (1.0 / rho) + 1.0)
     return ChannelMatrix(ls * shrink, "uplink")
 
 
 def uplink_sinr(
     channel_est: ChannelMatrix | np.ndarray,
     channel_true: ChannelMatrix | np.ndarray,
-    power: float | Sequence[float],
+    power: float | np.ndarray,
     detector: str = "mrc",
-    noise_variance: float = 1.0,
 ) -> np.ndarray:
-    """Per-user SINR for one channel realization.
+    """Per-user SINR for one channel realization under unit-variance noise.
 
     MRC combines with the estimate itself; ZF with the columns of
     H (H^H H)^-1, the pseudo-inverse columns computed through the K x K
-    Gram.  An exactly singular Gram, as from two equal estimated columns,
-    takes its Hermitian pseudo-inverse, which again gives the
-    pseudo-inverse columns of the rank-deficient H.
+    Gram.  An exactly singular or near-singular Gram, as from two equal
+    estimated columns, takes its Hermitian pseudo-inverse, which again
+    gives the pseudo-inverse columns of the rank-deficient H.
     SINR_k = rho |v_k^H h_k|^2 /
-    (rho * sum_{i != k} |v_k^H h_i|^2 + ||v_k||^2 sigma_n^2).
+    (rho * sum_{i != k} |v_k^H h_i|^2 + ||v_k||^2).
     An S x N x K stack of estimates with S powers gives S x K, slice s
     equal to its own call.
     """
@@ -195,7 +177,7 @@ def uplink_sinr(
     interference = cross.sum(axis=-1) - signal
     norms = np.sum(np.abs(combiner) ** 2, axis=-2)
     rho = np.asarray(power, dtype=float)[..., None]
-    return rho * signal / (rho * interference + norms * noise_variance)
+    return rho * signal / (rho * interference + norms)
 
 
 def make_selection(
@@ -302,7 +284,6 @@ def composite_angle(
     phi2: float,
     selection: AntennaSelection,
     geometry: ArrayGeometry,
-    grid_multiplier: int = 16,
 ) -> float:
     """Dominant resolved angle of a merged two-path channel.
 
@@ -317,7 +298,7 @@ def composite_angle(
         np.array([theta1, theta2]),
     )
     h = uplink_channel(paths, selection, geometry)
-    grid = np.linspace(-1.0, 1.0, grid_multiplier * geometry.num_transmit)
+    grid = np.linspace(-1.0, 1.0, 16 * geometry.num_transmit)
     response = steered_response(h, selection, geometry, grid)
     best = int(np.argmax(response))
     step = grid[1] - grid[0]
@@ -340,41 +321,28 @@ def resolved_path_count(
     selection: AntennaSelection,
     geometry: ArrayGeometry,
     w_center: float,
-    w_halfwidth: float | None = None,
-    grid_multiplier: int = 16,
 ) -> int:
     """Number of dominant periodogram peaks near a spatial frequency.
 
-    Counts local maxima within +/- w_halfwidth of w_center whose height is
-    at least half the window maximum with prominence at least 10 % of it;
+    Counts local maxima within +/- 4/N of w_center, on a grid of 16*M
+    points, whose height is at least half the window maximum with
+    prominence at least 10 % of it;
     Dirichlet side lobes (-13 dB, i.e. 0.22 of the peak) stay excluded
     while a genuinely split composite (two comparable lobes) counts as 2.
     """
     # imported here so that only snr-loss pays for loading SciPy
     from scipy.signal import find_peaks
 
-    if w_halfwidth is None:
-        w_halfwidth = 4.0 / selection.num_receive
-    lo = max(-1.0, w_center - w_halfwidth)
-    hi = min(1.0, w_center + w_halfwidth)
-    grid = np.linspace(lo, hi, grid_multiplier * geometry.num_transmit)
+    half = 4.0 / selection.num_receive
+    lo = max(-1.0, w_center - half)
+    hi = min(1.0, w_center + half)
+    grid = np.linspace(lo, hi, 16 * geometry.num_transmit)
     response = steered_response(channel, selection, geometry, grid)
     top = response.max()
     peaks, _ = find_peaks(
         response, height=0.5 * top, prominence=0.1 * top
     )
     return int(len(peaks))
-
-
-def _rows_and_power(
-    pilots: PilotBlock | Sequence[PilotBlock],
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Pilot rows and power of one block, or S x K x tau rows and S powers
-    shaped to broadcast over an S x N x K stack."""
-    if isinstance(pilots, PilotBlock):
-        return pilots.matrix, pilots.power
-    rows = np.stack([p.matrix for p in pilots])
-    return rows, np.array([p.power for p in pilots])[:, None, None]
 
 
 def _uplink_data(channels: ChannelMatrix | np.ndarray) -> np.ndarray:

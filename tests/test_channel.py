@@ -149,25 +149,31 @@ def test_user_channels_shapes():
                            downlink_channel(path_sets[k], GEOM))
 
 
+def test_user_channels_rejects_unequal_path_counts():
+    sel = make_selection("successive", M, N)
+    rng = np.random.default_rng(0)
+    path_sets = [draw_path_set(count, -1.0, 1.0, rng) for count in (2, 3)]
+    with pytest.raises(ValueError):
+        user_channels(path_sets, sel, GEOM)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_users=st.integers(1, 8),
-       num_paths=st.integers(1, 6), weighted=st.booleans(),
-       unequal=st.booleans())
+       num_paths=st.integers(1, 6), weighted=st.booleans())
 def test_user_channels_equal_per_user_channels(seed, num_users, num_paths,
-                                               weighted, unequal):
-    # one steering call per direction for all users (equal path counts) or
-    # the per-user loop (unequal): either way the bytes of the per-user calls;
-    # without the downlink, the same uplink and None in the downlink's place
+                                               weighted):
+    # one steering call per direction for all users gives the bytes of the
+    # per-user calls; without the downlink, the same uplink and None in the
+    # downlink's place
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 129))
     sel = make_selection("random", m, int(rng.integers(1, m + 1)), rng)
     geometry = ArrayGeometry(m, float(rng.choice([0.25, 0.5, 1.0])))
     path_sets = []
-    for k in range(num_users):
-        count = num_paths + (k % 2 if unequal else 0)
-        weights = rng.random(count) + 0.1
+    for _ in range(num_users):
+        weights = rng.random(num_paths) + 0.1
         path_sets.append(draw_path_set(
-            count, -np.pi / 2, np.pi / 2, rng,
+            num_paths, -np.pi / 2, np.pi / 2, rng,
             weights / weights.sum() if weighted else None))
     h_up, h_down = user_channels(path_sets, sel, geometry)
     assert np.array_equal(h_up.data, np.stack(

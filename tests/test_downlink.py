@@ -15,7 +15,7 @@ from asymx.downlink import (
     nmse_db,
     zf_precoder,
 )
-from asymx.uplink import make_selection
+from asymx.uplink import make_selection, uplink_sinr
 
 M, K = 64, 6
 GEOM = ArrayGeometry(M)
@@ -82,6 +82,29 @@ def test_zf_shares_a_beam_between_identical_estimates():
     row = np.array([1.0, 2.0j, -2.0])
     w = zf_precoder(ChannelMatrix(np.stack([row, row]), "downlink")).matrix
     assert np.allclose(w, (row.conj() / 3.0)[:, None], atol=1e-12)
+
+
+@pytest.mark.parametrize("gap", (1e-10, 1e-7))
+@pytest.mark.parametrize("seed", range(2))
+def test_zf_nearly_identical_users_share_a_beam(seed, gap):
+    # two users a relative 1e-10 apart make a Gram singular up to rounding
+    # (condition number about 1e16), 1e-7 apart one whose inverse is
+    # inaccurate (about 1e14); both links must take the shared-beam rule
+    # of exactly equal users, not a finite inverse dominated by rounding
+    rng = np.random.default_rng(seed)
+    h = (rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))) \
+        / np.sqrt(2)
+    exact = h.copy()
+    exact[1] = exact[0]
+    near = exact.copy()
+    step = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    near[1] += gap * np.linalg.norm(exact[0]) / np.linalg.norm(step) * step
+    w_near = zf_precoder(ChannelMatrix(near, "downlink")).matrix
+    w_exact = zf_precoder(ChannelMatrix(exact, "downlink")).matrix
+    assert np.allclose(w_near, w_exact, rtol=0.0, atol=1e-6)
+    sinr_near = uplink_sinr(near.T, h.T, 2.0, "zf")
+    sinr_exact = uplink_sinr(exact.T, h.T, 2.0, "zf")
+    assert np.allclose(sinr_near, sinr_exact, rtol=1e-6, atol=0.0)
 
 
 def test_zf_sinr_equals_rho_times_gain():

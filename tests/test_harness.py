@@ -164,8 +164,9 @@ def test_seed_stream_reproducible_and_decorrelated():
         assert not np.array_equal(a, other)
 
 
-def test_trial_stream_keys_never_collide(monkeypatch):
-    # 1000 users: the user index reaches the range of the per-setup streams
+def recorded_keys(monkeypatch):
+    """The (master_seed, trial, tag, index) key of every stream the harness
+    builds from now on, in order."""
     keys = []
     original = harness.seed_stream
 
@@ -175,12 +176,39 @@ def test_trial_stream_keys_never_collide(monkeypatch):
         return rng
 
     monkeypatch.setattr(harness, "seed_stream", recording)
+    return keys
+
+
+def test_trial_stream_keys_never_collide(monkeypatch):
+    # 1000 users: the user index reaches the range of the per-setup streams
+    keys = recorded_keys(monkeypatch)
     run(tiny("transfer-nmse", num_users=1000, trials=1, algorithm=("dft",),
              selection=("random", "comb"), snr_db=(0.0, 10.0),
-             estimator="perfect"))
+             estimator="ls"))
     assert len(keys) >= 1000
     assert len(set(keys)) == len(keys)
     assert len({len(key) for key in keys}) == 1
+
+
+def test_trial_builds_only_the_streams_it_reads(monkeypatch):
+    keys = recorded_keys(monkeypatch)
+    uplink = dict(link="uplink", trials=2, snr_db=(0.0, 10.0))
+    # perfect CSI draws no pilot noise
+    run(tiny("se", estimator="perfect", selection=("random",), **uplink))
+    assert {key[2] for key in keys} == {0, 1}
+    # successive and comb selections are fixed and read no stream
+    keys.clear()
+    run(tiny("se", estimator="ls", selection=("successive", "comb"), **uplink))
+    assert {key[2] for key in keys} == {0, 2}
+    # the README table: tag 0 per user, tag 1 for the random setup (index
+    # 1 here), tag 2 per setup
+    keys.clear()
+    run(tiny("se", estimator="lmmse", selection=("successive", "random"),
+             **uplink))
+    assert sorted(keys) == sorted(
+        [(9, trial, 0, user) for trial in (0, 1) for user in range(4)]
+        + [(9, trial, 1, 1) for trial in (0, 1)]
+        + [(9, trial, 2, setup) for trial in (0, 1) for setup in (0, 1)])
 
 
 # ------------------------------------------------------------ experiments

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from asymx.channel import ArrayGeometry, PathSet, uplink_channel, user_channels
 from asymx.uplink import (
-    NoiseModel,
     PilotBlock,
     SnrLossInputs,
     composite_angle,
@@ -60,18 +59,32 @@ def test_pilot_length_validated():
         PilotBlock(np.eye(4)[:2], power=0.0)
 
 
+def test_pilot_powers_validated():
+    rows = np.eye(4)[:2]
+    for power in ([1.0, 0.0], [2.0, -1.0], [1.0, np.nan], [[1.0]]):
+        with pytest.raises(ValueError):
+            PilotBlock(rows, power)
+    assert np.array_equal(PilotBlock(rows, [1.0, 2.0]).power, [1.0, 2.0])
+    assert PilotBlock(rows, 3).power == 3.0
+
+
 def test_received_pilot_noiseless():
+    # what is left after the signal is unit-variance CN noise, drawn as the
+    # real block, then the imaginary block
     sel, h_up = random_uplink(0)
-    pilots = generate_pilots(K, K, power=4.0)
-    y = received_pilot(h_up, pilots, NoiseModel(0.0), np.random.default_rng(0))
-    assert np.allclose(y, 2.0 * h_up.data @ pilots.matrix, atol=1e-12)
+    pilots = generate_pilots(K, 16, power=4.0)
+    y = received_pilot(h_up, pilots, np.random.default_rng(0))
+    twin = np.random.default_rng(0)
+    re, im = twin.standard_normal((2, N, 16))
+    noise = np.sqrt(0.5) * (re + 1j * im)
+    assert np.allclose(y - noise, 2.0 * h_up.data @ pilots.matrix,
+                       atol=1e-12)
 
 
 def test_ls_recovers_noiseless_channel():
     sel, h_up = random_uplink(1)
     pilots = generate_pilots(K, 16, power=2.0)
-    y = received_pilot(h_up, pilots, NoiseModel(0.0), np.random.default_rng(0))
-    est = estimate_ls(y, pilots)
+    est = estimate_ls(np.sqrt(2.0) * h_up.data @ pilots.matrix, pilots)
     assert est.orientation == "uplink"
     assert np.allclose(est.data, h_up.data, atol=1e-10)
 
@@ -84,7 +97,7 @@ def test_ls_error_floor_matches_pilot_snr():
     rng = np.random.default_rng(3)
     errs = []
     for _ in range(200):
-        y = received_pilot(h_up, pilots, NoiseModel(), rng)
+        y = received_pilot(h_up, pilots, rng)
         errs.append(np.mean(np.abs(estimate_ls(y, pilots).data
                                    - h_up.data) ** 2))
     assert np.mean(errs) == pytest.approx(1.0 / rho, rel=0.1)
@@ -95,7 +108,7 @@ def test_lmmse_is_shrunk_ls():
     sel, h_up = random_uplink(4)
     rho = 0.5
     pilots = generate_pilots(K, K, power=rho)
-    y = received_pilot(h_up, pilots, NoiseModel(0.0), np.random.default_rng(0))
+    y = np.sqrt(rho) * h_up.data @ pilots.matrix
     ls = estimate_ls(y, pilots)
     lmmse = estimate_lmmse(y, pilots)
     shrink = N * rho / (1.0 + N * rho)
@@ -105,7 +118,7 @@ def test_lmmse_is_shrunk_ls():
 def test_lmmse_approaches_ls_at_high_snr():
     sel, h_up = random_uplink(5)
     pilots = generate_pilots(K, K, power=1e9)
-    y = received_pilot(h_up, pilots, NoiseModel(0.0), np.random.default_rng(0))
+    y = np.sqrt(1e9) * h_up.data @ pilots.matrix
     assert np.allclose(estimate_lmmse(y, pilots).data, h_up.data, atol=1e-6)
 
 
@@ -165,30 +178,30 @@ def test_unknown_detector_rejected():
 def test_snr_stack_equals_per_slice_calls(data, num_snrs, num_receive,
                                           detector, seed):
     # the trial pipeline receives, estimates and detects all SNRs of a
-    # setup in one call each; every slice must be the bytes of its own call,
-    # the noise included: one stacked draw reads the stream as S draws do
+    # setup in one call each, with one pilot block carrying the S powers;
+    # every slice must be the bytes of its own one-power call, the noise
+    # included: one stacked draw reads the stream as S draws do
     num_users = data.draw(st.integers(1, num_receive))
     snr_db = data.draw(st.lists(st.floats(-10.0, 30.0), min_size=num_snrs,
                                 max_size=num_snrs))
     rng = np.random.default_rng(seed)
     h = (rng.standard_normal((num_receive, num_users))
          + 1j * rng.standard_normal((num_receive, num_users))) / np.sqrt(2)
-    pilots = [generate_pilots(num_users, num_users, 10.0 ** (db / 10.0))
-              for db in snr_db]
-    powers = [p.power for p in pilots]
-    received = received_pilot(h, pilots, NoiseModel(),
-                              np.random.default_rng([seed, 1]))
+    powers = 10.0 ** (np.array(snr_db) / 10.0)
+    pilots = generate_pilots(num_users, num_users, powers)
+    singles = [generate_pilots(num_users, num_users, rho) for rho in powers]
+    received = received_pilot(h, pilots, np.random.default_rng([seed, 1]))
     assert received.shape == (num_snrs, num_receive, num_users)
     noise = np.random.default_rng([seed, 1])
-    assert np.array_equal(received, [received_pilot(h, p, NoiseModel(), noise)
-                                     for p in pilots])
+    assert np.array_equal(received, [received_pilot(h, p, noise)
+                                     for p in singles])
     for estimate in (estimate_ls, estimate_lmmse):
         stack = estimate(received, pilots)
         assert stack.data.shape == (num_snrs, num_receive, num_users)
         assert stack.num_users == num_users
         assert np.array_equal(stack.data, [
-            estimate(y, p).data for y, p in zip(received, pilots)])
-        sinr = uplink_sinr(stack, h, powers, detector)
+            estimate(y, p).data for y, p in zip(received, singles)])
+        sinr = uplink_sinr(stack, h, pilots.power, detector)
         assert sinr.shape == (num_snrs, num_users)
         assert np.array_equal(sinr, [
             uplink_sinr(est, h, rho, detector)
