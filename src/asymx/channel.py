@@ -14,6 +14,7 @@ vector exactly.  Spatial frequency w = sin(theta) is the working domain.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,39 +183,50 @@ def downlink_channel(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
 
 
 def user_channels(
-    path_sets: list[PathSet],
-    selection: AntennaSelection,
+    path_sets: Sequence[Sequence[PathSet]],
+    selections: Sequence[AntennaSelection],
     geometry: ArrayGeometry,
     downlink: bool = True,
 ) -> tuple[ChannelMatrix, ChannelMatrix | None]:
-    """Stack per-user channels into (uplink N x K, downlink K x M).
+    """Stack the per-user channels of T trials: uplink T x N x K, downlink
+    T x K x M.
 
-    Every user must have equally many paths.  The users share one steering
-    call per direction and one stacked product with their gains, column
-    for column the same numbers as ``uplink_channel`` and
-    ``downlink_channel``.  With ``downlink=False`` the M-element channel is
-    not built and ``None`` takes its place; the uplink is the same.
+    ``path_sets[t]`` holds trial t's users and ``selections[t]`` its
+    selection; every user must have equally many paths, and every selection
+    equally many elements.  The trials share one steering call per
+    direction and one stacked product with their gains, so slice t holds,
+    column for column, the same numbers as ``uplink_channel`` and
+    ``downlink_channel`` of trial t.  With ``downlink=False`` the
+    M-element channel is not built and ``None`` takes its place; the uplink
+    is the same.
     """
-    counts = {p.count for p in path_sets}
+    counts = {p.count for users in path_sets for p in users}
     if len(counts) != 1:
         raise ValueError("every user must have the same number of paths")
     (count,) = counts
-    freqs = np.stack([p.spatial_freqs for p in path_sets])
-    gains = np.stack([p.gains for p in path_sets])[:, :, None]
+    freqs = np.array([[p.spatial_freqs for p in users] for users in path_sets])
+    gains = np.array([[p.gains for p in users] for users in path_sets])
 
     def combine(vecs: np.ndarray, size: int) -> np.ndarray:
-        # (elements, K, P) steering stack -> K x elements channel rows
-        return np.sqrt(size / count) * (vecs.swapaxes(0, 1) @ gains)[..., 0]
+        # (T, elements, K, P) steering stack -> T x K x elements channels
+        product = vecs.swapaxes(-3, -2) @ gains[..., None]
+        return np.sqrt(size / count) * product[..., 0]
 
-    up = combine(steering_uplink(selection, geometry, freqs),
-                 selection.num_receive)
+    # steering_uplink of each trial's own selection, T x N x K x P
+    slopes = -2j * np.pi * geometry.spacing * (
+        np.stack([s.indices for s in selections]) - 1)
+    n = slopes.shape[-1]
+    vecs = np.exp(slopes[..., None, None] * freqs[:, None]) / np.sqrt(n)
+    up = combine(vecs, n)
     down = None
     if downlink:
-        down = ChannelMatrix(combine(steering_downlink(geometry, freqs),
-                                     geometry.num_transmit), "downlink")
-    # N x K in C order, the layout of the per-user columns stacked, so that
-    # later BLAS products see the memory order the frozen CSVs were made with
-    return ChannelMatrix(np.ascontiguousarray(up.T), "uplink"), down
+        vecs = np.moveaxis(steering_downlink(geometry, freqs), 0, 1)
+        down = ChannelMatrix(combine(vecs, geometry.num_transmit), "downlink")
+    # T x N x K in C order, the layout of the per-user columns stacked, so
+    # that later BLAS products see the memory order the frozen CSVs were
+    # made with
+    return ChannelMatrix(np.ascontiguousarray(up.swapaxes(-1, -2)),
+                         "uplink"), down
 
 
 def _gram_inverse(gram: np.ndarray) -> np.ndarray:

@@ -98,8 +98,11 @@ class ExperimentConfig:
                  f"must be one of {', '.join(EXPERIMENTS)}")
         for name in ("num_receive", "selection", "algorithm", "snr_db",
                      "systems"):
-            _require(len(getattr(self, name)) > 0, name,
-                     "needs at least one value")
+            values = getattr(self, name)
+            _require(len(values) > 0, name, "needs at least one value")
+            # a repeated entry would write repeated rows of the same draw
+            _require(len(set(values)) == len(values), name,
+                     "lists an entry twice")
         for snr in self.snr_db:
             try:
                 rho = _linear(snr)

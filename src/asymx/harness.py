@@ -1,16 +1,20 @@
 """Experiment orchestration: seeding, Monte Carlo, CSV.
 
 Every metric cell is a pure function of (config, master seed).  The Monte
-Carlo experiments share one trial pipeline: a trial draws every user's
-paths once, builds each setup's selection and channels once, makes one
-stacked estimate per setup over all SNRs and one transfer per algorithm
-and SNR, and reduces that one draw to every cell, so cells are paired.
+Carlo experiments share one pipeline whose unit of work is a chunk of
+consecutive trials.  A chunk draws every user's paths once per trial and
+then, for each setup, builds its trials' selections and channels in one
+stacked call, and receives, estimates and detects over all its trials and
+SNRs in one call each.  Transfers and downlink precoding stay one call per
+trial, SNR and user.  Each trial's one draw is reduced to every cell, so
+cells are paired.
 
 Streams come from ``seed_stream(master_seed, trial, tag, index)``, a key of
 fixed length whose tag names the draw: user paths, a random setup's
 selection, or a setup's pilot noise under the ls and lmmse estimators; no
-stream is built that nothing reads.  Trials share no state, so serial and
-threaded runs agree and a run executed twice writes byte-identical CSV.
+stream is built that nothing reads.  A chunk builds each of its trials'
+streams exactly once, so neither the chunk length nor the worker count can
+move a number, and a run executed twice writes byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -58,6 +62,13 @@ from .uplink import (
 
 # Stream tags, the third field of every seed_stream key.
 _PATHS, _SELECTION, _NOISE = 0, 1, 2
+
+# Complex entries (320 kB) that the largest stack of a chunk, the unit of
+# work of the Monte Carlo pipeline, may hold; a chunk takes as many trials
+# as fit, at least one.  se_uplink.cfg gets 8 trials a chunk, where longer
+# chunks bought no more speed; ee.cfg gets 2, as its M-antenna full digital
+# setup stacks the largest pilots, and longer chunks there cost memory.
+_CHUNK_ENTRIES = 20_000
 
 # Spatial-spectrum oversampling of each transfer algorithm.
 _OVERSAMPLING = {"dft": 8, "mnomp": 4}
@@ -226,7 +237,7 @@ def _transfer(cfg: ExperimentConfig, algorithm: str, est: np.ndarray,
 
 
 def _downlink_system_se(cfg: ExperimentConfig, down_est: np.ndarray,
-                        h_down: ChannelMatrix, power: float) -> float:
+                        h_down: np.ndarray, power: float) -> float:
     """System SE of precoding on a K x M downlink estimate; a user whose
     estimate fell below the transfer threshold gets no beam and zero rate."""
     active = np.linalg.norm(down_est, axis=1) > 0.0
@@ -234,7 +245,7 @@ def _downlink_system_se(cfg: ExperimentConfig, down_est: np.ndarray,
         return 0.0
     precode = zf_precoder if cfg.precoder == "zf" else mrt_precoder
     w = precode(ChannelMatrix(down_est[active], "downlink"))
-    _, system_se = downlink_se(h_down.data[active], w, power)
+    _, system_se = downlink_se(h_down[active], w, power)
     return system_se
 
 
@@ -278,63 +289,91 @@ def _selection(cfg: ExperimentConfig, kind: str, m: int, n: int, trial: int,
     return make_selection(kind, m, n, rng, cfg.pinned_random)
 
 
-def _trial(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
-           trial: int) -> dict:
-    """Every cell's samples from one trial: one draw, reduced many ways."""
-    paths = _user_paths(cfg, trial)
+def _reads_down(cfg: ExperimentConfig) -> bool:
+    """Whether a trial builds the M-element downlink channel: only the NMSE
+    of transfer and the downlink systems read it."""
+    return bool(cfg.downlink_systems) or cfg.experiment == "transfer-nmse"
+
+
+def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
+           trials: range) -> list[dict]:
+    """Every cell's samples from consecutive trials, in trial order: one
+    draw per trial, reduced many ways."""
+    paths = [_user_paths(cfg, trial) for trial in trials]
     uplink, downlink = cfg.reports_uplink, bool(cfg.downlink_systems)
-    # only the NMSE of transfer and the downlink systems read h_down
-    reads_down = downlink or cfg.experiment == "transfer-nmse"
     rhos = pilots.power.tolist()
-    samples: dict[tuple, tuple[float, ...]] = {}
+    samples: list[dict[tuple, tuple[float, ...]]] = [{} for _ in trials]
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
         geometry = ArrayGeometry(m, cfg.spacing)
-        sel = _selection(cfg, kind, m, n, trial, index)
-        h_up, h_down = user_channels(paths, sel, geometry, reads_down)
-        # S x N x K, one slice per SNR; the noise is drawn in SNR order
+        sels = [_selection(cfg, kind, m, n, trial, index) for trial in trials]
+        h_up, h_down = user_channels(paths, sels, geometry, _reads_down(cfg))
+        # T x S x N x K, one slice per trial and SNR; each trial's noise is
+        # drawn from its own stream in SNR order
         if cfg.estimator == "perfect":
-            ests = np.broadcast_to(h_up.data, (len(rhos), *h_up.data.shape))
+            ests = np.broadcast_to(h_up.data[:, None], (
+                len(trials), len(rhos), *h_up.data.shape[1:]))
         else:
             estimate = estimate_ls if cfg.estimator == "ls" else estimate_lmmse
-            noise = seed_stream(cfg.master_seed, trial, _NOISE, index)
+            noise = [seed_stream(cfg.master_seed, trial, _NOISE, index)
+                     for trial in trials]
             ests = estimate(received_pilot(h_up, pilots, noise), pilots).data
-        se_up = [()] * len(rhos)
+        # per trial and SNR, the uplink SE as a 1-tuple, or () without it
+        se_up = [[()] * len(rhos)] * len(trials)
         if uplink:
-            sinr = uplink_sinr(ests, h_up, pilots.power, cfg.detector)
-            se_up = [(float(se),) for se in np.log2(1.0 + sinr).sum(axis=-1)]
-        for snr, rho, est, up in zip(cfg.snr_db, rhos, ests, se_up):
-            if cfg.experiment == "transfer-nmse":
-                for alg in cfg.algorithm:
-                    results = _transfer(cfg, alg, est, sel, geometry, rho)
-                    ratios = [nmse(r.downlink_estimate, h_down.data[k])
-                              for k, r in enumerate(results)]
-                    samples[snr, alg, kind, n] = (
-                        float(np.mean(ratios)),
-                        float(np.mean([r.paths_found for r in results])))
-                continue
-            if not downlink:
-                samples[snr, kind] = up
-                continue
-            for system in systems:
-                if system == "asym":
-                    down_est = np.stack([
-                        r.downlink_estimate for r in _transfer(
-                            cfg, cfg.algorithm[0], est, sel, geometry, rho)])
-                elif system == "perfect_csi_m":
-                    down_est = h_down.data
-                else:
-                    # full digital: the uplink estimate is the downlink one
-                    down_est = est.T
-                samples[snr, system] = up + (_downlink_system_se(
-                    cfg, down_est, h_down, rho),)
+            sinr = uplink_sinr(ests, h_up.data[:, None], pilots.power,
+                               cfg.detector)
+            se_up = [[(se,) for se in row]
+                     for row in np.log2(1.0 + sinr).sum(axis=-1).tolist()]
+        for t, (out, sel) in enumerate(zip(samples, sels)):
+            for snr, rho, est, up in zip(cfg.snr_db, rhos, ests[t], se_up[t]):
+                if cfg.experiment == "transfer-nmse":
+                    for alg in cfg.algorithm:
+                        results = _transfer(cfg, alg, est, sel, geometry, rho)
+                        ratios = [nmse(r.downlink_estimate, h_down.data[t, k])
+                                  for k, r in enumerate(results)]
+                        out[snr, alg, kind, n] = (
+                            float(np.mean(ratios)),
+                            float(np.mean([r.paths_found for r in results])))
+                    continue
+                if not downlink:
+                    out[snr, kind] = up
+                    continue
+                for system in systems:
+                    if system == "asym":
+                        down_est = np.stack([
+                            r.downlink_estimate for r in _transfer(
+                                cfg, cfg.algorithm[0], est, sel, geometry,
+                                rho)])
+                    elif system == "perfect_csi_m":
+                        down_est = h_down.data[t]
+                    else:
+                        # full digital: the uplink estimate is the downlink one
+                        down_est = est.T
+                    out[snr, system] = up + (_downlink_system_se(
+                        cfg, down_est, h_down.data[t], rho),)
     return samples
 
 
-def _map_trials(fn, trials: int, workers: int) -> list:
+def _trial_entries(cfg: ExperimentConfig, setups: dict) -> int:
+    """Complex entries one trial adds to the largest stack of a chunk: the
+    received pilots, estimates and combiners (S x N x K), the SINR terms
+    (S x K x K) or the steering vectors (N or M x K x P) of one setup."""
+    k, s, p = cfg.num_users, len(cfg.snr_db), cfg.paths_per_user
+    return max(k * max(s * max(n, k), p * (m if _reads_down(cfg) else n))
+               for _, m, n in setups)
+
+
+def _map_trials(fn, trials: int, length: int, workers: int) -> list:
+    """``fn`` over consecutive chunks of at most ``length`` trials,
+    serially or on a thread pool; its per-trial results in trial order."""
+    chunks = [range(lo, min(lo + length, trials))
+              for lo in range(0, trials, length)]
     if workers <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+        results = [fn(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, chunks))
+    return [sample for result in results for sample in result]
 
 
 def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -353,8 +392,9 @@ def _monte_carlo(cfg: ExperimentConfig) -> dict:
     # tau >= K, so the shortest one is used
     pilots = generate_pilots(cfg.num_users, cfg.num_users,
                              np.array([_linear(snr) for snr in cfg.snr_db]))
-    outcomes = _map_trials(lambda trial: _trial(cfg, setups, pilots, trial),
-                           cfg.trials, cfg.workers)
+    length = max(1, _CHUNK_ENTRIES // _trial_entries(cfg, setups))
+    outcomes = _map_trials(lambda trials: _chunk(cfg, setups, pilots, trials),
+                           cfg.trials, length, cfg.workers)
     return {key: _mean_stderr([o[key] for o in outcomes])
             for key in outcomes[0]}
 

@@ -10,6 +10,7 @@ brute-force vectors.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,26 +98,38 @@ def generate_pilots(
 def received_pilot(
     channels: ChannelMatrix | np.ndarray,
     pilots: PilotBlock,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Y = sqrt(rho_tau) * H * P + W, one row per receive element.
 
-    W is unit-variance circularly symmetric complex Gaussian noise, drawn
-    per block as its real part, then its imaginary part.  S powers give the
-    S x N x tau stack, whose noise is laid out (S, real/imaginary, N, tau):
-    the numbers that S one-power calls in order take from ``rng``, so each
-    slice equals its own call.
+    Leading axes of the channel index trials, and ``rngs`` holds one
+    generator per trial slice, in C order (one for a single N x K channel).
+    S powers add an S axis after the trial axes: (..., S, N, tau), slice s
+    the call with power s alone.  W is unit-variance circularly symmetric
+    complex Gaussian noise.  Each trial's generator draws that trial's
+    noise in one block laid out (S, real/imaginary, N, tau): the numbers
+    that S one-power calls in order take from it, so each slice equals its
+    own call.
     """
-    y = _uplink_data(channels) @ pilots.matrix
-    y = y * np.sqrt(pilots.power)[..., None, None]
+    h = _uplink_data(channels)
+    power = np.asarray(pilots.power)
+    y = np.expand_dims(h @ pilots.matrix, tuple(range(-2 - power.ndim, -2)))
+    y = y * np.sqrt(power)[..., None, None]
     axis = y.ndim - 2
-    parts = rng.standard_normal((*y.shape[:axis], 2, *y.shape[axis:]))
-    # scaled and split in place: a stacked draw makes no complex
-    # temporaries, the same numbers as sqrt(1/2) * (re + 1j * im)
+    block = (*y.shape[h.ndim - 2:axis], 2, *y.shape[axis:])
+    parts = np.empty((*h.shape[:-2], *block))
+    slices = parts.reshape(-1, *block)
+    if len(rngs) != len(slices):
+        raise ValueError(f"{len(slices)} trial slices need as many "
+                         f"generators, got {len(rngs)}")
+    for rng, out in zip(rngs, slices):
+        rng.standard_normal(out=out)
+    # scaled and added in place: no complex temporaries, the same numbers
+    # as adding sqrt(1/2) * (re + 1j * im)
     parts *= np.sqrt(0.5)
-    noise = np.empty(y.shape, dtype=complex)
-    noise.real, noise.imag = np.moveaxis(parts, axis, 0)
-    y += noise
+    re, im = np.moveaxis(parts, axis, 0)
+    y.real += re
+    y.imag += im
     return y
 
 
@@ -124,7 +137,8 @@ def estimate_ls(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
     """Least-squares estimate Y * P^H / sqrt(rho_tau).
 
     With S powers, the S x N x tau stack of received blocks gives an
-    S x N x K stack, slice s equal to its own one-power call.
+    S x N x K stack, slice s equal to its own one-power call; leading
+    trial axes carry through.
     """
     est = received @ pilots.matrix.conj().T
     est /= np.sqrt(pilots.power)[..., None, None]
@@ -160,7 +174,8 @@ def uplink_sinr(
     SINR_k = rho |v_k^H h_k|^2 /
     (rho * sum_{i != k} |v_k^H h_i|^2 + ||v_k||^2).
     An S x N x K stack of estimates with S powers gives S x K, slice s
-    equal to its own call.
+    equal to its own call; further leading axes, such as trials, broadcast
+    against those of the true channel.
     """
     h_est = _uplink_data(channel_est)
     h = _uplink_data(channel_true)

@@ -135,26 +135,28 @@ def test_draw_path_set_power_profile_validation():
 def test_user_channels_shapes():
     sel = make_selection("successive", M, N)
     path_sets = [draw(seed) for seed in range(10)]
-    h_up, h_down = user_channels(path_sets, sel, GEOM)
+    h_up, h_down = user_channels([path_sets, path_sets], [sel, sel], GEOM)
     assert h_up.orientation == "uplink"
     assert h_down.orientation == "downlink"
-    assert h_up.data.shape == (N, 10)
-    assert h_down.data.shape == (10, M)
+    assert h_up.data.shape == (2, N, 10)
+    assert h_down.data.shape == (2, 10, M)
     assert h_up.num_users == h_down.num_users == 10
-    # column k / row k correspond to the same user's paths
+    # column k / row k of every trial correspond to the same user's paths
     for k in (0, 4, 9):
-        assert np.allclose(h_up.data[:, k],
+        assert np.allclose(h_up.data[:, :, k],
                            uplink_channel(path_sets[k], sel, GEOM))
-        assert np.allclose(h_down.data[k],
+        assert np.allclose(h_down.data[:, k],
                            downlink_channel(path_sets[k], GEOM))
 
 
 def test_user_channels_rejects_unequal_path_counts():
     sel = make_selection("successive", M, N)
     rng = np.random.default_rng(0)
-    path_sets = [draw_path_set(count, -1.0, 1.0, rng) for count in (2, 3)]
-    with pytest.raises(ValueError):
-        user_channels(path_sets, sel, GEOM)
+    two, three = (draw_path_set(count, -1.0, 1.0, rng) for count in (2, 3))
+    # between users of one trial, and between trials
+    for path_sets in ([[two, three]], [[two, two], [three, three]]):
+        with pytest.raises(ValueError):
+            user_channels(path_sets, [sel] * len(path_sets), GEOM)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,15 +177,44 @@ def test_user_channels_equal_per_user_channels(seed, num_users, num_paths,
         path_sets.append(draw_path_set(
             num_paths, -np.pi / 2, np.pi / 2, rng,
             weights / weights.sum() if weighted else None))
-    h_up, h_down = user_channels(path_sets, sel, geometry)
-    assert np.array_equal(h_up.data, np.stack(
+    h_up, h_down = user_channels([path_sets], [sel], geometry)
+    assert np.array_equal(h_up.data[0], np.stack(
         [uplink_channel(p, sel, geometry) for p in path_sets], axis=1))
-    assert np.array_equal(h_down.data, np.stack(
+    assert np.array_equal(h_down.data[0], np.stack(
         [downlink_channel(p, geometry) for p in path_sets]))
-    up_only, no_down = user_channels(path_sets, sel, geometry, downlink=False)
+    up_only, no_down = user_channels([path_sets], [sel], geometry,
+                                     downlink=False)
     assert no_down is None
     assert up_only.orientation == "uplink"
     assert np.array_equal(up_only.data, h_up.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_trials=st.integers(1, 6),
+       num_users=st.integers(1, 6), num_paths=st.integers(1, 4),
+       weighted=st.booleans())
+def test_trial_stack_equals_per_trial_calls(seed, num_trials, num_users,
+                                            num_paths, weighted):
+    # the trial pipeline builds a chunk of trials, each with its own random
+    # selection, in one call; every trial slice must be the bytes of its
+    # own one-trial call
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 129))
+    n = int(rng.integers(1, m + 1))
+    geometry = ArrayGeometry(m, float(rng.choice([0.25, 0.5, 1.0])))
+    powers = rng.random(num_paths) + 0.1 if weighted else None
+    sels = [make_selection("random", m, n, rng) for _ in range(num_trials)]
+    path_sets = [[draw_path_set(num_paths, -np.pi / 2, np.pi / 2, rng,
+                                None if powers is None
+                                else powers / powers.sum())
+                  for _ in range(num_users)] for _ in range(num_trials)]
+    h_up, h_down = user_channels(path_sets, sels, geometry)
+    assert h_up.data.shape == (num_trials, n, num_users)
+    assert h_down.data.shape == (num_trials, num_users, m)
+    for t, (users, sel) in enumerate(zip(path_sets, sels)):
+        up, down = user_channels([users], [sel], geometry)
+        assert np.array_equal(h_up.data[t], up.data[0])
+        assert np.array_equal(h_down.data[t], down.data[0])
 
 
 def test_channel_matrix_validation():

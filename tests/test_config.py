@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymx.arrays import SELECTION_KINDS
+from asymx.cli import main as cli_main
 from asymx.config import (
     EXPERIMENTS,
     SYSTEMS,
@@ -36,10 +37,11 @@ def floats(lo, hi, **kwargs):
 
 
 def some(values):
-    """A sweep list: one to four entries drawn from a strategy or a list."""
+    """A sweep list: one to four distinct entries drawn from a strategy or a
+    list."""
     if not isinstance(values, st.SearchStrategy):
         values = st.sampled_from(values)
-    return st.lists(values, min_size=1, max_size=4).map(tuple)
+    return st.lists(values, min_size=1, max_size=4, unique=True).map(tuple)
 
 
 @st.composite
@@ -190,6 +192,30 @@ def test_config_validation_messages():
         ExperimentConfig("se", paths_per_user=2, path_powers=(0.9, 0.2))
     with pytest.raises(ConfigError, match=r"config\.systems"):
         ExperimentConfig("se", systems=("asym", "hal9000"))
+
+
+@pytest.mark.parametrize("fieldname, values", [
+    ("snr_db", (10.0, 10.0)),
+    ("snr_db", (0.0, -0.0)),
+    ("num_receive", (8, 16, 8)),
+    ("selection", ("random", "random")),
+    ("algorithm", ("dft", "mnomp", "dft")),
+    ("systems", ("asym", "asym")),
+])
+def test_duplicate_sweep_entries_rejected(tmp_path, capsys, fieldname,
+                                          values):
+    # a repeated entry used to write repeated rows, and compute their
+    # transfers twice
+    with pytest.raises(ConfigError, match=rf"config\.{fieldname}: "):
+        ExperimentConfig("se", **{"num_transmit": 32, "num_receive": (8,),
+                                  fieldname: values})
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = se\nnum_transmit = 32\nnum_users = 4\n"
+                   f"{fieldname} = {', '.join(map(str, values))}\n")
+    assert cli_main(["se", "--config", str(cfg), "--trials", "1",
+                     "--out", str(tmp_path)]) == 2
+    assert f"config.{fieldname}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_optional_fields_accept_none_and_auto():

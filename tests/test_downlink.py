@@ -32,8 +32,8 @@ def random_downlink(seed, num_users=K):
         )
         for _ in range(num_users)
     ]
-    _, h_down = user_channels(paths, sel, GEOM)
-    return h_down
+    _, h_down = user_channels([paths], [sel], GEOM)
+    return ChannelMatrix(h_down.data[0], "downlink")
 
 
 def test_precoder_columns_unit_norm():

@@ -292,6 +292,36 @@ def test_every_experiment_is_deterministic_and_thread_safe(experiment, link):
     assert run(replace(cfg, workers=2)).csv_text() == first
 
 
+@pytest.mark.parametrize("experiment, link", [
+    ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
+    ("ee", "downlink")])
+def test_chunk_length_and_workers_never_move_a_byte(monkeypatch, experiment,
+                                                    link):
+    # trial by trial, chunks of 2 (the last one short) and one chunk for
+    # all 5 trials, each serial and on 2 or 3 threads
+    cfg = tiny(experiment, link=link, trials=5, snr_db=(0.0, 10.0),
+               selection=("random", "successive"), algorithm=("dft", "mnomp"))
+    lengths = []
+    chunk = harness._chunk
+
+    def recording(cfg, setups, pilots, trials):
+        lengths.append(len(trials))
+        return chunk(cfg, setups, pilots, trials)
+
+    monkeypatch.setattr(harness, "_chunk", recording)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+    first = run(cfg).csv_text()
+    assert lengths == [1] * 5
+    per_trial = harness._trial_entries(cfg, harness._setups(cfg))
+    for entries, longest in ((1, 1), (2 * per_trial, 2), (10**9, 5)):
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", entries)
+        for workers in (1, 2, 3):
+            lengths.clear()
+            assert run(replace(cfg, workers=workers)).csv_text() == first, (
+                entries, workers)
+            assert max(lengths) == longest and sum(lengths) == cfg.trials
+
+
 RECIPE_DIR = Path(harness.__file__).parent / "recipes"
 RECIPES = sorted(p.name for p in RECIPE_DIR.glob("*.cfg")
                  if p.name != "common.cfg")

@@ -2,22 +2,59 @@
 
 ``benchmarks/tracer.py`` patches functions by module and name; a rename or
 a move in the library makes it raise ``TraceTargetMissing``.  Loading it
-here puts that check in the default test run.
+here puts that check in the default test run.  The tracer also reads one
+scalar ``TransferResult`` per transfer call, so the trial pipeline must
+keep transferring one user at a time.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import asymx.harness as harness
+from asymx.config import ExperimentConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
-def test_every_tracer_target_resolves():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_resolves():
+    tracer = load_tracer()
     original = harness.mnomp_transfer
     with tracer.Tracer().installed():
         assert harness.mnomp_transfer is not original
     assert harness.mnomp_transfer is original
+
+
+def test_transfers_stay_one_traced_call_per_user(monkeypatch):
+    cfg = ExperimentConfig(
+        "transfer-nmse", num_transmit=64, num_receive=(8, 16), num_users=3,
+        paths_per_user=2, snr_db=(0.0, 20.0), selection=("random", "comb"),
+        algorithm=("dft", "mnomp"), trials=2, master_seed=5)
+    results = []
+    for name in ("dft_transfer", "mnomp_transfer"):
+        def recording(*args, _transfer=getattr(harness, name), **kwargs):
+            results.append(_transfer(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, name, recording)
+    tracer = load_tracer()
+    recorder = tracer.Tracer()
+    with recorder.installed(), recorder.run_span():
+        harness.run(cfg)
+    # trials x setups (selection x N) x SNRs x users
+    calls = 2 * (2 * 2) * 2 * 3
+    for name in tracer.TRANSFERS:
+        spans = [span for span in recorder.spans if span[2] == name]
+        assert len(spans) == calls, name
+        assert all(np.ndim(span[6][1]) == 0 for span in spans)
+    assert len(results) == 2 * calls
+    assert all(np.ndim(r.paths_found) == 0 and np.ndim(r.truncated) == 0
+               for r in results)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymx.channel import ArrayGeometry, PathSet, uplink_channel, user_channels
+from asymx.channel import (
+    ArrayGeometry,
+    ChannelMatrix,
+    PathSet,
+    uplink_channel,
+    user_channels,
+)
 from asymx.uplink import (
     PilotBlock,
     SnrLossInputs,
@@ -38,8 +44,8 @@ def random_uplink(seed, num_users=K, num_receive=N):
         )
         for _ in range(num_users)
     ]
-    h_up, _ = user_channels(paths, sel, GEOM)
-    return sel, h_up
+    h_up, _ = user_channels([paths], [sel], GEOM)
+    return sel, ChannelMatrix(h_up.data[0], "uplink")
 
 
 # ---------------------------------------------------------------- pilots
@@ -73,7 +79,7 @@ def test_received_pilot_noiseless():
     # real block, then the imaginary block
     sel, h_up = random_uplink(0)
     pilots = generate_pilots(K, 16, power=4.0)
-    y = received_pilot(h_up, pilots, np.random.default_rng(0))
+    y = received_pilot(h_up, pilots, [np.random.default_rng(0)])
     twin = np.random.default_rng(0)
     re, im = twin.standard_normal((2, N, 16))
     noise = np.sqrt(0.5) * (re + 1j * im)
@@ -97,7 +103,7 @@ def test_ls_error_floor_matches_pilot_snr():
     rng = np.random.default_rng(3)
     errs = []
     for _ in range(200):
-        y = received_pilot(h_up, pilots, rng)
+        y = received_pilot(h_up, pilots, [rng])
         errs.append(np.mean(np.abs(estimate_ls(y, pilots).data
                                    - h_up.data) ** 2))
     assert np.mean(errs) == pytest.approx(1.0 / rho, rel=0.1)
@@ -190,10 +196,10 @@ def test_snr_stack_equals_per_slice_calls(data, num_snrs, num_receive,
     powers = 10.0 ** (np.array(snr_db) / 10.0)
     pilots = generate_pilots(num_users, num_users, powers)
     singles = [generate_pilots(num_users, num_users, rho) for rho in powers]
-    received = received_pilot(h, pilots, np.random.default_rng([seed, 1]))
+    received = received_pilot(h, pilots, [np.random.default_rng([seed, 1])])
     assert received.shape == (num_snrs, num_receive, num_users)
     noise = np.random.default_rng([seed, 1])
-    assert np.array_equal(received, [received_pilot(h, p, noise)
+    assert np.array_equal(received, [received_pilot(h, p, [noise])
                                      for p in singles])
     for estimate in (estimate_ls, estimate_lmmse):
         stack = estimate(received, pilots)
@@ -206,6 +212,48 @@ def test_snr_stack_equals_per_slice_calls(data, num_snrs, num_receive,
         assert np.array_equal(sinr, [
             uplink_sinr(est, h, rho, detector)
             for est, rho in zip(stack.data, powers)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), num_trials=st.integers(1, 5),
+       num_snrs=st.sampled_from([None, 1, 3]), num_receive=st.integers(1, 24),
+       detector=st.sampled_from(["mrc", "zf"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_trial_stack_equals_per_trial_calls(data, num_trials, num_snrs,
+                                            num_receive, detector, seed):
+    # the trial pipeline receives, estimates and detects a chunk of trials
+    # in one call each, with one generator per trial; every trial slice
+    # must be the bytes of its own one-trial call, the noise included
+    num_users = data.draw(st.integers(1, num_receive))
+    rng = np.random.default_rng(seed)
+    shape = (num_trials, num_receive, num_users)
+    h = (rng.standard_normal(shape)
+         + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    powers = (2.0 if num_snrs is None
+              else 10.0 ** (rng.uniform(-10.0, 30.0, num_snrs) / 10.0))
+    pilots = generate_pilots(num_users, num_users, powers)
+
+    def streams():
+        return [np.random.default_rng([seed, t]) for t in range(num_trials)]
+
+    received = received_pilot(h, pilots, streams())
+    snr_axes = () if num_snrs is None else (num_snrs,)
+    assert received.shape == (num_trials, *snr_axes, num_receive, num_users)
+    for t, noise in enumerate(streams()):
+        assert np.array_equal(received[t], received_pilot(h[t], pilots,
+                                                          [noise]))
+    for estimate in (estimate_ls, estimate_lmmse):
+        stack = estimate(received, pilots).data
+        sinr = uplink_sinr(stack, h.reshape(num_trials, *[1] * len(snr_axes),
+                                            num_receive, num_users),
+                           pilots.power, detector)
+        for t in range(num_trials):
+            assert np.array_equal(stack[t], estimate(received[t],
+                                                     pilots).data)
+            assert np.array_equal(sinr[t], uplink_sinr(stack[t], h[t],
+                                                       pilots.power, detector))
+    with pytest.raises(ValueError, match="generators"):
+        received_pilot(h, pilots, streams() + [rng])
 
 
 def test_make_selection_dispatch():
