@@ -119,6 +119,8 @@ def array_factor(
     repeats that peak at grating lobes w = +/- k/(stride*spacing).
     """
     w = np.atleast_1d(np.asarray(w_grid, dtype=float))
+    # not channel._phase_slope: its operand order rounds differently and
+    # moves 4 magnitude_db cells of beam_pattern.cfg
     phase = 2.0 * np.pi * spacing * np.outer(selection.indices - 1, w)
     return np.abs(np.exp(1j * phase).sum(axis=0))
 

@@ -10,6 +10,9 @@ parameters and differ only in which elements they sample:
 
 so the downlink restricted to the selected elements equals the uplink
 vector exactly.  Spatial frequency w = sin(theta) is the working domain.
+``_phase_slope`` is the one place that maps an element to its phase slope
+-j*2*pi*(d/l)*(a - 1); every steering vector of this module, and the
+transfer's Newton algebra, read it from there.
 """
 
 from __future__ import annotations
@@ -124,6 +127,13 @@ def draw_path_set(
     return PathSet(gains, angles)
 
 
+def _phase_slope(geometry: ArrayGeometry, elements: np.ndarray) -> np.ndarray:
+    """-j*2*pi*(d/l)*(a - 1) of each 1-based element index a: the phase of
+    its steering entry per unit of spatial frequency, which repeats in w
+    with period 1/d."""
+    return -2j * np.pi * geometry.spacing * (np.asarray(elements) - 1)
+
+
 def steering_downlink(
     geometry: ArrayGeometry, w: float | np.ndarray
 ) -> np.ndarray:
@@ -133,9 +143,9 @@ def steering_downlink(
     column for column the same numbers as one call per frequency; a K x P
     array gives M x K x P.
     """
-    m = np.arange(geometry.num_transmit)
-    phase = np.multiply.outer(-2j * np.pi * geometry.spacing * m, w)
-    return np.exp(phase) / np.sqrt(geometry.num_transmit)
+    slopes = _phase_slope(geometry, np.arange(1, geometry.num_transmit + 1))
+    return (np.exp(np.multiply.outer(slopes, w))
+            / np.sqrt(geometry.num_transmit))
 
 
 def steering_uplink(
@@ -151,9 +161,8 @@ def steering_uplink(
     frequencies adds its axes after the element axis, as in
     ``steering_downlink``.
     """
-    slopes = -2j * np.pi * geometry.spacing * (selection.indices - 1)
-    phase = np.multiply.outer(slopes, w)
-    return np.exp(phase) / np.sqrt(selection.num_receive)
+    slopes = _phase_slope(geometry, selection.indices)
+    return np.exp(np.multiply.outer(slopes, w)) / np.sqrt(selection.num_receive)
 
 
 def steering_masked(
@@ -213,8 +222,7 @@ def user_channels(
         return np.sqrt(size / count) * product[..., 0]
 
     # steering_uplink of each trial's own selection, T x N x K x P
-    slopes = -2j * np.pi * geometry.spacing * (
-        np.stack([s.indices for s in selections]) - 1)
+    slopes = _phase_slope(geometry, np.stack([s.indices for s in selections]))
     n = slopes.shape[-1]
     vecs = np.exp(slopes[..., None, None] * freqs[:, None]) / np.sqrt(n)
     up = combine(vecs, n)

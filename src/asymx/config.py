@@ -103,6 +103,16 @@ class ExperimentConfig:
             # a repeated entry would write repeated rows of the same draw
             _require(len(set(values)) == len(values), name,
                      "lists an entry twice")
+        # a sweep entry that no row reports would be dropped without a word
+        _require(len(self.num_receive) == 1
+                 or self.experiment == "transfer-nmse", "num_receive",
+                 "lists more than one entry, but only transfer-nmse "
+                 "sweeps it")
+        for name in ("selection", "algorithm"):
+            _require(len(getattr(self, name)) == 1
+                     or "asym" not in self.downlink_systems, name,
+                     "lists more than one entry, but the asym system uses "
+                     "only one")
         for snr in self.snr_db:
             try:
                 rho = _linear(snr)

@@ -305,7 +305,10 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
     samples: list[dict[tuple, tuple[float, ...]]] = [{} for _ in trials]
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
         geometry = ArrayGeometry(m, cfg.spacing)
-        sels = [_selection(cfg, kind, m, n, trial, index) for trial in trials]
+        # a fixed selection reads no stream, so one serves every trial
+        sels = ([_selection(cfg, kind, m, n, trial, index) for trial in trials]
+                if kind == "random" else
+                [_selection(cfg, kind, m, n, trials[0], index)] * len(trials))
         h_up, h_down = user_channels(paths, sels, geometry, _reads_down(cfg))
         # T x S x N x K, one slice per trial and SNR; each trial's noise is
         # drawn from its own stream in SNR order

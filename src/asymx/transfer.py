@@ -15,10 +15,12 @@ path parameters from the uplink estimate.  Two estimators are provided:
 
 Both work on N-element vectors.  Selected element a_n carries the steering
 entry exp(-j*2*pi*(d/lambda)*(a_n - 1)*w) / sqrt(N), and each w-derivative
-multiplies it by the fixed phase slope -j*2*pi*(d/lambda)*(a_n - 1), so the
-Newton algebra needs no other element.  Only ``spatial_matched_filter``
-scatters an N-vector onto the M-element aperture: one zero-padded FFT
-scores every oversampled bin.
+multiplies it by the fixed phase slope -j*2*pi*(d/lambda)*(a_n - 1), which
+``asymx.channel`` owns, so the Newton algebra needs no other element.  Only
+``spatial_matched_filter`` scatters an N-vector onto the M-element aperture:
+one zero-padded FFT scores every oversampled bin.  The entries repeat in w
+with period 1/d, so bins and Newton steps land on [-1/(2d), 1/(2d)), which
+is [-1, 1) at half-wavelength spacing.
 
 Both stop against the same energy threshold N/rho_tau: the expected noise
 energy left in an N-element LS estimate.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import AntennaSelection
-from .channel import ArrayGeometry, steering_downlink
+from .channel import ArrayGeometry, _phase_slope, steering_downlink
 # Unused here, but benchmarks/tracer.py wraps asymx.transfer.steering_masked.
 from .channel import steering_masked  # noqa: F401
 
@@ -116,11 +118,15 @@ def spatial_matched_filter(
             / selection.num_receive)
 
 
-def bin_to_spatial_freq(bins: np.ndarray | int, size: int) -> np.ndarray | float:
-    """Map FFT bin index to spatial frequency w = 2*b/size wrapped to [-1, 1)."""
-    b = np.asarray(bins)
-    w = 2.0 * b / size
-    w = np.where(w >= 1.0, w - 2.0, w)
+def bin_to_spatial_freq(
+    bins: np.ndarray | int, size: int, spacing: float
+) -> np.ndarray | float:
+    """Map FFT bin index b of a ``size``-point grid over one period of an
+    array with element spacing d (in wavelengths) to spatial frequency
+    w = b/(d*size), wrapped onto [-1/(2d), 1/(2d))."""
+    period = 1.0 / spacing
+    w = period * np.asarray(bins) / size
+    w = np.where(w >= 0.5 * period, w - period, w)
     return w if w.ndim else float(w)
 
 
@@ -176,7 +182,8 @@ def dft_transfer(
     raw = scores[kept]
     gains = np.sqrt(count) * np.conj(raw)
     freqs = np.asarray(
-        bin_to_spatial_freq(np.asarray(kept), scores.size), dtype=float
+        bin_to_spatial_freq(np.asarray(kept), scores.size, geometry.spacing),
+        dtype=float,
     )
     basis = steering_downlink(geometry, freqs)
     downlink = np.sqrt(geometry.num_transmit / count) * (basis @ gains)
@@ -216,12 +223,13 @@ def mnomp_transfer(
         scores = spatial_matched_filter(residual, selection,
                                         config.oversampling)
         best = int(np.argmax(np.abs(scores)))  # ties go to the lower bin
-        w0 = float(bin_to_spatial_freq(best, scores.size))
+        w0 = float(bin_to_spatial_freq(best, scores.size, geometry.spacing))
         gain0 = np.conj(scores[best])  # scores live in the conjugate domain
         steer0 = _steer(pos, w0, root_n)
         residual = residual - root_n * gain0 * steer0
         gain, w, steer, residual = _refine(
-            residual, gain0, w0, steer0, pos, root_n, config.newton_rounds
+            residual, gain0, w0, steer0, pos, root_n, config.newton_rounds,
+            geometry.spacing,
         )
         gains.append(gain)
         freqs.append(w)
@@ -237,6 +245,7 @@ def mnomp_transfer(
                     pos,
                     root_n,
                     config.newton_rounds,
+                    geometry.spacing,
                 )
 
         basis = np.stack(steers, axis=1)
@@ -248,12 +257,10 @@ def mnomp_transfer(
 
     freqs_arr = np.asarray(freqs, dtype=float)
     gains_arr = np.asarray(gains, dtype=complex)
-    if gains_arr.size:
-        downlink = np.sqrt(geometry.num_transmit) * (
-            steering_downlink(geometry, freqs_arr) @ gains_arr
-        )
-    else:
-        downlink = np.zeros(geometry.num_transmit, dtype=complex)
+    # no path found: an M x 0 basis times no gains is the zero vector
+    downlink = np.sqrt(geometry.num_transmit) * (
+        steering_downlink(geometry, freqs_arr) @ gains_arr
+    )
     return TransferResult(
         gains=gains_arr,
         spatial_freqs=freqs_arr,
@@ -267,7 +274,7 @@ def _phase_slopes(
     selection: AntennaSelection, geometry: ArrayGeometry
 ) -> np.ndarray:
     """-j*2*pi*(d/lambda)*(a_n - 1): d/dw of each selected steering phase."""
-    return -2j * np.pi * geometry.spacing * (selection.indices - 1)
+    return _phase_slope(geometry, selection.indices)
 
 
 def _steer(pos: np.ndarray, w: float, root_n: float) -> np.ndarray:
@@ -304,6 +311,7 @@ def _refine(
     pos: np.ndarray,
     root_n: float,
     rounds: int,
+    spacing: float,
 ) -> tuple[complex, float, np.ndarray, np.ndarray]:
     """Refine one path against the data with all other paths removed.
 
@@ -314,8 +322,10 @@ def _refine(
     rejected step ends the refinement.  ``steer`` is a_S(w).  Returns the
     updated (gain, w, steer) and the residual with the refined path removed
     again; an accepted trial's residual and energy are carried into the
-    next round, which would recompute the same values.
+    next round, which would recompute the same values.  A step lands on
+    the steering period [-1/(2d), 1/(2d)) of element spacing ``spacing``.
     """
+    period = 1.0 / spacing
     path = root_n * gain * steer
     observation = residual + path
     resid = observation - path
@@ -324,7 +334,7 @@ def _refine(
         d1, d2 = _derivatives(resid, gain, steer, pos, root_n)
         if d2 <= 0.0:
             break
-        w_new = _wrap_freq(w - d1 / d2)
+        w_new = float((w - d1 / d2 + 0.5 * period) % period - 0.5 * period)
         steer_new = _steer(pos, w_new, root_n)
         norm_sq = float(np.vdot(steer_new, steer_new).real)
         gain_new = complex(
@@ -338,8 +348,3 @@ def _refine(
             gain_new, w_new, steer_new, trial, trial_value
         )
     return gain, w, steer, resid
-
-
-def _wrap_freq(w: float) -> float:
-    """Wrap a spatial frequency onto the periodic interval [-1, 1)."""
-    return float((w + 1.0) % 2.0 - 1.0)

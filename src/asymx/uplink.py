@@ -286,6 +286,8 @@ def steered_response(
 ) -> np.ndarray:
     """|a_U(w)^H h| over a grid of spatial frequencies (the periodogram)."""
     w = np.atleast_1d(np.asarray(w_grid, dtype=float))
+    # not channel._phase_slope: its operand order rounds differently and
+    # moves a resolved_path_count cell of snr_loss.cfg from 1 to 2
     phase = (
         2j * np.pi * geometry.spacing * np.outer(selection.indices - 1, w)
     )

@@ -63,7 +63,7 @@ def config_values(draw) -> dict:
     theta1, theta2 = draw(floats(-90.0, 90.0)), draw(floats(-90.0, 90.0))
     assume(not np.isclose(np.sin(np.deg2rad(theta1)),
                           np.sin(np.deg2rad(theta2))))
-    return dict(
+    values = dict(
         experiment=draw(st.sampled_from(EXPERIMENTS)),
         num_transmit=num_transmit,
         num_receive=num_receive,
@@ -99,6 +99,16 @@ def config_values(draw) -> dict:
         pinned_random=pinned_random,
         workers=draw(st.integers(1, 64)),
     )
+    # only transfer-nmse sweeps N, and the asym system takes one selection
+    # and one algorithm: keep the first entry, which is all they read
+    if values["experiment"] != "transfer-nmse":
+        values["num_receive"] = num_receive[:1]
+    if values["experiment"] == "ee" or (
+            values["experiment"] == "se" and values["link"] == "downlink"
+            and "asym" in values["systems"]):
+        values["selection"] = selection[:1]
+        values["algorithm"] = values["algorithm"][:1]
+    return values
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,6 +223,34 @@ def test_duplicate_sweep_entries_rejected(tmp_path, capsys, fieldname,
     cfg.write_text(f"experiment = se\nnum_transmit = 32\nnum_users = 4\n"
                    f"{fieldname} = {', '.join(map(str, values))}\n")
     assert cli_main(["se", "--config", str(cfg), "--trials", "1",
+                     "--out", str(tmp_path)]) == 2
+    assert f"config.{fieldname}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, fieldname, values, extra", [
+    ("se", "num_receive", (16, 32), "link = uplink"),
+    ("se", "num_receive", (16, 32), "link = downlink"),
+    ("ee", "num_receive", (16, 32), ""),
+    ("beam-pattern", "num_receive", (16, 32), ""),
+    ("se", "algorithm", ("dft", "mnomp"), "link = downlink"),
+    ("se", "selection", ("random", "comb"), "systems = full_digital_m, asym"),
+    ("ee", "selection", ("comb", "random"), ""),
+    ("ee", "algorithm", ("mnomp", "dft"), ""),
+], ids=["se-uplink-N", "se-downlink-N", "ee-N", "beam-pattern-N",
+        "se-asym-algorithm", "se-asym-selection", "ee-selection",
+        "ee-algorithm"])
+def test_sweep_entries_no_row_reports_rejected(tmp_path, capsys, experiment,
+                                               fieldname, values, extra):
+    # only transfer-nmse has a row per N, and the asym system transfers with
+    # one selection and one algorithm, so a further entry would get no row
+    text = (f"experiment = {experiment}\nnum_transmit = 64\nnum_users = 4\n"
+            f"{extra}\n{fieldname} = {', '.join(map(str, values))}\n")
+    with pytest.raises(ConfigError, match=rf"config\.{fieldname}: "):
+        config_from_values(parse_config_text(text))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert cli_main([experiment, "--config", str(cfg), "--trials", "1",
                      "--out", str(tmp_path)]) == 2
     assert f"config.{fieldname}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))

@@ -1,11 +1,13 @@
-"""Frozen CSV text of every Monte Carlo recipe.
+"""Frozen CSV text of the bundled recipes.
 
 ``golden_csv.json`` maps ``<recipe>|<estimator>|<detector>`` to the CSV
 text that ``asymx.run`` wrote for that bundled recipe at 2 trials and its
 own master seed, for the five Monte Carlo recipes x estimator {ls, lmmse,
-perfect} x detector {zf, mrc}.  Every cell is a pure function of (config,
-master seed), so a refactor or speedup of the trial pipeline must write
-these bytes again; a failure names the first row that differs.
+perfect} x detector {zf, mrc}.  Keys ``<recipe>|<field>=<value>`` hold a
+recipe with one field overridden: the beam pattern and the SNR loss on
+reduced grids, and the downlink SE under MRT precoding.  Every cell is a
+pure function of (config, master seed), so a refactor or speedup must
+write these bytes again; a failure names the first row that differs.
 
 Regenerate only for an intended change of results:
 ``PYTHONPATH=src python tests/test_golden_csv.py``.
@@ -26,14 +28,22 @@ RECIPES = ("ee.cfg", "se_downlink.cfg", "se_uplink.cfg", "transfer_nmse.cfg",
            "transfer_nmse_multipath.cfg")
 ESTIMATORS = ("ls", "lmmse", "perfect")
 DETECTORS = ("zf", "mrc")
-CASES = [f"{recipe}|{estimator}|{detector}" for recipe, estimator, detector
-         in product(RECIPES, ESTIMATORS, DETECTORS)]
+CASES = [
+    "beam_pattern.cfg|grid_points=129",
+    "snr_loss.cfg|phase_points=9",
+    "se_downlink.cfg|precoder=mrt",
+] + [f"{recipe}|{estimator}|{detector}" for recipe, estimator, detector
+     in product(RECIPES, ESTIMATORS, DETECTORS)]
 
 
 def _csv_text(case: str) -> str:
-    recipe, estimator, detector = case.split("|")
+    recipe, *settings = case.split("|")
     values = load_config_values(resolve_config(recipe))
-    values.update(trials="2", estimator=estimator, detector=detector)
+    values.update(trials="2")
+    if "=" in case:
+        values.update(setting.split("=") for setting in settings)
+    else:
+        values.update(zip(("estimator", "detector"), settings))
     return run(config_from_values(values)).csv_text()
 
 

@@ -211,6 +211,28 @@ def test_trial_builds_only_the_streams_it_reads(monkeypatch):
         + [(9, trial, 2, setup) for trial in (0, 1) for setup in (0, 1)])
 
 
+def test_fixed_selections_built_once_per_setup_and_chunk(monkeypatch):
+    # successive and comb read no stream, so one selection serves a chunk;
+    # a random one is drawn per trial
+    kinds = []
+    original = harness.make_selection
+
+    def counting(kind, *args):
+        kinds.append(kind)
+        return original(kind, *args)
+
+    monkeypatch.setattr(harness, "make_selection", counting)
+    cfg = tiny("se", link="uplink", trials=5,
+               selection=("successive", "comb", "random"))
+    per_trial = harness._trial_entries(cfg, harness._setups(cfg))
+    for entries, chunks in ((10**9, 1), (2 * per_trial, 3), (1, 5)):
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", entries)
+        kinds.clear()
+        run(cfg)
+        assert sorted(kinds) == (["comb"] * chunks + ["random"] * 5
+                                 + ["successive"] * chunks)
+
+
 # ------------------------------------------------------------ experiments
 
 
@@ -280,13 +302,20 @@ def test_parallel_equals_serial():
     assert run(serial).csv_text() == run(parallel).csv_text()
 
 
+def sweeps(experiment, link):
+    """Two selections and both algorithms, where every entry has rows; the
+    asym system of ee and downlink se takes only the first of each."""
+    if experiment == "ee" or (experiment, link) == ("se", "downlink"):
+        return dict(selection=("random",), algorithm=("dft",))
+    return dict(selection=("random", "successive"), algorithm=("dft", "mnomp"))
+
+
 @pytest.mark.parametrize("experiment, link", [
     ("beam-pattern", "downlink"), ("snr-loss", "downlink"),
     ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
     ("ee", "downlink"), ("cost-table", "downlink")])
 def test_every_experiment_is_deterministic_and_thread_safe(experiment, link):
-    cfg = tiny(experiment, link=link, trials=3,
-               selection=("random", "successive"), algorithm=("dft", "mnomp"))
+    cfg = tiny(experiment, link=link, trials=3, **sweeps(experiment, link))
     first = run(cfg).csv_text()
     assert run(cfg).csv_text() == first
     assert run(replace(cfg, workers=2)).csv_text() == first
@@ -300,7 +329,7 @@ def test_chunk_length_and_workers_never_move_a_byte(monkeypatch, experiment,
     # trial by trial, chunks of 2 (the last one short) and one chunk for
     # all 5 trials, each serial and on 2 or 3 threads
     cfg = tiny(experiment, link=link, trials=5, snr_db=(0.0, 10.0),
-               selection=("random", "successive"), algorithm=("dft", "mnomp"))
+               **sweeps(experiment, link))
     lengths = []
     chunk = harness._chunk
 

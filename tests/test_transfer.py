@@ -66,7 +66,8 @@ def refine(residual, gain, w, sel, rounds):
     """``_refine`` from (gain, w) alone: returns (gain, w, residual)."""
     gain, w, _, resid = _refine(residual, gain, w,
                                 steering_uplink(sel, GEOM, w),
-                                _phase_slopes(sel, GEOM), np.sqrt(N), rounds)
+                                _phase_slopes(sel, GEOM), np.sqrt(N), rounds,
+                                GEOM.spacing)
     return gain, w, resid
 
 
@@ -122,10 +123,10 @@ def test_spatial_matched_filter_equals_naive_correlation():
 
 
 def test_bin_to_spatial_freq_wraps():
-    got = bin_to_spatial_freq(np.arange(8), 8)
+    got = bin_to_spatial_freq(np.arange(8), 8, 0.5)
     assert np.allclose(got, [0.0, 0.25, 0.5, 0.75, -1.0, -0.75, -0.5, -0.25])
-    assert bin_to_spatial_freq(3, 8) == pytest.approx(0.75)
-    assert bin_to_spatial_freq(4, 8) == pytest.approx(-1.0)
+    assert bin_to_spatial_freq(3, 8, 0.5) == pytest.approx(0.75)
+    assert bin_to_spatial_freq(4, 8, 0.5) == pytest.approx(-1.0)
 
 
 def test_find_peaks_circular_and_sorted():
@@ -217,7 +218,7 @@ def test_matched_filter_peak_on_grid():
     h_up, _ = channel_pair(paths, sel)
     scores = spatial_matched_filter(h_up, sel, 4)
     best = int(np.argmax(np.abs(scores)))
-    w = bin_to_spatial_freq(best, scores.size)
+    w = bin_to_spatial_freq(best, scores.size, GEOM.spacing)
     assert w == pytest.approx(w0, abs=1e-12)
     assert complex(scores[best]) == pytest.approx(np.conj(g), abs=1e-9)
 
@@ -297,29 +298,37 @@ def test_refine_polishes_single_path():
 
 # ------------------------------------------------------- mNOMP end to end
 
+SPACINGS = (0.25, 0.4, 0.5, 0.75, 1.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), algorithm=st.sampled_from(["dft", "mnomp"]),
        kind=st.sampled_from(["successive", "random"]),
        num_receive=st.sampled_from([16, 32]),
+       spacing=st.sampled_from(SPACINGS),
        magnitude=st.floats(0.1, 3.0), phase=st.floats(0.0, 2 * np.pi),
        seed=st.integers(0, 2**32 - 1))
 def test_noiseless_on_grid_path_recovered_exactly(data, algorithm, kind,
-                                                  num_receive, magnitude,
-                                                  phase, seed):
+                                                  num_receive, spacing,
+                                                  magnitude, phase, seed):
     # without noise, one path on a bin of the kernel's own grid is found
     # alone, at its frequency, and rebuilds the downlink to rounding; mNOMP
     # runs without the ridge term, whose 1/(1 + 1e-4) shrinkage of the
     # refit gain would leave energy over the threshold.  Comb selection is
-    # left out: its grating lobes alias the bin.
+    # left out: its grating lobes alias the bin.  The grid spans one period
+    # 1/d of the steering phase; only its bins with |w| <= 1 are angles.
     kernel, oversampling = {"dft": (dft_transfer, 8),
                             "mnomp": (mnomp_transfer, 4)}[algorithm]
     size = M * oversampling
-    w = float(bin_to_spatial_freq(data.draw(st.integers(0, size - 1)), size))
+    grid = bin_to_spatial_freq(np.arange(size), size, spacing)
+    w = float(data.draw(st.sampled_from(grid[np.abs(grid) <= 1.0])))
     sel = make_selection(kind, M, num_receive, np.random.default_rng(seed))
     paths = PathSet(np.array([magnitude * np.exp(1j * phase)]),
                     np.array([np.arcsin(w)]))
-    h_up, h_dn = channel_pair(paths, sel)
-    res = kernel(h_up, sel, GEOM,
+    geom = ArrayGeometry(M, spacing)
+    h_up = uplink_channel(paths, sel, geom)
+    h_dn = downlink_channel(paths, geom)
+    res = kernel(h_up, sel, geom,
                  TransferConfig(oversampling, 1e-6, regularizer=0.0))
     assert res.paths_found == 1
     assert abs(res.spatial_freqs[0] - w) <= 1e-12
@@ -352,6 +361,36 @@ def test_mnomp_three_paths_exact():
         for w_true in paths.spatial_freqs:
             assert min(abs(res.spatial_freqs - w_true)) < 1e-4
         assert 10 * np.log10(nmse(res.downlink_estimate, h_dn)) < -40.0
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_mnomp_off_grid_recovery_at_any_spacing(spacing):
+    # criterion 06's noiseless setup at element spacing d: one to three
+    # off-grid paths, at least 2/M apart on the steering period 1/d, so
+    # that no two alias onto one direction
+    geom = ArrayGeometry(M, spacing)
+    period = 1.0 / spacing
+    rng = np.random.default_rng(2024)
+    worst = -np.inf
+    for _ in range(20):
+        num_paths = int(rng.integers(1, 4))
+        while True:
+            w = rng.uniform(-0.95, 0.95, size=num_paths)
+            gaps = np.subtract.outer(w, w)[np.triu_indices(num_paths, 1)]
+            gaps %= period
+            if np.all(np.minimum(gaps, period - gaps) > 2.0 / M):
+                break
+        gains = (rng.standard_normal(num_paths)
+                 + 1j * rng.standard_normal(num_paths)) / np.sqrt(2.0)
+        gains *= 0.5 + rng.uniform(0.0, 1.0, size=num_paths)
+        paths = PathSet(gains, np.arcsin(w))
+        sel = make_selection("random", M, N, rng, pinned=True)
+        res = mnomp_transfer(uplink_channel(paths, sel, geom), sel, geom,
+                             EXACT)
+        assert np.all(np.abs(res.spatial_freqs) <= 0.5 * period)
+        worst = max(worst, 10 * np.log10(
+            nmse(res.downlink_estimate, downlink_channel(paths, geom))))
+    assert worst < -40.0, f"worst NMSE {worst:.1f} dB at d = {spacing}"
 
 
 def test_mnomp_huge_threshold_returns_empty():
