@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", metavar="N", type=int, default=None,
                        help="override the Monte Carlo trial count")
         p.add_argument("--workers", metavar="W", type=int, default=None,
-                       help="thread pool width (results identical to serial)")
+                       help="accepted and checked (>= 1), but ignored: "
+                            "every run walks its trials serially")
     return parser
 
 

@@ -68,6 +68,7 @@ class ExperimentConfig:
     theta2_deg: float = 54.285
     grid_points: int = 4096
     pinned_random: bool = False
+    # accepted and validated, but every run walks its trials serially
     workers: int = 1
 
     @property
@@ -104,15 +105,14 @@ class ExperimentConfig:
             _require(len(set(values)) == len(values), name,
                      "lists an entry twice")
         # a sweep entry that no row reports would be dropped without a word
-        _require(len(self.num_receive) == 1
-                 or self.experiment == "transfer-nmse", "num_receive",
-                 "lists more than one entry, but only transfer-nmse "
-                 "sweeps it")
-        for name in ("selection", "algorithm"):
+        swept = {"transfer-nmse": ("num_receive", "algorithm", "selection"),
+                 "beam-pattern": ("selection",),
+                 "se": ("selection",) if self.link == "uplink" else ()}
+        for name in ("num_receive", "algorithm", "selection"):
             _require(len(getattr(self, name)) == 1
-                     or "asym" not in self.downlink_systems, name,
-                     "lists more than one entry, but the asym system uses "
-                     "only one")
+                     or name in swept.get(self.experiment, ()), name,
+                     "lists more than one entry, but the rows of this "
+                     "experiment report only one")
         for snr in self.snr_db:
             try:
                 rho = _linear(snr)

@@ -13,13 +13,18 @@ Streams come from ``seed_stream(master_seed, trial, tag, index)``, a key of
 fixed length whose tag names the draw: user paths, a random setup's
 selection, or a setup's pilot noise under the ls and lmmse estimators; no
 stream is built that nothing reads.  A chunk builds each of its trials'
-streams exactly once, so neither the chunk length nor the worker count can
-move a number, and a run executed twice writes byte-identical CSV.
+streams exactly once, so the chunk length cannot move a number, and a run
+executed twice writes byte-identical CSV.
+
+The chunks run one after another in one plain loop on the calling thread,
+and no run starts a thread.  ``ExperimentConfig.workers`` is accepted and
+validated but changes nothing about how a run executes: the per-user NumPy
+calls of a chunk are too small to run outside the interpreter lock, so
+threads over chunks ran at about half the serial speed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -366,19 +371,6 @@ def _trial_entries(cfg: ExperimentConfig, setups: dict) -> int:
                for _, m, n in setups)
 
 
-def _map_trials(fn, trials: int, length: int, workers: int) -> list:
-    """``fn`` over consecutive chunks of at most ``length`` trials,
-    serially or on a thread pool; its per-trial results in trial order."""
-    chunks = [range(lo, min(lo + length, trials))
-              for lo in range(0, trials, length)]
-    if workers <= 1:
-        results = [fn(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, chunks))
-    return [sample for result in results for sample in result]
-
-
 def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean over trials and its standard error."""
     samples = np.asarray(samples, dtype=float)
@@ -389,15 +381,17 @@ def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _monte_carlo(cfg: ExperimentConfig) -> dict:
-    """(mean, stderr) over all trials of every cell's samples."""
+    """(mean, stderr) over all trials of every cell's samples, drawn in
+    consecutive chunks of trials walked serially."""
     setups = _setups(cfg)
     # orthonormal pilot rows give the same CN(0, I/rho) error at any length
     # tau >= K, so the shortest one is used
     pilots = generate_pilots(cfg.num_users, cfg.num_users,
                              np.array([_linear(snr) for snr in cfg.snr_db]))
     length = max(1, _CHUNK_ENTRIES // _trial_entries(cfg, setups))
-    outcomes = _map_trials(lambda trials: _chunk(cfg, setups, pilots, trials),
-                           cfg.trials, length, cfg.workers)
+    outcomes = [sample for lo in range(0, cfg.trials, length)
+                for sample in _chunk(cfg, setups, pilots,
+                                     range(lo, min(lo + length, cfg.trials)))]
     return {key: _mean_stderr([o[key] for o in outcomes])
             for key in outcomes[0]}
 

@@ -99,15 +99,15 @@ def config_values(draw) -> dict:
         pinned_random=pinned_random,
         workers=draw(st.integers(1, 64)),
     )
-    # only transfer-nmse sweeps N, and the asym system takes one selection
-    # and one algorithm: keep the first entry, which is all they read
+    # only transfer-nmse sweeps N and the algorithm, and only it,
+    # beam-pattern and uplink se sweep the selection: elsewhere keep the
+    # first entry, which is all the rows report
     if values["experiment"] != "transfer-nmse":
         values["num_receive"] = num_receive[:1]
-    if values["experiment"] == "ee" or (
-            values["experiment"] == "se" and values["link"] == "downlink"
-            and "asym" in values["systems"]):
-        values["selection"] = selection[:1]
         values["algorithm"] = values["algorithm"][:1]
+    if values["experiment"] not in ("beam-pattern", "transfer-nmse") and (
+            values["experiment"], values["link"]) != ("se", "uplink"):
+        values["selection"] = selection[:1]
     return values
 
 
@@ -205,6 +205,22 @@ def test_config_validation_messages():
 
 
 @pytest.mark.parametrize("fieldname, values", [
+    ("snr_db", (float("nan"),)),
+    ("snr_db", (0.0, float("inf"))),
+    ("path_powers", (float("nan"), 1.0)),
+    ("bandwidth_hz", float("inf")),
+    ("threshold", float("-inf")),
+    ("spacing", float("nan")),
+])
+def test_non_finite_float_fields_rejected(fieldname, values):
+    overrides = {fieldname: values}
+    if fieldname == "path_powers":
+        overrides["paths_per_user"] = 2
+    with pytest.raises(ConfigError, match=rf"config\.{fieldname}: must be finite"):
+        ExperimentConfig("se", **overrides)
+
+
+@pytest.mark.parametrize("fieldname, values", [
     ("snr_db", (10.0, 10.0)),
     ("snr_db", (0.0, -0.0)),
     ("num_receive", (8, 16, 8)),
@@ -237,13 +253,27 @@ def test_duplicate_sweep_entries_rejected(tmp_path, capsys, fieldname,
     ("se", "selection", ("random", "comb"), "systems = full_digital_m, asym"),
     ("ee", "selection", ("comb", "random"), ""),
     ("ee", "algorithm", ("mnomp", "dft"), ""),
+    ("se", "algorithm", ("dft", "mnomp"), "link = uplink"),
+    ("se", "algorithm", ("dft", "mnomp"),
+     "link = downlink\nsystems = full_digital_m"),
+    ("beam-pattern", "algorithm", ("dft", "mnomp"), ""),
+    ("snr-loss", "algorithm", ("dft", "mnomp"), ""),
+    ("cost-table", "algorithm", ("dft", "mnomp"), ""),
+    ("snr-loss", "selection", ("random", "successive"), ""),
+    ("cost-table", "selection", ("random", "successive"), ""),
+    ("se", "selection", ("random", "comb"),
+     "link = downlink\nsystems = full_digital_m, perfect_csi_m"),
 ], ids=["se-uplink-N", "se-downlink-N", "ee-N", "beam-pattern-N",
         "se-asym-algorithm", "se-asym-selection", "ee-selection",
-        "ee-algorithm"])
+        "ee-algorithm", "se-uplink-algorithm", "se-downlink-algorithm",
+        "beam-pattern-algorithm", "snr-loss-algorithm",
+        "cost-table-algorithm", "snr-loss-selection", "cost-table-selection",
+        "se-downlink-selection"])
 def test_sweep_entries_no_row_reports_rejected(tmp_path, capsys, experiment,
                                                fieldname, values, extra):
-    # only transfer-nmse has a row per N, and the asym system transfers with
-    # one selection and one algorithm, so a further entry would get no row
+    # only transfer-nmse has a row per N and per algorithm, and only it,
+    # beam-pattern and uplink se a row per selection, so a further entry
+    # would get no row
     text = (f"experiment = {experiment}\nnum_transmit = 64\nnum_users = 4\n"
             f"{extra}\n{fieldname} = {', '.join(map(str, values))}\n")
     with pytest.raises(ConfigError, match=rf"config\.{fieldname}: "):

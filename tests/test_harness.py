@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,22 +58,6 @@ def test_zero_forcing_needs_no_more_users_than_receive_antennas():
     ExperimentConfig("se", link="downlink", systems=("asym",), num_users=20,
                      num_receive=(16,))
     ExperimentConfig("transfer-nmse", num_users=20, num_receive=(16,))
-
-
-@pytest.mark.parametrize("fieldname, values", [
-    ("snr_db", (float("nan"),)),
-    ("snr_db", (0.0, float("inf"))),
-    ("path_powers", (float("nan"), 1.0)),
-    ("bandwidth_hz", float("inf")),
-    ("threshold", float("-inf")),
-    ("spacing", float("nan")),
-])
-def test_non_finite_float_fields_rejected(fieldname, values):
-    overrides = {fieldname: values}
-    if fieldname == "path_powers":
-        overrides["paths_per_user"] = 2
-    with pytest.raises(ConfigError, match=rf"config\.{fieldname}: must be finite"):
-        ExperimentConfig("se", **overrides)
 
 
 @pytest.mark.parametrize("experiment, line", [
@@ -303,11 +288,15 @@ def test_parallel_equals_serial():
 
 
 def sweeps(experiment, link):
-    """Two selections and both algorithms, where every entry has rows; the
-    asym system of ee and downlink se takes only the first of each."""
-    if experiment == "ee" or (experiment, link) == ("se", "downlink"):
-        return dict(selection=("random",), algorithm=("dft",))
-    return dict(selection=("random", "successive"), algorithm=("dft", "mnomp"))
+    """Two selections and both algorithms, where every entry has rows, and
+    one of each elsewhere: only transfer-nmse has a row per algorithm, and
+    only beam-pattern, transfer-nmse and uplink se a row per selection."""
+    by_selection = (experiment in ("beam-pattern", "transfer-nmse")
+                    or (experiment, link) == ("se", "uplink"))
+    return dict(
+        selection=("random", "successive") if by_selection else ("random",),
+        algorithm=(("dft", "mnomp") if experiment == "transfer-nmse"
+                   else ("dft",)))
 
 
 @pytest.mark.parametrize("experiment, link", [
@@ -349,6 +338,22 @@ def test_chunk_length_and_workers_never_move_a_byte(monkeypatch, experiment,
             assert run(replace(cfg, workers=workers)).csv_text() == first, (
                 entries, workers)
             assert max(lengths) == longest and sum(lengths) == cfg.trials
+
+
+@pytest.mark.parametrize("experiment, link", [
+    ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
+    ("ee", "downlink")])
+def test_no_run_starts_a_thread(monkeypatch, experiment, link):
+    # workers is accepted but every run walks its chunks on the caller's
+    # thread
+    def refuse(thread):
+        raise AssertionError(f"a run started thread {thread.name}")
+
+    cfg = tiny(experiment, link=link, trials=5, **sweeps(experiment, link))
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for workers in (2, 3):
+        run(replace(cfg, workers=workers))
 
 
 RECIPE_DIR = Path(harness.__file__).parent / "recipes"
