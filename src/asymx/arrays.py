@@ -39,7 +39,14 @@ class AntennaSelection:
     kind: str = "random"
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices)
+        # integral floats such as 3.0 pass; a cast would truncate 2.7 to 2
+        integral = idx.dtype.kind in "iu" or (
+            idx.dtype.kind == "f"
+            and np.all(np.isfinite(idx) & (np.trunc(idx) == idx)))
+        if not integral:
+            raise ValueError("selection indices must be integers")
+        idx = idx.astype(int, copy=False)
         object.__setattr__(self, "indices", idx)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("selection needs a non-empty 1-D index list")

@@ -28,6 +28,7 @@ energy left in an N-element LS estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +59,14 @@ class TransferConfig:
     def __post_init__(self) -> None:
         if self.oversampling < 1:
             raise ValueError("oversampling factor must be >= 1")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if self.newton_rounds < 0 or self.cyclic_rounds < 0:
             raise ValueError("refinement rounds must be non-negative")
         if self.max_paths < 1:
             raise ValueError("max_paths must be positive")
-        if self.regularizer < 0:
-            raise ValueError("regularizer must be non-negative")
+        if not 0.0 <= self.regularizer < math.inf:
+            raise ValueError("regularizer must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,14 @@ def bin_to_spatial_freq(
 ) -> np.ndarray | float:
     """Map FFT bin index b of a ``size``-point grid over one period of an
     array with element spacing d (in wavelengths) to spatial frequency
-    w = b/(d*size), wrapped onto [-1/(2d), 1/(2d))."""
+    w = b/(d*size), wrapped onto [-1/(2d), 1/(2d)).
+
+    One expression serves a Python int (mNOMP's one bin, a float back) and
+    an index array (DFT's kept bins); subtracting 0.0 leaves w unchanged.
+    """
     period = 1.0 / spacing
-    w = period * np.asarray(bins) / size
-    w = np.where(w >= 0.5 * period, w - period, w)
-    return w if w.ndim else float(w)
+    w = period * bins / size
+    return w - period * (w >= 0.5 * period)
 
 
 def find_peaks(scores: np.ndarray) -> np.ndarray:
@@ -181,10 +185,8 @@ def dft_transfer(
     count = len(kept)
     raw = scores[kept]
     gains = np.sqrt(count) * np.conj(raw)
-    freqs = np.asarray(
-        bin_to_spatial_freq(np.asarray(kept), scores.size, geometry.spacing),
-        dtype=float,
-    )
+    freqs = bin_to_spatial_freq(np.asarray(kept), scores.size,
+                                geometry.spacing)
     basis = steering_downlink(geometry, freqs)
     downlink = np.sqrt(geometry.num_transmit / count) * (basis @ gains)
     return TransferResult(
@@ -211,7 +213,9 @@ def mnomp_transfer(
     residual energy falls below the threshold or max_paths is hit.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
-    root_n = np.sqrt(selection.num_receive)
+    # a Python float: NumPy multiplies arrays and scalars by it faster than
+    # by an np.float64, and it rounds the same
+    root_n = float(np.sqrt(selection.num_receive))
     pos = _phase_slopes(selection, geometry)
 
     gains: list[complex] = []
@@ -223,7 +227,7 @@ def mnomp_transfer(
         scores = spatial_matched_filter(residual, selection,
                                         config.oversampling)
         best = int(np.argmax(np.abs(scores)))  # ties go to the lower bin
-        w0 = float(bin_to_spatial_freq(best, scores.size, geometry.spacing))
+        w0 = bin_to_spatial_freq(best, scores.size, geometry.spacing)
         gain0 = np.conj(scores[best])  # scores live in the conjugate domain
         steer0 = _steer(pos, w0, root_n)
         residual = residual - root_n * gain0 * steer0
@@ -249,8 +253,9 @@ def mnomp_transfer(
                 )
 
         basis = np.stack(steers, axis=1)
-        gram = basis.conj().T @ basis + config.regularizer * np.eye(len(gains))
-        refit = np.linalg.solve(gram, basis.conj().T @ h_up) / root_n
+        adjoint = basis.conj().T
+        gram = adjoint @ basis + config.regularizer * np.eye(len(gains))
+        refit = np.linalg.solve(gram, adjoint @ h_up) / root_n
         gains = list(refit)
         residual = h_up - root_n * (basis @ refit)
         energy = float(np.vdot(residual, residual).real)
@@ -266,7 +271,8 @@ def mnomp_transfer(
         spatial_freqs=freqs_arr,
         downlink_estimate=downlink,
         residual_energy=energy,
-        truncated=energy >= config.threshold,
+        # bool(): an np.float64 threshold would make this an np.bool_
+        truncated=bool(energy >= config.threshold),
     )
 
 
@@ -291,14 +297,17 @@ def _derivatives(
 ) -> tuple[float, float]:
     """dJ/dw and d2J/dw2 of J(w) = ||y - sqrt(N) g a_S(w)||^2, on N entries.
 
-    ``resid`` is y - sqrt(N) g a_S(w) and ``steer`` is a_S(w).
+    ``resid`` is y - sqrt(N) g a_S(w) and ``steer`` is a_S(w).  Both come
+    back as ``np.float64``.
     """
+    vdot = np.vdot
     d_steer = pos * steer
     dd_steer = pos * d_steer
-    d1 = -2.0 * root_n * float(np.real(gain * np.vdot(resid, d_steer)))
-    d2 = -2.0 * root_n * float(np.real(gain * np.vdot(resid, dd_steer)))
-    d2 += 2.0 * steer.size * float(
-        np.abs(gain) ** 2 * np.vdot(d_steer, d_steer).real
+    scale = -2.0 * root_n
+    d1 = scale * (gain * vdot(resid, d_steer)).real
+    d2 = scale * (gain * vdot(resid, dd_steer)).real
+    d2 += 2.0 * steer.size * (
+        np.abs(gain) ** 2 * vdot(d_steer, d_steer).real
     )
     return d1, d2
 
@@ -324,24 +333,48 @@ def _refine(
     again; an accepted trial's residual and energy are carried into the
     next round, which would recompute the same values.  A step lands on
     the steering period [-1/(2d), 1/(2d)) of element spacing ``spacing``.
+
+    The operations of one call, in order, with p = ``pos``, s = ``steer``,
+    g = ``gain``, R = ``root_n`` and P = 1/``spacing``; a kernel that must
+    reproduce these bits keeps every grouping::
+
+        y  = residual + (R * g) * s;  r = y - (R * g) * s;  v = |r|^2
+        each round:
+          ds = p * s;  dds = p * ds                     # in _derivatives
+          d1 = (-2.0 * R) * (g * vdot(r, ds)).real
+          d2 = (-2.0 * R) * (g * vdot(r, dds)).real
+          d2 += (2.0 * N) * (np.abs(g) ** 2 * vdot(ds, ds).real)
+          stop if d2 <= 0
+          w' = (w - d1 / d2 + 0.5 * P) % P - 0.5 * P
+          s' = exp(p * w') / R                          # _steer
+          g' = complex(vdot(s', y) / (R * vdot(s', s').real))
+          r' = y - (R * g') * s';  v' = vdot(r', r').real
+          stop if v' > v, else (g, w, s, r, v) = (g', w', s', r', v')
+
+    |r|^2 is ``vdot(r, r).real``.  ``np.abs`` is NumPy's complex magnitude
+    (the array form agrees; Python's ``abs`` differs in about 3 of 10
+    draws), and ``** 2`` on its ``np.float64`` is libm ``pow``, which
+    differs from ``a * a`` or an array's ``** 2`` in about 1 of 1200
+    draws.  Scalars stay NumPy scalars: an accepted w is an ``np.float64``
+    and the re-fitted gain a Python ``complex``.
     """
+    vdot = np.vdot
     period = 1.0 / spacing
+    half = 0.5 * period
     path = root_n * gain * steer
     observation = residual + path
     resid = observation - path
-    value = float(np.vdot(resid, resid).real)
+    value = vdot(resid, resid).real
     for _ in range(rounds):
         d1, d2 = _derivatives(resid, gain, steer, pos, root_n)
         if d2 <= 0.0:
             break
-        w_new = float((w - d1 / d2 + 0.5 * period) % period - 0.5 * period)
+        w_new = (w - d1 / d2 + half) % period - half
         steer_new = _steer(pos, w_new, root_n)
-        norm_sq = float(np.vdot(steer_new, steer_new).real)
-        gain_new = complex(
-            np.vdot(steer_new, observation) / (root_n * norm_sq)
-        )
+        norm_sq = vdot(steer_new, steer_new).real
+        gain_new = complex(vdot(steer_new, observation) / (root_n * norm_sq))
         trial = observation - root_n * gain_new * steer_new
-        trial_value = float(np.vdot(trial, trial).real)
+        trial_value = vdot(trial, trial).real
         if trial_value > value:
             break
         gain, w, steer, resid, value = (

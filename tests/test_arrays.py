@@ -66,6 +66,9 @@ def test_selection_validation():
         AntennaSelection(np.array([1, M + 1]), M, "random")  # in range
     with pytest.raises(ValueError):
         AntennaSelection(np.array([1, 2]), M, "spiral")  # known kind
+    with pytest.raises(ValueError):
+        AntennaSelection([1.5, 2.7, 3.9], M, "random")  # integral
+    assert AntennaSelection([1.0, 3.0], M).indices.tolist() == [1, 3]
 
 
 def test_array_factor_peak_at_broadside():

@@ -85,6 +85,12 @@ def test_config_validation():
         TransferConfig(4, 1.0, max_paths=0)
     with pytest.raises(ValueError):
         TransferConfig(4, 1.0, regularizer=-1e-6)
+    # a NaN threshold made mNOMP stop at once and report convergence
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TransferConfig(4, bad)
+        with pytest.raises(ValueError):
+            TransferConfig(4, 1.0, regularizer=bad)
 
 
 def test_default_threshold_is_noise_energy():
@@ -462,6 +468,31 @@ def test_transfer_result_reports_path_count():
     h_up, _ = channel_pair(paths, sel)
     res = mnomp_transfer(h_up, sel, GEOM, EXACT)
     assert res.paths_found == res.gains.size == res.spatial_freqs.size
+
+
+@pytest.mark.parametrize("kernel, oversampling",
+                         [(dft_transfer, 8), (mnomp_transfer, 4)])
+def test_transfer_result_scalars_are_python_types(kernel, oversampling):
+    # the Newton rounds compute in np.float64; the result's scalar fields
+    # stay plain Python types on a converged, a max_paths-truncated and
+    # (for mNOMP) an empty exit
+    sel = pinned_random(21)
+    h_up, _ = channel_pair(on_model_channel(22, 3), sel)
+    noise = np.random.default_rng(23).standard_normal(N) / np.sqrt(200.0)
+    cases = {
+        "converged": (h_up + noise, default_threshold(N, 100.0), 10, False),
+        "truncated": (h_up, 1e-12, 2, True),
+        "huge threshold": (h_up, 10.0 * np.linalg.norm(h_up) ** 2, 10,
+                           False),
+    }
+    for name, (h, threshold, max_paths, truncated) in cases.items():
+        res = kernel(h, sel, GEOM, TransferConfig(oversampling, threshold,
+                                                  max_paths=max_paths))
+        assert type(res.residual_energy) is float, name
+        assert type(res.truncated) is bool, name
+        assert res.truncated is truncated, name
+        assert type(res.paths_found) is int, name
+    assert (res.paths_found == 0) == (kernel is mnomp_transfer)
 
 
 # ------------------------------------------------------ Cramér–Rao gate
