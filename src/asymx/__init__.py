@@ -20,7 +20,6 @@ from .arrays import (
 )
 from .channel import (
     ArrayGeometry,
-    ChannelMatrix,
     PathSet,
     downlink_channel,
     draw_path_set,
@@ -96,7 +95,6 @@ __all__ = [
     "select_random",
     "select_successive",
     "ArrayGeometry",
-    "ChannelMatrix",
     "PathSet",
     "downlink_channel",
     "draw_path_set",

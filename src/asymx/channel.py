@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -39,10 +40,11 @@ class ArrayGeometry:
     spacing: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.num_transmit < 1:
-            raise ValueError("num_transmit must be positive")
-        if not 0.0 < self.spacing:
-            raise ValueError("element spacing must be positive")
+        if not (isinstance(self.num_transmit, Integral)
+                and self.num_transmit >= 1):
+            raise ValueError("num_transmit must be a positive integer")
+        if not 0.0 < self.spacing < np.inf:
+            raise ValueError("element spacing must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -67,32 +69,6 @@ class PathSet:
     @property
     def spatial_freqs(self) -> np.ndarray:
         return np.sin(self.angles_rad)
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Multi-user channel with an explicit orientation tag.
-
-    ``uplink`` data is N x K (one column per user); ``downlink`` data is
-    K x M (one row per user).  Leading axes, if any, index a stack of such
-    matrices.  The tag exists so that transfer/precoding code cannot
-    silently mix the two layouts.
-    """
-
-    data: np.ndarray
-    orientation: str
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "data", d)
-        if d.ndim < 2:
-            raise ValueError("channel matrix must be at least 2-D")
-        if self.orientation not in ("uplink", "downlink"):
-            raise ValueError("orientation must be 'uplink' or 'downlink'")
-
-    @property
-    def num_users(self) -> int:
-        return self.data.shape[-1 if self.orientation == "uplink" else -2]
 
 
 def draw_path_set(
@@ -196,7 +172,7 @@ def user_channels(
     selections: Sequence[AntennaSelection],
     geometry: ArrayGeometry,
     downlink: bool = True,
-) -> tuple[ChannelMatrix, ChannelMatrix | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Stack the per-user channels of T trials: uplink T x N x K, downlink
     T x K x M.
 
@@ -229,12 +205,11 @@ def user_channels(
     down = None
     if downlink:
         vecs = np.moveaxis(steering_downlink(geometry, freqs), 0, 1)
-        down = ChannelMatrix(combine(vecs, geometry.num_transmit), "downlink")
+        down = combine(vecs, geometry.num_transmit)
     # T x N x K in C order, the layout of the per-user columns stacked, so
     # that later BLAS products see the memory order the frozen CSVs were
     # made with
-    return ChannelMatrix(np.ascontiguousarray(up.swapaxes(-1, -2)),
-                         "uplink"), down
+    return np.ascontiguousarray(up.swapaxes(-1, -2)), down
 
 
 def _gram_inverse(gram: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 Usage:
     asymx <subcommand> --config FILE [--seed U64] [--out DIR] [--trials N]
+                       [--workers W]
 
 Subcommands map one-to-one onto experiment types.  The config file is a
 flat key=value recipe; when the path does not exist on disk the name is

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, _gram_inverse
+from .channel import _gram_inverse
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Precoder:
             raise ValueError("precoder columns must be unit norm")
 
 
-def mrt_precoder(channel_est: ChannelMatrix | np.ndarray) -> Precoder:
+def mrt_precoder(channel_est: np.ndarray) -> Precoder:
     """Match each beam to its user: w_k = h_k^H / ||h_k||."""
     h = _downlink_data(channel_est)
     norms = np.linalg.norm(h, axis=1)
@@ -43,7 +43,7 @@ def mrt_precoder(channel_est: ChannelMatrix | np.ndarray) -> Precoder:
     return Precoder((h.conj() / norms[:, None]).T, "mrt")
 
 
-def zf_precoder(channel_est: ChannelMatrix | np.ndarray) -> Precoder:
+def zf_precoder(channel_est: np.ndarray) -> Precoder:
     """Null inter-user leakage: columns of H^H (H H^H)^-1, normalized.
 
     An exactly singular Gram matrix (two users' estimates collinear, as
@@ -59,7 +59,7 @@ def zf_precoder(channel_est: ChannelMatrix | np.ndarray) -> Precoder:
 
 
 def downlink_sinr(
-    channel_true: ChannelMatrix | np.ndarray,
+    channel_true: np.ndarray,
     precoder: Precoder,
     power: float,
 ) -> np.ndarray:
@@ -74,7 +74,7 @@ def downlink_sinr(
 
 
 def downlink_se(
-    channel_true: ChannelMatrix | np.ndarray,
+    channel_true: np.ndarray,
     precoder: Precoder,
     power: float,
 ) -> tuple[np.ndarray, float]:
@@ -98,12 +98,10 @@ def nmse_db(h_est: np.ndarray, h_true: np.ndarray) -> float:
     return float(10.0 * np.log10(nmse(h_est, h_true)))
 
 
-def _downlink_data(channels: ChannelMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(channels, ChannelMatrix):
-        if channels.orientation != "downlink":
-            raise ValueError("expected a downlink-oriented channel matrix")
-        if channels.data.ndim != 2:
-            raise ValueError("expected one K x M channel matrix, not a stack")
-        return channels.data
+def _downlink_data(channels: np.ndarray) -> np.ndarray:
+    """One K x M channel matrix; a 1-D row is one user's, 1 x M."""
     arr = np.asarray(channels, dtype=complex)
-    return arr[None, :] if arr.ndim == 1 else arr
+    arr = arr[None, :] if arr.ndim == 1 else arr
+    if arr.ndim != 2:
+        raise ValueError("expected one K x M channel matrix, not a stack")
+    return arr

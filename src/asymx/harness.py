@@ -5,9 +5,9 @@ Carlo experiments share one pipeline whose unit of work is a chunk of
 consecutive trials.  A chunk draws every user's paths once per trial and
 then, for each setup, builds its trials' selections and channels in one
 stacked call, and receives, estimates and detects over all its trials and
-SNRs in one call each.  Transfers and downlink precoding stay one call per
-trial, SNR and user.  Each trial's one draw is reduced to every cell, so
-cells are paired.
+SNRs in one call each.  Transfers stay one call per trial, SNR and user,
+and downlink precoding one call per trial, SNR and system.  Each trial's
+one draw is reduced to every cell, so cells are paired.
 
 Streams come from ``seed_stream(master_seed, trial, tag, index)``, a key of
 fixed length whose tag names the draw: user paths, a random setup's
@@ -34,7 +34,6 @@ import numpy as np
 from .arrays import AntennaSelection, array_factor
 from .channel import (
     ArrayGeometry,
-    ChannelMatrix,
     PathSet,
     draw_path_set,
     uplink_channel,
@@ -249,7 +248,7 @@ def _downlink_system_se(cfg: ExperimentConfig, down_est: np.ndarray,
     if not np.any(active):
         return 0.0
     precode = zf_precoder if cfg.precoder == "zf" else mrt_precoder
-    w = precode(ChannelMatrix(down_est[active], "downlink"))
+    w = precode(down_est[active])
     _, system_se = downlink_se(h_down[active], w, power)
     return system_se
 
@@ -318,17 +317,17 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
         # T x S x N x K, one slice per trial and SNR; each trial's noise is
         # drawn from its own stream in SNR order
         if cfg.estimator == "perfect":
-            ests = np.broadcast_to(h_up.data[:, None], (
-                len(trials), len(rhos), *h_up.data.shape[1:]))
+            ests = np.broadcast_to(h_up[:, None], (
+                len(trials), len(rhos), *h_up.shape[1:]))
         else:
             estimate = estimate_ls if cfg.estimator == "ls" else estimate_lmmse
             noise = [seed_stream(cfg.master_seed, trial, _NOISE, index)
                      for trial in trials]
-            ests = estimate(received_pilot(h_up, pilots, noise), pilots).data
+            ests = estimate(received_pilot(h_up, pilots, noise), pilots)
         # per trial and SNR, the uplink SE as a 1-tuple, or () without it
         se_up = [[()] * len(rhos)] * len(trials)
         if uplink:
-            sinr = uplink_sinr(ests, h_up.data[:, None], pilots.power,
+            sinr = uplink_sinr(ests, h_up[:, None], pilots.power,
                                cfg.detector)
             se_up = [[(se,) for se in row]
                      for row in np.log2(1.0 + sinr).sum(axis=-1).tolist()]
@@ -337,7 +336,7 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
                 if cfg.experiment == "transfer-nmse":
                     for alg in cfg.algorithm:
                         results = _transfer(cfg, alg, est, sel, geometry, rho)
-                        ratios = [nmse(r.downlink_estimate, h_down.data[t, k])
+                        ratios = [nmse(r.downlink_estimate, h_down[t, k])
                                   for k, r in enumerate(results)]
                         out[snr, alg, kind, n] = (
                             float(np.mean(ratios)),
@@ -353,12 +352,12 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
                                 cfg, cfg.algorithm[0], est, sel, geometry,
                                 rho)])
                     elif system == "perfect_csi_m":
-                        down_est = h_down.data[t]
+                        down_est = h_down[t]
                     else:
                         # full digital: the uplink estimate is the downlink one
                         down_est = est.T
                     out[snr, system] = up + (_downlink_system_se(
-                        cfg, down_est, h_down.data[t], rho),)
+                        cfg, down_est, h_down[t], rho),)
     return samples
 
 

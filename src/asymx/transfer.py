@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +58,10 @@ class TransferConfig:
     regularizer: float = 1e-4
 
     def __post_init__(self) -> None:
+        for name in ("oversampling", "newton_rounds", "cyclic_rounds",
+                     "max_paths"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.oversampling < 1:
             raise ValueError("oversampling factor must be >= 1")
         if not 0.0 < self.threshold < math.inf:

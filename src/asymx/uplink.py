@@ -23,7 +23,6 @@ from .arrays import (
 )
 from .channel import (
     ArrayGeometry,
-    ChannelMatrix,
     PathSet,
     _gram_inverse,
     steering_uplink,
@@ -96,7 +95,7 @@ def generate_pilots(
 
 
 def received_pilot(
-    channels: ChannelMatrix | np.ndarray,
+    channels: np.ndarray,
     pilots: PilotBlock,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
@@ -133,7 +132,7 @@ def received_pilot(
     return y
 
 
-def estimate_ls(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
+def estimate_ls(received: np.ndarray, pilots: PilotBlock) -> np.ndarray:
     """Least-squares estimate Y * P^H / sqrt(rho_tau).
 
     With S powers, the S x N x tau stack of received blocks gives an
@@ -142,25 +141,25 @@ def estimate_ls(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
     """
     est = received @ pilots.matrix.conj().T
     est /= np.sqrt(pilots.power)[..., None, None]
-    return ChannelMatrix(est, "uplink")
+    return est
 
 
-def estimate_lmmse(received: np.ndarray, pilots: PilotBlock) -> ChannelMatrix:
+def estimate_lmmse(received: np.ndarray, pilots: PilotBlock) -> np.ndarray:
     """LMMSE estimate (1/sqrt(rho)) * Y * P^H * ((1/rho) R^-1 + I)^-1.
 
     Unit-variance path gains make the user correlation R = E{H^H H} equal
     N * I_K, so the filter is the scalar shrinkage 1 / ((1/N)(1/rho) + 1).
     Stacks as ``estimate_ls`` does, with one shrinkage per power.
     """
-    ls = estimate_ls(received, pilots).data
+    ls = estimate_ls(received, pilots)
     rho = np.asarray(pilots.power)[..., None, None]
     shrink = 1.0 / ((1.0 / ls.shape[-2]) * (1.0 / rho) + 1.0)
-    return ChannelMatrix(ls * shrink, "uplink")
+    return ls * shrink
 
 
 def uplink_sinr(
-    channel_est: ChannelMatrix | np.ndarray,
-    channel_true: ChannelMatrix | np.ndarray,
+    channel_est: np.ndarray,
+    channel_true: np.ndarray,
     power: float | np.ndarray,
     detector: str = "mrc",
 ) -> np.ndarray:
@@ -362,10 +361,6 @@ def resolved_path_count(
     return int(len(peaks))
 
 
-def _uplink_data(channels: ChannelMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(channels, ChannelMatrix):
-        if channels.orientation != "uplink":
-            raise ValueError("expected an uplink-oriented channel matrix")
-        return channels.data
+def _uplink_data(channels: np.ndarray) -> np.ndarray:
     arr = np.asarray(channels, dtype=complex)
     return arr[:, None] if arr.ndim == 1 else arr

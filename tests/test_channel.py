@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from asymx.channel import (
     ArrayGeometry,
-    ChannelMatrix,
     PathSet,
     downlink_channel,
     draw_path_set,
@@ -136,16 +135,17 @@ def test_user_channels_shapes():
     sel = make_selection("successive", M, N)
     path_sets = [draw(seed) for seed in range(10)]
     h_up, h_down = user_channels([path_sets, path_sets], [sel, sel], GEOM)
-    assert h_up.orientation == "uplink"
-    assert h_down.orientation == "downlink"
-    assert h_up.data.shape == (2, N, 10)
-    assert h_down.data.shape == (2, 10, M)
-    assert h_up.num_users == h_down.num_users == 10
+    # plain arrays; the uplink stack in C order, the layout the frozen CSVs
+    # were made with
+    assert type(h_up) is type(h_down) is np.ndarray
+    assert h_up.flags.c_contiguous
+    assert h_up.shape == (2, N, 10)
+    assert h_down.shape == (2, 10, M)
     # column k / row k of every trial correspond to the same user's paths
     for k in (0, 4, 9):
-        assert np.allclose(h_up.data[:, :, k],
+        assert np.allclose(h_up[:, :, k],
                            uplink_channel(path_sets[k], sel, GEOM))
-        assert np.allclose(h_down.data[:, k],
+        assert np.allclose(h_down[:, k],
                            downlink_channel(path_sets[k], GEOM))
 
 
@@ -178,15 +178,14 @@ def test_user_channels_equal_per_user_channels(seed, num_users, num_paths,
             num_paths, -np.pi / 2, np.pi / 2, rng,
             weights / weights.sum() if weighted else None))
     h_up, h_down = user_channels([path_sets], [sel], geometry)
-    assert np.array_equal(h_up.data[0], np.stack(
+    assert np.array_equal(h_up[0], np.stack(
         [uplink_channel(p, sel, geometry) for p in path_sets], axis=1))
-    assert np.array_equal(h_down.data[0], np.stack(
+    assert np.array_equal(h_down[0], np.stack(
         [downlink_channel(p, geometry) for p in path_sets]))
     up_only, no_down = user_channels([path_sets], [sel], geometry,
                                      downlink=False)
     assert no_down is None
-    assert up_only.orientation == "uplink"
-    assert np.array_equal(up_only.data, h_up.data)
+    assert np.array_equal(up_only, h_up)
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,22 +208,12 @@ def test_trial_stack_equals_per_trial_calls(seed, num_trials, num_users,
                                 else powers / powers.sum())
                   for _ in range(num_users)] for _ in range(num_trials)]
     h_up, h_down = user_channels(path_sets, sels, geometry)
-    assert h_up.data.shape == (num_trials, n, num_users)
-    assert h_down.data.shape == (num_trials, num_users, m)
+    assert h_up.shape == (num_trials, n, num_users)
+    assert h_down.shape == (num_trials, num_users, m)
     for t, (users, sel) in enumerate(zip(path_sets, sels)):
         up, down = user_channels([users], [sel], geometry)
-        assert np.array_equal(h_up.data[t], up.data[0])
-        assert np.array_equal(h_down.data[t], down.data[0])
-
-
-def test_channel_matrix_validation():
-    with pytest.raises(ValueError):
-        ChannelMatrix(np.zeros((4, 4)), "sideways")
-    with pytest.raises(ValueError):
-        ChannelMatrix(np.zeros(4), "uplink")
-    stack = ChannelMatrix(np.zeros((3, 4, 2)), "uplink")
-    assert stack.num_users == 2
-    assert ChannelMatrix(np.zeros((3, 2, 4)), "downlink").num_users == 2
+        assert np.array_equal(h_up[t], up[0])
+        assert np.array_equal(h_down[t], down[0])
 
 
 def test_path_set_validation():
@@ -239,6 +228,15 @@ def test_geometry_validation():
         ArrayGeometry(0)
     with pytest.raises(ValueError):
         ArrayGeometry(8, spacing=0.0)
+    # a fractional element count or an unbounded spacing built steering
+    # vectors of the wrong length or of NaN entries
+    for bad in (8.5, 8.0, "8"):
+        with pytest.raises(ValueError, match="integer"):
+            ArrayGeometry(bad)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="spacing"):
+            ArrayGeometry(8, spacing=bad)
+    assert ArrayGeometry(np.int64(8)).num_transmit == 8
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymx.channel import ArrayGeometry, ChannelMatrix, PathSet, user_channels
+from asymx.channel import ArrayGeometry, PathSet, user_channels
 from asymx.downlink import (
     Precoder,
     downlink_se,
@@ -33,7 +33,7 @@ def random_downlink(seed, num_users=K):
         for _ in range(num_users)
     ]
     _, h_down = user_channels([paths], [sel], GEOM)
-    return ChannelMatrix(h_down.data[0], "downlink")
+    return h_down[0]
 
 
 def test_precoder_columns_unit_norm():
@@ -57,22 +57,22 @@ def test_mrt_matches_conjugate_rows():
     h = random_downlink(1)
     w = mrt_precoder(h).matrix
     for k in range(K):
-        row = h.data[k]
+        row = h[k]
         assert np.allclose(w[:, k], row.conj() / np.linalg.norm(row),
                            atol=1e-12)
 
 
 def test_mrt_rejects_zero_row():
-    data = random_downlink(2).data.copy()
-    data[3] = 0.0
+    h = random_downlink(2)
+    h[3] = 0.0
     with pytest.raises(ValueError):
-        mrt_precoder(ChannelMatrix(data, "downlink"))
+        mrt_precoder(h)
 
 
 def test_zf_removes_interference():
     h = random_downlink(3)
     w = zf_precoder(h)
-    cross = h.data @ w.matrix
+    cross = h @ w.matrix
     off = cross - np.diag(np.diag(cross))
     assert np.max(np.abs(off)) < 1e-9
 
@@ -80,7 +80,7 @@ def test_zf_removes_interference():
 def test_zf_shares_a_beam_between_identical_estimates():
     # an exactly singular Gram matrix: both users get the matched beam
     row = np.array([1.0, 2.0j, -2.0])
-    w = zf_precoder(ChannelMatrix(np.stack([row, row]), "downlink")).matrix
+    w = zf_precoder(np.stack([row, row])).matrix
     assert np.allclose(w, (row.conj() / 3.0)[:, None], atol=1e-12)
 
 
@@ -99,8 +99,8 @@ def test_zf_nearly_identical_users_share_a_beam(seed, gap):
     near = exact.copy()
     step = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     near[1] += gap * np.linalg.norm(exact[0]) / np.linalg.norm(step) * step
-    w_near = zf_precoder(ChannelMatrix(near, "downlink")).matrix
-    w_exact = zf_precoder(ChannelMatrix(exact, "downlink")).matrix
+    w_near = zf_precoder(near).matrix
+    w_exact = zf_precoder(exact).matrix
     assert np.allclose(w_near, w_exact, rtol=0.0, atol=1e-6)
     sinr_near = uplink_sinr(near.T, h.T, 2.0, "zf")
     sinr_exact = uplink_sinr(exact.T, h.T, 2.0, "zf")
@@ -113,12 +113,12 @@ def test_zf_sinr_equals_rho_times_gain():
     w = zf_precoder(h)
     rho = 5.0
     sinr = downlink_sinr(h, w, rho)
-    direct = rho * np.abs(np.diag(h.data @ w.matrix)) ** 2
+    direct = rho * np.abs(np.diag(h @ w.matrix)) ** 2
     assert np.allclose(sinr, direct, rtol=1e-9)
 
 
 def test_downlink_sinr_manual_two_user():
-    h = ChannelMatrix(np.array([[1.0 + 0j, 0.0], [0.6, 0.8]]), "downlink")
+    h = np.array([[1.0 + 0j, 0.0], [0.6, 0.8]])
     w = Precoder(np.eye(2, dtype=complex), "zf")
     rho = 2.0
     sinr = downlink_sinr(h, w, rho)
@@ -140,7 +140,7 @@ def test_mrt_optimal_for_single_user():
     h = random_downlink(6, num_users=1)
     rho = 3.0
     _, se_mrt = downlink_se(h, mrt_precoder(h), rho)
-    expected = np.log2(1.0 + rho * np.linalg.norm(h.data[0]) ** 2)
+    expected = np.log2(1.0 + rho * np.linalg.norm(h[0]) ** 2)
     assert se_mrt == pytest.approx(expected, rel=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_nmse_rejects_zero_truth():
 def test_downlink_accepts_plain_vector():
     # a single user's 1-D channel row is promoted to a 1 x M matrix
     h = random_downlink(8, num_users=1)
-    vec = h.data[0]
+    vec = h[0]
     w = mrt_precoder(vec)
     assert w.matrix.shape == (M, 1)
     sinr_vec = downlink_sinr(vec, w, 1.0)
@@ -187,11 +187,14 @@ def test_downlink_accepts_plain_vector():
     assert sinr_vec[0] == pytest.approx(sinr_mat[0], rel=1e-12)
 
 
-def test_uplink_orientation_rejected():
+@pytest.mark.parametrize("call", (
+    mrt_precoder,
+    zf_precoder,
+    lambda h: downlink_sinr(h, Precoder(np.eye(M, K), "zf"), 1.0),
+), ids=("mrt_precoder", "zf_precoder", "downlink_sinr"))
+def test_channel_stack_rejected(call):
+    # the link functions take one K x M matrix; a stack of them is refused
+    # with one message, not an error from deep inside the algebra
     h = random_downlink(9)
-    flipped = ChannelMatrix(h.data.T, "uplink")
-    with pytest.raises(ValueError):
-        mrt_precoder(flipped)
-    stacked = ChannelMatrix(np.stack([h.data, h.data]), "downlink")
     with pytest.raises(ValueError, match="stack"):
-        zf_precoder(stacked)
+        call(np.stack([h, h]))

@@ -91,6 +91,15 @@ def test_config_validation():
             TransferConfig(4, bad)
         with pytest.raises(ValueError):
             TransferConfig(4, 1.0, regularizer=bad)
+    # a fractional count reached np.fft.fft or range() as a TypeError
+    for name in ("oversampling", "newton_rounds", "cyclic_rounds",
+                 "max_paths"):
+        with pytest.raises(ValueError, match=name):
+            TransferConfig(**{"oversampling": 4, "threshold": 1.0,
+                              name: 1.5})
+    counts = TransferConfig(np.int64(4), 1.0, newton_rounds=np.int32(2),
+                            cyclic_rounds=np.uint8(1), max_paths=np.int64(3))
+    assert counts.oversampling == 4 and counts.max_paths == 3
 
 
 def test_default_threshold_is_noise_energy():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from asymx.channel import (
     ArrayGeometry,
-    ChannelMatrix,
     PathSet,
     uplink_channel,
     user_channels,
@@ -45,7 +44,7 @@ def random_uplink(seed, num_users=K, num_receive=N):
         for _ in range(num_users)
     ]
     h_up, _ = user_channels([paths], [sel], GEOM)
-    return sel, ChannelMatrix(h_up.data[0], "uplink")
+    return sel, h_up[0]
 
 
 # ---------------------------------------------------------------- pilots
@@ -83,16 +82,16 @@ def test_received_pilot_noiseless():
     twin = np.random.default_rng(0)
     re, im = twin.standard_normal((2, N, 16))
     noise = np.sqrt(0.5) * (re + 1j * im)
-    assert np.allclose(y - noise, 2.0 * h_up.data @ pilots.matrix,
+    assert np.allclose(y - noise, 2.0 * h_up @ pilots.matrix,
                        atol=1e-12)
 
 
 def test_ls_recovers_noiseless_channel():
     sel, h_up = random_uplink(1)
     pilots = generate_pilots(K, 16, power=2.0)
-    est = estimate_ls(np.sqrt(2.0) * h_up.data @ pilots.matrix, pilots)
-    assert est.orientation == "uplink"
-    assert np.allclose(est.data, h_up.data, atol=1e-10)
+    est = estimate_ls(np.sqrt(2.0) * h_up @ pilots.matrix, pilots)
+    assert isinstance(est, np.ndarray)
+    assert np.allclose(est, h_up, atol=1e-10)
 
 
 def test_ls_error_floor_matches_pilot_snr():
@@ -104,8 +103,7 @@ def test_ls_error_floor_matches_pilot_snr():
     errs = []
     for _ in range(200):
         y = received_pilot(h_up, pilots, [rng])
-        errs.append(np.mean(np.abs(estimate_ls(y, pilots).data
-                                   - h_up.data) ** 2))
+        errs.append(np.mean(np.abs(estimate_ls(y, pilots) - h_up) ** 2))
     assert np.mean(errs) == pytest.approx(1.0 / rho, rel=0.1)
 
 
@@ -114,18 +112,18 @@ def test_lmmse_is_shrunk_ls():
     sel, h_up = random_uplink(4)
     rho = 0.5
     pilots = generate_pilots(K, K, power=rho)
-    y = np.sqrt(rho) * h_up.data @ pilots.matrix
+    y = np.sqrt(rho) * h_up @ pilots.matrix
     ls = estimate_ls(y, pilots)
     lmmse = estimate_lmmse(y, pilots)
     shrink = N * rho / (1.0 + N * rho)
-    assert np.allclose(lmmse.data, shrink * ls.data, atol=1e-10)
+    assert np.allclose(lmmse, shrink * ls, atol=1e-10)
 
 
 def test_lmmse_approaches_ls_at_high_snr():
     sel, h_up = random_uplink(5)
     pilots = generate_pilots(K, K, power=1e9)
-    y = np.sqrt(1e9) * h_up.data @ pilots.matrix
-    assert np.allclose(estimate_lmmse(y, pilots).data, h_up.data, atol=1e-6)
+    y = np.sqrt(1e9) * h_up @ pilots.matrix
+    assert np.allclose(estimate_lmmse(y, pilots), h_up, atol=1e-6)
 
 
 # ------------------------------------------------------------- detection
@@ -138,7 +136,7 @@ def test_mrc_sinr_single_user_perfect_csi():
     sinr = uplink_sinr(h_up, h_up, rho, "mrc")
     assert sinr.shape == (1,)
     assert sinr[0] == pytest.approx(
-        rho * np.linalg.norm(h_up.data[:, 0]) ** 2, rel=1e-12)
+        rho * np.linalg.norm(h_up[:, 0]) ** 2, rel=1e-12)
 
 
 def test_zf_sinr_perfect_csi_removes_interference():
@@ -146,7 +144,7 @@ def test_zf_sinr_perfect_csi_removes_interference():
     sel, h_up = random_uplink(8)
     rho = 2.0
     sinr = uplink_sinr(h_up, h_up, rho, "zf")
-    v = np.linalg.pinv(h_up.data).conj().T
+    v = np.linalg.pinv(h_up).conj().T
     expected = rho / np.sum(np.abs(v) ** 2, axis=0)
     assert np.allclose(sinr, expected, rtol=1e-9)
 
@@ -155,19 +153,19 @@ def test_zf_sinr_rank_deficient_estimate_takes_pseudo_inverse():
     # two equal estimated columns make the Gram exactly singular; ZF then
     # combines with the pseudo-inverse columns of the estimate
     sel, h_up = random_uplink(9)
-    est = h_up.data.copy()
+    est = h_up.copy()
     est[:, 1] = est[:, 0]
     rho = 2.0
     sinr = uplink_sinr(est, h_up, rho, "zf")
     assert np.all(np.isfinite(sinr))
     v = np.linalg.pinv(est).conj().T
-    cross = np.abs(v.conj().T @ h_up.data) ** 2
+    cross = np.abs(v.conj().T @ h_up) ** 2
     signal = np.diag(cross)
     expected = rho * signal / (rho * (cross.sum(axis=1) - signal)
                                + np.sum(np.abs(v) ** 2, axis=0))
     assert np.allclose(sinr, expected, rtol=1e-9, atol=0.0)
     # in a stack only the singular slice falls back; each slice is its call
-    stack = uplink_sinr(np.stack([h_up.data, est]), h_up, [rho, rho], "zf")
+    stack = uplink_sinr(np.stack([h_up, est]), h_up, [rho, rho], "zf")
     assert np.array_equal(stack, [uplink_sinr(h_up, h_up, rho, "zf"), sinr])
 
 
@@ -203,15 +201,14 @@ def test_snr_stack_equals_per_slice_calls(data, num_snrs, num_receive,
                                      for p in singles])
     for estimate in (estimate_ls, estimate_lmmse):
         stack = estimate(received, pilots)
-        assert stack.data.shape == (num_snrs, num_receive, num_users)
-        assert stack.num_users == num_users
-        assert np.array_equal(stack.data, [
-            estimate(y, p).data for y, p in zip(received, singles)])
+        assert stack.shape == (num_snrs, num_receive, num_users)
+        assert np.array_equal(stack, [
+            estimate(y, p) for y, p in zip(received, singles)])
         sinr = uplink_sinr(stack, h, pilots.power, detector)
         assert sinr.shape == (num_snrs, num_users)
         assert np.array_equal(sinr, [
             uplink_sinr(est, h, rho, detector)
-            for est, rho in zip(stack.data, powers)])
+            for est, rho in zip(stack, powers)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,13 +240,12 @@ def test_trial_stack_equals_per_trial_calls(data, num_trials, num_snrs,
         assert np.array_equal(received[t], received_pilot(h[t], pilots,
                                                           [noise]))
     for estimate in (estimate_ls, estimate_lmmse):
-        stack = estimate(received, pilots).data
+        stack = estimate(received, pilots)
         sinr = uplink_sinr(stack, h.reshape(num_trials, *[1] * len(snr_axes),
                                             num_receive, num_users),
                            pilots.power, detector)
         for t in range(num_trials):
-            assert np.array_equal(stack[t], estimate(received[t],
-                                                     pilots).data)
+            assert np.array_equal(stack[t], estimate(received[t], pilots))
             assert np.array_equal(sinr[t], uplink_sinr(stack[t], h[t],
                                                        pilots.power, detector))
     with pytest.raises(ValueError, match="generators"):
