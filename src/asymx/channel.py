@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -66,7 +67,7 @@ class PathSet:
     def count(self) -> int:
         return int(self.gains.size)
 
-    @property
+    @cached_property
     def spatial_freqs(self) -> np.ndarray:
         return np.sin(self.angles_rad)
 

@@ -64,8 +64,8 @@ def downlink_sinr(
     power: float,
 ) -> np.ndarray:
     """Per-user SINR |h_k w_k|^2 / (sum_{i!=k} |h_k w_i|^2 + 1/rho_d)."""
-    if power <= 0:
-        raise ValueError("downlink power must be positive")
+    if not 0.0 < power < np.inf:
+        raise ValueError("downlink power must be positive and finite")
     h = _downlink_data(channel_true)
     cross = np.abs(h @ precoder.matrix) ** 2  # [k, i] = |h_k w_i|^2
     signal = np.diag(cross)

@@ -9,12 +9,16 @@ SNRs in one call each.  Transfers stay one call per trial, SNR and user,
 and downlink precoding one call per trial, SNR and system.  Each trial's
 one draw is reduced to every cell, so cells are paired.
 
-Streams come from ``seed_stream(master_seed, trial, tag, index)``, a key of
-fixed length whose tag names the draw: user paths, a random setup's
-selection, or a setup's pilot noise under the ls and lmmse estimators; no
-stream is built that nothing reads.  A chunk builds each of its trials'
-streams exactly once, so the chunk length cannot move a number, and a run
-executed twice writes byte-identical CSV.
+Every stream is a PCG64 generator seeded by a SeedSequence of the key
+``(master_seed, trial, tag, index)``, of fixed length, whose tag names the
+draw: user paths, a random setup's selection, or a setup's pilot noise
+under the ls and lmmse estimators; no stream is built that nothing reads.
+A chunk builds all its trials' streams in one ``seed_streams`` call, which
+hashes every key in one vectorized pass and gives the same generators as
+``seed_stream`` key by key; keys with a field outside [0, 2**32) take
+NumPy's own SeedSequence.  Each stream is built exactly once, so the chunk
+length cannot move a number, and a run executed twice writes
+byte-identical CSV.
 
 The chunks run one after another in one plain loop on the calling thread,
 and no run starts a thread.  ``ExperimentConfig.workers`` is accepted and
@@ -42,6 +46,7 @@ from .channel import (
 from .config import ExperimentConfig, _linear
 from .downlink import downlink_se, mrt_precoder, nmse, zf_precoder
 from .econ import Architecture, HardwareProfile, cost, energy_efficiency, power
+from .seeding import seed_streams
 from .transfer import (
     TransferConfig,
     TransferResult,
@@ -109,10 +114,10 @@ def seed_stream(
     so streams are decorrelated by construction and derivable in any order
     (counter style, no state shared between trials).  Every key has four
     fields: NumPy pads shorter entropy with zeros, so keys of mixed length
-    could alias.
+    could alias.  This is the one-key call of ``seed_streams``, so it gives
+    ``Generator(PCG64(SeedSequence(key)))`` bit for bit.
     """
-    seq = np.random.SeedSequence((master_seed, trial_index, tag, index))
-    return np.random.Generator(np.random.PCG64(seq))
+    return seed_streams([(master_seed, trial_index, tag, index)])[0]
 
 
 def run(
@@ -165,7 +170,10 @@ def _run_beam_pattern(cfg: ExperimentConfig) -> ExperimentResult:
     grid = np.linspace(-1.0, 1.0, cfg.grid_points)
     rows = []
     for kind in cfg.selection:
-        sel = _selection(cfg, kind, cfg.num_transmit, n, 0, 0)
+        rng = (seed_stream(cfg.master_seed, 0, _SELECTION, 0)
+               if kind == "random" else None)
+        sel = make_selection(kind, cfg.num_transmit, n, rng,
+                             cfg.pinned_random)
         mags = array_factor(sel, grid, cfg.spacing)
         for w, mag in zip(grid, mags):
             angle = float(np.degrees(np.arcsin(np.clip(w, -1.0, 1.0))))
@@ -210,13 +218,14 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _user_paths(cfg: ExperimentConfig, trial: int) -> list[PathSet]:
+def _user_paths(cfg: ExperimentConfig, streams: dict,
+                trial: int) -> list[PathSet]:
     lo, hi = np.deg2rad(cfg.angle_min_deg), np.deg2rad(cfg.angle_max_deg)
     powers = (np.asarray(cfg.path_powers)
               if cfg.path_powers is not None else None)
     return [
         draw_path_set(cfg.paths_per_user, lo, hi,
-                      seed_stream(cfg.master_seed, trial, _PATHS, user),
+                      streams.pop((cfg.master_seed, trial, _PATHS, user)),
                       powers)
         for user in range(cfg.num_users)
     ]
@@ -285,12 +294,22 @@ def _setups(cfg: ExperimentConfig) -> dict[tuple, tuple[str, ...]]:
     return setups
 
 
-def _selection(cfg: ExperimentConfig, kind: str, m: int, n: int, trial: int,
-               index: int) -> AntennaSelection:
-    """A setup's antenna selection; only a random one reads its stream."""
-    rng = (seed_stream(cfg.master_seed, trial, _SELECTION, index)
-           if kind == "random" else None)
-    return make_selection(kind, m, n, rng, cfg.pinned_random)
+def _chunk_streams(cfg: ExperimentConfig, setups: dict,
+                   trials: range) -> dict[tuple, np.random.Generator]:
+    """Every stream a chunk reads, by key, built in one ``seed_streams``
+    call: tag 0 per trial and user, tag 1 per trial of a random setup, and
+    tag 2 per trial and setup under the ls and lmmse estimators.  The chunk
+    pops each stream as it reads it, so none is read twice and a read one
+    is freed before the chunk's stacks are built."""
+    seed = cfg.master_seed
+    keys = [(seed, trial, _PATHS, user)
+            for trial in trials for user in range(cfg.num_users)]
+    for index, (kind, _, _) in enumerate(setups):
+        if kind == "random":
+            keys += [(seed, trial, _SELECTION, index) for trial in trials]
+        if cfg.estimator != "perfect":
+            keys += [(seed, trial, _NOISE, index) for trial in trials]
+    return dict(zip(keys, seed_streams(keys)))
 
 
 def _reads_down(cfg: ExperimentConfig) -> bool:
@@ -303,16 +322,21 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
            trials: range) -> list[dict]:
     """Every cell's samples from consecutive trials, in trial order: one
     draw per trial, reduced many ways."""
-    paths = [_user_paths(cfg, trial) for trial in trials]
+    streams = _chunk_streams(cfg, setups, trials)
+    paths = [_user_paths(cfg, streams, trial) for trial in trials]
     uplink, downlink = cfg.reports_uplink, bool(cfg.downlink_systems)
     rhos = pilots.power.tolist()
     samples: list[dict[tuple, tuple[float, ...]]] = [{} for _ in trials]
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
         geometry = ArrayGeometry(m, cfg.spacing)
         # a fixed selection reads no stream, so one serves every trial
-        sels = ([_selection(cfg, kind, m, n, trial, index) for trial in trials]
+        sels = ([make_selection(
+                    kind, m, n,
+                    streams.pop((cfg.master_seed, trial, _SELECTION, index)),
+                    cfg.pinned_random) for trial in trials]
                 if kind == "random" else
-                [_selection(cfg, kind, m, n, trials[0], index)] * len(trials))
+                [make_selection(kind, m, n, None, cfg.pinned_random)]
+                * len(trials))
         h_up, h_down = user_channels(paths, sels, geometry, _reads_down(cfg))
         # T x S x N x K, one slice per trial and SNR; each trial's noise is
         # drawn from its own stream in SNR order
@@ -321,7 +345,7 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
                 len(trials), len(rhos), *h_up.shape[1:]))
         else:
             estimate = estimate_ls if cfg.estimator == "ls" else estimate_lmmse
-            noise = [seed_stream(cfg.master_seed, trial, _NOISE, index)
+            noise = [streams.pop((cfg.master_seed, trial, _NOISE, index))
                      for trial in trials]
             ests = estimate(received_pilot(h_up, pilots, noise), pilots)
         # per trial and SNR, the uplink SE as a 1-tuple, or () without it

@@ -174,8 +174,12 @@ def uplink_sinr(
     (rho * sum_{i != k} |v_k^H h_i|^2 + ||v_k||^2).
     An S x N x K stack of estimates with S powers gives S x K, slice s
     equal to its own call; further leading axes, such as trials, broadcast
-    against those of the true channel.
+    against those of the true channel.  Every power must be positive and
+    finite.
     """
+    rho = np.asarray(power, dtype=float)
+    if not np.all((rho > 0.0) & (rho < np.inf)):
+        raise ValueError("uplink power must be positive and finite")
     h_est = _uplink_data(channel_est)
     h = _uplink_data(channel_true)
     if detector == "mrc":
@@ -190,7 +194,7 @@ def uplink_sinr(
     signal = np.diagonal(cross, axis1=-2, axis2=-1)
     interference = cross.sum(axis=-1) - signal
     norms = np.sum(np.abs(combiner) ** 2, axis=-2)
-    rho = np.asarray(power, dtype=float)[..., None]
+    rho = rho[..., None]
     return rho * signal / (rho * interference + norms)
 
 

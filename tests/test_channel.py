@@ -108,6 +108,8 @@ def test_draw_path_set_shapes_and_range():
     assert paths.gains.shape == (5,)
     assert np.all(np.abs(paths.angles_rad) <= np.pi / 3 + 1e-12)
     assert np.allclose(paths.spatial_freqs, np.sin(paths.angles_rad))
+    # the sines are computed once per path set
+    assert paths.spatial_freqs is paths.spatial_freqs
 
 
 def test_draw_path_set_power_profile():

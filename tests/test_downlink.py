@@ -146,8 +146,9 @@ def test_mrt_optimal_for_single_user():
 
 def test_power_validated():
     h = random_downlink(7)
-    with pytest.raises(ValueError):
-        downlink_sinr(h, zf_precoder(h), 0.0)
+    for power in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="power"):
+            downlink_sinr(h, zf_precoder(h), power)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Experiment harness: config checks, seeding, determinism, CSV, CLI."""
 
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymx.cli
 import asymx.harness as harness
@@ -20,7 +23,7 @@ from asymx.config import (
     config_from_values,
     load_config_values,
 )
-from asymx.harness import ExperimentResult, run, seed_stream
+from asymx.harness import ExperimentResult, run, seed_stream, seed_streams
 
 
 def tiny(experiment, **overrides):
@@ -120,11 +123,12 @@ def test_cli_rejects_selections_that_cannot_be_built(
 
 def test_scipy_is_imported_only_by_snr_loss():
     # SciPy dominates the import time of the package; only the snr-loss
-    # experiment needs it
+    # experiment needs it.  numpy.random, too, loads at the first stream
     src = Path(harness.__file__).parents[1]
     script = (
         "import sys\n"
         "import asymx\n"
+        "print('numpy.random' in sys.modules)\n"
         "asymx.run(asymx.ExperimentConfig('transfer-nmse', trials=1))\n"
         "print(','.join(m for m in ('scipy.optimize', 'scipy.signal')\n"
         "               if m in sys.modules))\n")
@@ -132,7 +136,7 @@ def test_scipy_is_imported_only_by_snr_loss():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    assert done.stdout.split("\n") == ["False", "", ""]
 
 
 # ---------------------------------------------------------------- seeding
@@ -149,18 +153,87 @@ def test_seed_stream_reproducible_and_decorrelated():
         assert not np.array_equal(a, other)
 
 
+def numpy_stream(key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+# in-range words and the edges of the vectorized hash: 2**32 and beyond
+# take NumPy's own SeedSequence
+FIELD = st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1, 2**32,
+                                                      2**64 + 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.tuples(FIELD, FIELD, FIELD, FIELD), max_size=12))
+def test_seed_streams_equal_numpy_seeding(keys):
+    keys = keys + [(0, 0, 0, 0), (2**32 - 1,) * 4, (2**32, 0, 0, 0)]
+    streams = seed_streams(keys)
+    assert len(streams) == len(keys)
+    for key, rng in zip(keys, streams):
+        expected = numpy_stream(key)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.bit_generator.seed_seq.entropy == key
+        assert np.array_equal(rng.standard_normal(5),
+                              expected.standard_normal(5))
+
+
+def test_seed_streams_reject_a_negative_field_as_numpy_does():
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence((1, -1, 0, 0))
+    with pytest.raises(ValueError, match=str(numpy_error.value)):
+        seed_streams([(1, 2, 0, 0), (1, -1, 0, 0)])
+
+
+def test_seed_stream_pickles_as_its_seed_sequence():
+    rng = seed_stream(1, 2, 3, 4)
+    rng.standard_normal(3)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert copy.bit_generator.state == rng.bit_generator.state
+    assert copy.bit_generator.seed_seq.entropy == (1, 2, 3, 4)
+    assert np.array_equal(copy.standard_normal(4), rng.standard_normal(4))
+
+
+def test_chunks_seed_in_one_batch_without_numpy_hashing(monkeypatch):
+    # every chunk builds its streams in one seed_streams call, and no key
+    # below 2**32 falls back to hashing through np.random.SeedSequence
+    batches, hashed = [], []
+    batch, sequence = harness.seed_streams, np.random.SeedSequence
+
+    def counting_batch(keys):
+        batches.append(len(keys))
+        return batch(keys)
+
+    def counting_sequence(entropy=None, *args, **kwargs):
+        hashed.append(entropy)
+        return sequence(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "seed_streams", counting_batch)
+    monkeypatch.setattr(np.random, "SeedSequence", counting_sequence)
+    cfg = tiny("se", link="uplink", trials=5, estimator="ls",
+               selection=("random", "successive"))
+    per_trial = harness._trial_entries(cfg, harness._setups(cfg))
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 2 * per_trial)
+    run(cfg)
+    # 4 user, 1 selection and 2 noise streams per trial, chunks of 2 trials
+    assert batches == [14, 14, 7]
+    assert hashed == []
+    # a master seed of 2**32 takes NumPy's hashing, which the patch sees
+    run(replace(cfg, master_seed=2**32))
+    assert len(hashed) == 5 * 7
+
+
 def recorded_keys(monkeypatch):
     """The (master_seed, trial, tag, index) key of every stream the harness
     builds from now on, in order."""
     keys = []
-    original = harness.seed_stream
+    original = harness.seed_streams
 
-    def recording(*args):
-        rng = original(*args)
-        keys.append(rng.bit_generator.seed_seq.entropy)
-        return rng
+    def recording(batch):
+        streams = original(batch)
+        keys.extend(rng.bit_generator.seed_seq.entropy for rng in streams)
+        return streams
 
-    monkeypatch.setattr(harness, "seed_stream", recording)
+    monkeypatch.setattr(harness, "seed_streams", recording)
     return keys
 
 

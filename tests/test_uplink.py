@@ -169,6 +169,17 @@ def test_zf_sinr_rank_deficient_estimate_takes_pseudo_inverse():
     assert np.array_equal(stack, [uplink_sinr(h_up, h_up, rho, "zf"), sinr])
 
 
+def test_power_validated():
+    sel, h_up = random_uplink(10)
+    # one bad entry of a stacked power is enough
+    for power in (-1.0, 0.0, np.nan, np.inf, [1.0, np.nan, 2.0],
+                  [1.0, 2.0, 0.0]):
+        est = np.broadcast_to(h_up, (np.size(power), *h_up.shape))
+        for detector in ("mrc", "zf"):
+            with pytest.raises(ValueError, match="power"):
+                uplink_sinr(est, h_up, power, detector)
+
+
 def test_unknown_detector_rejected():
     sel, h_up = random_uplink(10)
     with pytest.raises(ValueError):
