@@ -125,11 +125,7 @@ def array_factor(
     frequency w = sin(theta).  Peak value is N at w = 0; the comb selection
     repeats that peak at grating lobes w = +/- k/(stride*spacing).
     """
-    w = np.atleast_1d(np.asarray(w_grid, dtype=float))
-    # not channel._phase_slope: its operand order rounds differently and
-    # moves 4 magnitude_db cells of beam_pattern.cfg
-    phase = 2.0 * np.pi * spacing * np.outer(selection.indices - 1, w)
-    return np.abs(np.exp(1j * phase).sum(axis=0))
+    return np.abs(_broadside_phases(selection, w_grid, spacing).sum(axis=0))
 
 
 def angular_resolution(kind: str, num_transmit: int, num_receive: int) -> float:
@@ -151,3 +147,12 @@ def _check_counts(num_transmit: int, num_receive: int) -> None:
         raise ValueError("antenna counts must be positive")
     if num_receive > num_transmit:
         raise ValueError("num_receive cannot exceed num_transmit")
+
+
+def _broadside_phases(selection: AntennaSelection, w_grid: np.ndarray,
+                      spacing: float) -> np.ndarray:
+    """N x W matrix exp(+j*2*pi*(d/lambda)*(a_n - 1)*w) over the w grid."""
+    w = np.atleast_1d(np.asarray(w_grid, dtype=float))
+    # not channel._phase_slope: its operand order rounds differently and
+    # moves cells of beam_pattern.cfg and snr_loss.cfg
+    return np.exp(2j * np.pi * spacing * np.outer(selection.indices - 1, w))

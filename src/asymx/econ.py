@@ -15,7 +15,9 @@ share (1 - eps) and the receive side by the uplink share eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 # 28 GHz testbed reference numbers: (USD, W) per part.
 _PRICES = {
@@ -53,8 +55,9 @@ class HardwareProfile:
             missing = set(COMPONENTS) - set(table)
             if missing:
                 raise ValueError(f"{label} table missing {sorted(missing)}")
-            if any(v < 0 for v in table.values()):
-                raise ValueError(f"{label} entries must be non-negative")
+            if not all(0.0 <= v < math.inf for v in table.values()):
+                raise ValueError(
+                    f"{label} entries must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,9 @@ class Architecture:
     def __post_init__(self) -> None:
         if self.kind not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.kind!r}")
-        if self.num_transmit < 1 or self.num_receive < 1:
-            raise ValueError("antenna counts must be positive")
+        counts = (self.num_transmit, self.num_receive)
+        if not all(isinstance(c, Integral) and c >= 1 for c in counts):
+            raise ValueError("antenna counts must be positive integers")
         if self.num_receive > self.num_transmit:
             raise ValueError("num_receive cannot exceed num_transmit")
         if self.kind == "dbm" and self.num_receive != self.num_transmit:
@@ -134,9 +138,11 @@ def energy_efficiency(
     bandwidth_hz: float,
 ) -> float:
     """Bits per joule: slot-weighted SE times bandwidth over BS power."""
-    if power_bs <= 0:
-        raise ValueError("BS power must be positive")
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 <= slot_ratio <= 1.0:
+        raise ValueError("slot ratio must lie in [0, 1]")
+    if not 0.0 < power_bs < math.inf:
+        raise ValueError("BS power must be positive and finite")
+    if not 0.0 < bandwidth_hz < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
     weighted = slot_ratio * se_uplink + (1.0 - slot_ratio) * se_downlink
     return weighted * bandwidth_hz / power_bs

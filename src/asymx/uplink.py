@@ -17,6 +17,7 @@ import numpy as np
 
 from .arrays import (
     AntennaSelection,
+    _broadside_phases,
     select_comb,
     select_random,
     select_successive,
@@ -53,8 +54,8 @@ class PilotBlock:
         power = np.asarray(self.power, dtype=float)
         if power.ndim > 1:
             raise ValueError("pilot power must be a scalar or a 1-D array")
-        if not np.all(power > 0):
-            raise ValueError("pilot power must be positive")
+        if not np.all((power > 0) & (power < np.inf)):
+            raise ValueError("pilot power must be positive and finite")
         object.__setattr__(self, "power", power if power.ndim else float(power))
 
 
@@ -288,13 +289,8 @@ def steered_response(
     w_grid: np.ndarray,
 ) -> np.ndarray:
     """|a_U(w)^H h| over a grid of spatial frequencies (the periodogram)."""
-    w = np.atleast_1d(np.asarray(w_grid, dtype=float))
-    # not channel._phase_slope: its operand order rounds differently and
-    # moves a resolved_path_count cell of snr_loss.cfg from 1 to 2
-    phase = (
-        2j * np.pi * geometry.spacing * np.outer(selection.indices - 1, w)
-    )
-    return np.abs(np.exp(phase).T @ channel) / np.sqrt(selection.num_receive)
+    phases = _broadside_phases(selection, w_grid, geometry.spacing)
+    return np.abs(phases.T @ channel) / np.sqrt(selection.num_receive)
 
 
 def composite_angle(
@@ -308,32 +304,23 @@ def composite_angle(
     """Dominant resolved angle of a merged two-path channel.
 
     Maximizes the periodogram |a_U(w)^H h| over a grid of 16*M points on
-    [-1, 1], then polishes with a bounded scalar minimizer to 1e-6 in w.
+    [-1, 1], then zooms in: 33 points over one step either side of the
+    best, clipped to [-1, 1], a 16x finer step, until it is below 1e-9 in w.
     """
-    # imported here so that only snr-loss pays for loading SciPy
-    from scipy.optimize import minimize_scalar
-
     paths = PathSet(
         np.array([np.exp(1j * phi1), np.exp(1j * phi2)]),
         np.array([theta1, theta2]),
     )
     h = uplink_channel(paths, selection, geometry)
     grid = np.linspace(-1.0, 1.0, 16 * geometry.num_transmit)
-    response = steered_response(h, selection, geometry, grid)
-    best = int(np.argmax(response))
-    step = grid[1] - grid[0]
-    lo = max(-1.0, grid[best] - step)
-    hi = min(1.0, grid[best] + step)
-
-    def negated(w: float) -> float:
-        return -float(steered_response(h, selection, geometry, w)[0])
-
-    result = minimize_scalar(
-        negated, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-7},
-    )
-    w_star = float(np.clip(result.x, -1.0, 1.0))
-    return float(np.arcsin(w_star))
+    while True:
+        response = steered_response(h, selection, geometry, grid)
+        w_star = float(grid[np.argmax(response)])
+        step = grid[1] - grid[0]
+        if step < 1e-9:
+            return float(np.arcsin(w_star))
+        grid = np.linspace(max(-1.0, w_star - step), min(1.0, w_star + step),
+                           33)
 
 
 def resolved_path_count(
@@ -350,19 +337,35 @@ def resolved_path_count(
     Dirichlet side lobes (-13 dB, i.e. 0.22 of the peak) stay excluded
     while a genuinely split composite (two comparable lobes) counts as 2.
     """
-    # imported here so that only snr-loss pays for loading SciPy
-    from scipy.signal import find_peaks
-
     half = 4.0 / selection.num_receive
     lo = max(-1.0, w_center - half)
     hi = min(1.0, w_center + half)
     grid = np.linspace(lo, hi, 16 * geometry.num_transmit)
     response = steered_response(channel, selection, geometry, grid)
     top = response.max()
-    peaks, _ = find_peaks(
-        response, height=0.5 * top, prominence=0.1 * top
-    )
-    return int(len(peaks))
+    return _peak_count(response, 0.5 * top, 0.1 * top)
+
+
+def _peak_count(x: np.ndarray, height: float, prominence: float) -> int:
+    """Peaks of ``x`` with this height and prominence, as ``find_peaks``.
+
+    A peak is a run of equal samples above the runs on both sides, so a
+    flat top counts once.  Its prominence is its height less the larger
+    minimum over the samples up to the first strictly higher one, or the
+    end, on each side.
+    """
+    runs = np.r_[x[:1], x[1:][x[1:] != x[:-1]]]
+    mid = runs[1:-1]
+    peaks = np.flatnonzero((mid > runs[:-2]) & (mid > runs[2:])
+                           & (mid >= height)) + 1
+    return sum(
+        int(runs[p] - max(_reach_min(runs[p::-1]), _reach_min(runs[p:]))
+            >= prominence) for p in peaks)
+
+
+def _reach_min(side: np.ndarray) -> float:
+    """Minimum of ``side`` before its first entry above ``side[0]``."""
+    return side[~np.logical_or.accumulate(side > side[0])].min()
 
 
 def _uplink_data(channels: np.ndarray) -> np.ndarray:

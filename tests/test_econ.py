@@ -121,6 +121,23 @@ def test_energy_efficiency_bounds(up, down, ratio):
     assert lo * 500e6 / 790.9 - 1e-6 <= ee <= hi * 500e6 / 790.9 + 1e-6
 
 
+@pytest.mark.parametrize("slot_ratio, power_bs, bandwidth_hz, message", [
+    (1.0 / 3.0, np.nan, 500e6, "BS power"),
+    (1.0 / 3.0, np.inf, 500e6, "BS power"),
+    (1.0 / 3.0, 0.0, 500e6, "BS power"),
+    (1.0 / 3.0, 500.0, np.inf, "bandwidth"),
+    (1.0 / 3.0, 500.0, np.nan, "bandwidth"),
+    (1.0 / 3.0, 500.0, -1.0, "bandwidth"),
+    (1.5, 500.0, 500e6, "slot ratio"),
+    (-0.1, 500.0, 500e6, "slot ratio"),
+    (np.nan, 500.0, 500e6, "slot ratio"),
+])
+def test_energy_efficiency_rejects_bad_inputs(slot_ratio, power_bs,
+                                              bandwidth_hz, message):
+    with pytest.raises(ValueError, match=message):
+        energy_efficiency(30.0, 60.0, slot_ratio, power_bs, bandwidth_hz)
+
+
 def test_architecture_validation():
     with pytest.raises(ValueError):
         Architecture("warp", M, N)
@@ -130,6 +147,13 @@ def test_architecture_validation():
         Architecture("adbn", 0, 0)
     with pytest.raises(ValueError):
         Architecture("hbfn", M, 0)
+    # integral floats are refused as ArrayGeometry refuses them; NumPy
+    # integers pass
+    for m, n in ((8.5, 4), (8.0, 4), (M, 16.0), (np.inf, N), (M, np.nan)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Architecture("adbn", m, n)
+    assert cost(Architecture("adbn", np.int64(M), np.int32(N))) == \
+        EXPECTED_COST["adbn"]
 
 
 def test_profile_validation():
@@ -137,10 +161,13 @@ def test_profile_validation():
     assert set(good.cost_usd) == set(COMPONENTS)
     with pytest.raises(ValueError):
         HardwareProfile(cost_usd={"pa": 1.0}, power_w=good.power_w)
-    bad = dict(good.cost_usd)
-    bad["pa"] = -1.0
-    with pytest.raises(ValueError):
-        HardwareProfile(cost_usd=bad, power_w=good.power_w)
+    for value in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            HardwareProfile(cost_usd={**good.cost_usd, "pa": value},
+                            power_w=good.power_w)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            HardwareProfile(cost_usd=good.cost_usd,
+                            power_w={**good.power_w, "adc": value})
 
 
 def test_dbm_must_be_square():

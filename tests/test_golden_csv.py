@@ -31,6 +31,7 @@ DETECTORS = ("zf", "mrc")
 CASES = [
     "beam_pattern.cfg|grid_points=129",
     "snr_loss.cfg|phase_points=9",
+    "snr_loss.cfg|phase_points=65",
     "se_downlink.cfg|precoder=mrt",
 ] + [f"{recipe}|{estimator}|{detector}" for recipe, estimator, detector
      in product(RECIPES, ESTIMATORS, DETECTORS)]

@@ -121,22 +121,29 @@ def test_cli_rejects_selections_that_cannot_be_built(
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_scipy_is_imported_only_by_snr_loss():
-    # SciPy dominates the import time of the package; only the snr-loss
-    # experiment needs it.  numpy.random, too, loads at the first stream
+def test_no_experiment_imports_scipy():
+    # NumPy is the only runtime dependency: every experiment, snr-loss
+    # included, runs without loading SciPy.  numpy.random, too, loads only
+    # at the first stream
     src = Path(harness.__file__).parents[1]
     script = (
         "import sys\n"
         "import asymx\n"
+        "from asymx.config import EXPERIMENTS\n"
         "print('numpy.random' in sys.modules)\n"
-        "asymx.run(asymx.ExperimentConfig('transfer-nmse', trials=1))\n"
-        "print(','.join(m for m in ('scipy.optimize', 'scipy.signal')\n"
-        "               if m in sys.modules))\n")
+        "runs = [(e, 'downlink') for e in EXPERIMENTS] + [('se', 'uplink')]\n"
+        "for name, link in runs:\n"
+        "    rows = asymx.run(asymx.ExperimentConfig(\n"
+        "        name, link=link, num_transmit=32, num_receive=(8,),\n"
+        "        num_users=2, snr_db=(10.0,), trials=1, grid_points=16,\n"
+        "        phase_points=3)).rows\n"
+        "    assert rows, name\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n") == ["False", "", ""]
+    assert done.stdout.split("\n") == ["False", "[]", ""]
 
 
 # ---------------------------------------------------------------- seeding

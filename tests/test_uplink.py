@@ -13,6 +13,7 @@ from asymx.channel import (
 )
 from asymx.uplink import (
     PilotBlock,
+    _peak_count,
     SnrLossInputs,
     composite_angle,
     dirichlet_ratio,
@@ -66,9 +67,12 @@ def test_pilot_length_validated():
 
 def test_pilot_powers_validated():
     rows = np.eye(4)[:2]
-    for power in ([1.0, 0.0], [2.0, -1.0], [1.0, np.nan], [[1.0]]):
+    for power in ([1.0, 0.0], [2.0, -1.0], [1.0, np.nan], [[1.0]], np.inf,
+                  [1.0, np.inf]):
         with pytest.raises(ValueError):
             PilotBlock(rows, power)
+    with pytest.raises(ValueError, match="positive and finite"):
+        generate_pilots(2, 2, np.inf)
     assert np.array_equal(PilotBlock(rows, [1.0, 2.0]).power, [1.0, 2.0])
     assert PilotBlock(rows, 3).power == 3.0
 
@@ -383,3 +387,56 @@ def test_resolved_path_count_merged_vs_split():
     h2 = uplink_channel(split, sel, geom)
     assert resolved_path_count(h2, sel, geom, w_mid) == 2
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(-3, 3), max_size=40),
+    scale=st.sampled_from([1.0, 0.1]),
+    height=st.integers(-3, 3),
+    prominence=st.integers(0, 6),
+)
+def test_peak_rule_counts_as_scipy_find_peaks(values, scale, height,
+                                              prominence):
+    # few distinct levels give plateaus, flat tops at the ends and
+    # thresholds that tie a peak's height or prominence exactly
+    signal = pytest.importorskip("scipy.signal")
+    x = scale * np.array(values, dtype=float)
+    h, p = scale * height, scale * prominence
+    want = signal.find_peaks(x, height=h, prominence=p)[0].size
+    assert _peak_count(x, h, p) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([16, 32, 64, 128, 256]),
+    n=st.sampled_from([4, 8, 16, 32]),
+    spacing=st.sampled_from([0.25, 0.4, 0.5]),
+    theta1=st.floats(-1.5, 1.5),
+    gap=st.floats(0.05, 2.0),
+    phi=st.floats(0.0, 2.0 * np.pi),
+)
+def test_composite_angle_zoom_matches_bounded_brent(m, n, spacing, theta1,
+                                                    gap, phi):
+    # the grid zoom against SciPy's bounded Brent search at xatol 1e-7 on
+    # the same bracket; a periodogram value may trail Brent's by rounding
+    optimize = pytest.importorskip("scipy.optimize")
+    n = min(n, m)
+    sel = make_selection("successive", m, n)
+    geom = ArrayGeometry(m, spacing)
+    w1 = np.sin(theta1)
+    w2 = w1 + gap / (n * spacing) * (1.0 if w1 < 0 else -1.0)
+    theta2 = float(np.arcsin(np.clip(w2, -1.0, 1.0)))
+    paths = PathSet(np.array([1.0, np.exp(1j * phi)]),
+                    np.array([theta1, theta2]))
+    h = uplink_channel(paths, sel, geom)
+    grid = np.linspace(-1.0, 1.0, 16 * m)
+    best = grid[np.argmax(steered_response(h, sel, geom, grid))]
+    step = grid[1] - grid[0]
+    brent = optimize.minimize_scalar(
+        lambda w: -steered_response(h, sel, geom, w)[0],
+        bounds=(max(-1.0, best - step), min(1.0, best + step)),
+        method="bounded", options={"xatol": 1e-7}).x
+    w_zoom = np.sin(composite_angle(theta1, theta2, 0.0, phi, sel, geom))
+    assert abs(w_zoom - brent) <= 1e-7
+    zoom_value, brent_value = steered_response(h, sel, geom, [w_zoom, brent])
+    assert zoom_value >= brent_value * (1.0 - 1e-13)
