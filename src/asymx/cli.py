@@ -2,7 +2,6 @@
 
 Usage:
     asymx <subcommand> --config FILE [--seed U64] [--out DIR] [--trials N]
-                       [--workers W]
 
 Subcommands map one-to-one onto experiment types.  The config file is a
 flat key=value recipe; when the path does not exist on disk the name is
@@ -48,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for the CSV output (default: cwd)")
         p.add_argument("--trials", metavar="N", type=int, default=None,
                        help="override the Monte Carlo trial count")
-        p.add_argument("--workers", metavar="W", type=int, default=None,
-                       help="accepted and checked (>= 1), but ignored: "
-                            "every run walks its trials serially")
     return parser
 
 
@@ -84,8 +80,6 @@ def main(argv: list[str] | None = None) -> int:
             values["master_seed"] = str(args.seed)
         if args.trials is not None:
             values["trials"] = str(args.trials)
-        if args.workers is not None:
-            values["workers"] = str(args.workers)
         result = run(config_from_values(values))
         out_path = result.write_csv(args.out)
     except ConfigError as exc:

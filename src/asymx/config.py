@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .arrays import SELECTION_KINDS
+from .transfer import TransferConfig
 
 EXPERIMENTS = (
     "beam-pattern",
@@ -49,11 +51,7 @@ class ExperimentConfig:
     angle_max_deg: float = 60.0
     snr_db: tuple[float, ...] = (10.0,)
     trials: int = 1000
-    newton_rounds: int = 2
-    cyclic_rounds: int = 2
-    threshold: float | None = None
-    max_paths: int = 10
-    regularizer: float = 1e-4
+    newton_rounds: int = TransferConfig.newton_rounds
     detector: str = "zf"
     precoder: str = "zf"
     estimator: str = "lmmse"
@@ -95,6 +93,9 @@ class ExperimentConfig:
             _require(kind is not float
                      or all(v is None or math.isfinite(v) for v in values),
                      name, "must be finite")
+            _require(kind is not int
+                     or all(isinstance(v, Integral) for v in values),
+                     name, "must be an integer")
         _require(self.experiment in EXPERIMENTS, "experiment",
                  f"must be one of {', '.join(EXPERIMENTS)}")
         for name in ("num_receive", "selection", "algorithm", "snr_db",
@@ -159,14 +160,8 @@ class ExperimentConfig:
                  "theta2_deg", "paths need distinct spatial frequencies, "
                  "so theta2_deg must differ from theta1_deg")
         _require(self.trials >= 1, "trials", "must be positive")
-        _require(self.threshold is None or self.threshold > 0, "threshold",
-                 "must be positive (or omitted for the N/rho default)")
         _require(self.newton_rounds >= 0, "newton_rounds",
                  "must be non-negative")
-        _require(self.cyclic_rounds >= 0, "cyclic_rounds",
-                 "must be non-negative")
-        _require(self.max_paths >= 1, "max_paths", "must be positive")
-        _require(self.regularizer >= 0, "regularizer", "must be non-negative")
         _require(self.detector in ("mrc", "zf"), "detector",
                  "must be 'mrc' or 'zf'")
         _require(self.precoder in ("mrt", "zf"), "precoder",
@@ -206,7 +201,7 @@ def _field_kind(hint) -> tuple[type, bool, bool]:
     return hint, False, optional
 
 
-# Parsing and the finiteness check both read the field types from here.
+# Parsing and the finiteness and integer checks read the field types here.
 _FIELDS = {name: _field_kind(hint) for name, hint
            in typing.get_type_hints(ExperimentConfig).items()}
 

@@ -138,6 +138,8 @@ def energy_efficiency(
     bandwidth_hz: float,
 ) -> float:
     """Bits per joule: slot-weighted SE times bandwidth over BS power."""
+    if not (0.0 <= se_uplink < math.inf and 0.0 <= se_downlink < math.inf):
+        raise ValueError("spectral efficiency must be non-negative and finite")
     if not 0.0 <= slot_ratio <= 1.0:
         raise ValueError("slot ratio must lie in [0, 1]")
     if not 0.0 < power_bs < math.inf:

@@ -235,15 +235,9 @@ def _transfer(cfg: ExperimentConfig, algorithm: str, est: np.ndarray,
               sel: AntennaSelection, geometry: ArrayGeometry,
               pilot_power: float) -> list[TransferResult]:
     """Every user's downlink rebuilt from its uplink estimate."""
-    tconf = TransferConfig(
-        oversampling=_OVERSAMPLING[algorithm],
-        threshold=(cfg.threshold if cfg.threshold is not None
-                   else default_threshold(sel.num_receive, pilot_power)),
-        newton_rounds=cfg.newton_rounds,
-        cyclic_rounds=cfg.cyclic_rounds,
-        max_paths=cfg.max_paths,
-        regularizer=cfg.regularizer,
-    )
+    tconf = TransferConfig(_OVERSAMPLING[algorithm],
+                           default_threshold(sel.num_receive, pilot_power),
+                           newton_rounds=cfg.newton_rounds)
     transfer = dft_transfer if algorithm == "dft" else mnomp_transfer
     return [transfer(est[:, k], sel, geometry, tconf)
             for k in range(cfg.num_users)]

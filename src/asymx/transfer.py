@@ -100,8 +100,8 @@ class TransferResult:
 
 def default_threshold(num_receive: int, pilot_power: float) -> float:
     """Expected LS estimation-noise energy N/rho_tau on N elements."""
-    if pilot_power <= 0:
-        raise ValueError("pilot power must be positive")
+    if not 0.0 < pilot_power < math.inf:
+        raise ValueError("pilot power must be positive and finite")
     return num_receive / pilot_power
 
 

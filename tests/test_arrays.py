@@ -68,6 +68,9 @@ def test_selection_validation():
         AntennaSelection(np.array([1, 2]), M, "spiral")  # known kind
     with pytest.raises(ValueError):
         AntennaSelection([1.5, 2.7, 3.9], M, "random")  # integral
+    for indices in ([], [[1, 2], [3, 4]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            AntennaSelection(indices, M, "random")
     assert AntennaSelection([1.0, 3.0], M).indices.tolist() == [1, 3]
 
 
@@ -148,3 +151,5 @@ def test_selection_counts_validated():
         select_successive(M, M + 1)
     with pytest.raises(ValueError):
         select_random(M, M + 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="num_receive >= 2"):
+        select_random(8, 1, np.random.default_rng(0), pinned=True)

@@ -131,6 +131,10 @@ def test_draw_path_set_power_profile_validation():
         draw_path_set(2, -1.0, 1.0, rng, powers=np.array([1.0]))
     with pytest.raises(ValueError):
         draw_path_set(2, -1.0, 1.0, rng, powers=np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="num_paths"):
+        draw_path_set(0, -1.0, 1.0, rng)
+    with pytest.raises(ValueError, match="angle_low <= angle_high"):
+        draw_path_set(2, 1.0, -1.0, rng)
 
 
 def test_user_channels_shapes():

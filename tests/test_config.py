@@ -79,10 +79,6 @@ def config_values(draw) -> dict:
         snr_db=draw(some(floats(-3000.0, 3000.0))),
         trials=draw(st.integers(1, 10**6)),
         newton_rounds=draw(st.integers(0, 20)),
-        cyclic_rounds=draw(st.integers(0, 20)),
-        threshold=draw(st.none() | floats(0.0, 1e12, exclude_min=True)),
-        max_paths=draw(st.integers(1, 64)),
-        regularizer=draw(floats(0.0, 1e6)),
         detector=draw(st.sampled_from(("mrc", "zf"))),
         precoder=draw(st.sampled_from(("mrt", "zf"))),
         estimator=draw(st.sampled_from(("ls", "lmmse", "perfect"))),
@@ -196,8 +192,6 @@ def test_config_validation_messages():
         ExperimentConfig("se", num_receive=(256,), num_transmit=128)
     with pytest.raises(ConfigError, match=r"config\.selection"):
         ExperimentConfig("se", selection=("sparse",))
-    with pytest.raises(ConfigError, match=r"config\.threshold"):
-        ExperimentConfig("se", threshold=0.0)
     with pytest.raises(ConfigError, match=r"config\.path_powers"):
         ExperimentConfig("se", paths_per_user=2, path_powers=(0.9, 0.2))
     with pytest.raises(ConfigError, match=r"config\.systems"):
@@ -209,7 +203,6 @@ def test_config_validation_messages():
     ("snr_db", (0.0, float("inf"))),
     ("path_powers", (float("nan"), 1.0)),
     ("bandwidth_hz", float("inf")),
-    ("threshold", float("-inf")),
     ("spacing", float("nan")),
 ])
 def test_non_finite_float_fields_rejected(fieldname, values):
@@ -218,6 +211,28 @@ def test_non_finite_float_fields_rejected(fieldname, values):
         overrides["paths_per_user"] = 2
     with pytest.raises(ConfigError, match=rf"config\.{fieldname}: must be finite"):
         ExperimentConfig("se", **overrides)
+
+
+@pytest.mark.parametrize("fieldname, value", [
+    ("trials", 2.5),
+    ("num_users", 2.0),
+    ("paths_per_user", 2.0),
+    ("grid_points", 64.5),
+    ("phase_points", 4.5),
+    ("num_receive", (16, 8.0)),
+    ("master_seed", 1.5),
+    ("workers", 1.5),
+    ("newton_rounds", np.float64(2.0)),
+])
+def test_non_integral_counts_rejected(fieldname, value):
+    # they used to pass validation and fail in run with a TypeError
+    with pytest.raises(ConfigError,
+                       match=rf"config\.{fieldname}: must be an integer"):
+        ExperimentConfig("transfer-nmse", **{fieldname: value})
+    # NumPy integers pass, as in ArrayGeometry
+    value = ((np.int64(16), np.int32(8)) if fieldname == "num_receive"
+             else np.int64(int(value)))
+    ExperimentConfig("transfer-nmse", **{fieldname: value})
 
 
 @pytest.mark.parametrize("fieldname, values", [
@@ -287,10 +302,9 @@ def test_sweep_entries_no_row_reports_rejected(tmp_path, capsys, experiment,
 
 
 def test_optional_fields_accept_none_and_auto():
-    cfg = config_from_values({"experiment": "se", "threshold": "auto",
-                              "path_powers": "none"})
-    assert cfg.threshold is None
-    assert cfg.path_powers is None
+    for raw in ("none", "auto"):
+        cfg = config_from_values({"experiment": "se", "path_powers": raw})
+        assert cfg.path_powers is None
 
 
 def test_list_coercion():

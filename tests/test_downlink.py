@@ -67,6 +67,12 @@ def test_mrt_rejects_zero_row():
     h[3] = 0.0
     with pytest.raises(ValueError):
         mrt_precoder(h)
+    # zero forcing leaves such a user a zero beam where the pseudo-inverse
+    # comes out exact
+    h = np.zeros((2, 8), dtype=complex)
+    h[0, 0] = 1.0
+    with pytest.raises(ValueError, match="zero beam"):
+        zf_precoder(h)
 
 
 def test_zf_removes_interference():

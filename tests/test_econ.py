@@ -60,6 +60,9 @@ def test_power_slot_ratio_limits():
     assert rx_only < tx_only
     mid = power(a, slot_ratio=0.5)
     assert mid == pytest.approx(0.5 * (rx_only + tx_only), rel=1e-12)
+    for bad in (1.5, -0.1):
+        with pytest.raises(ValueError, match="slot ratio"):
+            power(a, slot_ratio=bad)
 
 
 def test_cost_scales_linearly_with_profile():
@@ -136,6 +139,17 @@ def test_energy_efficiency_rejects_bad_inputs(slot_ratio, power_bs,
                                               bandwidth_hz, message):
     with pytest.raises(ValueError, match=message):
         energy_efficiency(30.0, 60.0, slot_ratio, power_bs, bandwidth_hz)
+
+
+@pytest.mark.parametrize("se_uplink, se_downlink", [
+    (np.nan, 60.0), (np.inf, 60.0), (-1.0, 60.0),
+    (30.0, np.nan), (30.0, np.inf), (30.0, -1.0),
+])
+def test_energy_efficiency_rejects_bad_spectral_efficiency(se_uplink,
+                                                          se_downlink):
+    # NaN and inf used to pass straight through to the bits per joule
+    with pytest.raises(ValueError, match="spectral efficiency"):
+        energy_efficiency(se_uplink, se_downlink, 1.0 / 3.0, 500.0, 500e6)
 
 
 def test_architecture_validation():

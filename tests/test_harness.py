@@ -84,10 +84,7 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, experiment, line):
 
 
 @pytest.mark.parametrize("line", [
-    "max_paths = 0",
-    "regularizer = -1",
     "newton_rounds = -1",
-    "cyclic_rounds = -1",
     "spacing = 0",
     "angle_min_deg = -270",
     "angle_max_deg = 270",
@@ -102,6 +99,38 @@ def test_cli_rejects_bad_transfer_pilot_and_geometry_fields(
                      "--out", str(tmp_path)])
     assert code == 2
     assert f"config.{line.split()[0]}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("line", [
+    "threshold = 0.5",
+    "max_paths = 0",
+    "regularizer = -1",
+    "cyclic_rounds = -1",
+])
+def test_cli_rejects_removed_transfer_keys(tmp_path, capsys, line):
+    # the transfer's internals live in TransferConfig alone; an old recipe
+    # that still sets one fails instead of running on other settings
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = transfer-nmse\nnum_users = 2\n{line}\n")
+    code = cli_main(["transfer-nmse", "--config", str(cfg), "--trials", "1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config.{line.split()[0]}: unknown key" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_has_no_workers_flag(tmp_path, capsys):
+    # every run is serial, so the flag had no effect
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["transfer-nmse", "--help"])
+    assert exit_.value.code == 0
+    assert "--workers" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["transfer-nmse", "--workers", "2", "--trials", "1",
+                  "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "--workers" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -180,6 +209,8 @@ def test_seed_streams_equal_numpy_seeding(keys):
         expected = numpy_stream(key)
         assert rng.bit_generator.state == expected.bit_generator.state
         assert rng.bit_generator.seed_seq.entropy == key
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(8),
+                              np.random.SeedSequence(key).generate_state(8))
         assert np.array_equal(rng.standard_normal(5),
                               expected.standard_normal(5))
 
@@ -578,6 +609,14 @@ def test_cli_missing_config_fails_with_diagnostic(tmp_path, capsys):
     code = cli_main(["se", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+    # an include of a missing file names that file
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("include gone.cfg\nexperiment = se\n")
+    code = cli_main(["se", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config file not found" in err and "gone.cfg" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_experiment_mismatch_rejected(tmp_path, capsys):

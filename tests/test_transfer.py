@@ -105,8 +105,10 @@ def test_config_validation():
 def test_default_threshold_is_noise_energy():
     assert default_threshold(32, 100.0) == pytest.approx(0.32)
     assert default_threshold(16, 10.0) == pytest.approx(1.6)
-    with pytest.raises(ValueError):
-        default_threshold(32, 0.0)
+    # inf gave a threshold of 0.0 and NaN a NaN threshold
+    for bad in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            default_threshold(32, bad)
 
 
 def test_spatial_matched_filter_rejects_wrong_length():

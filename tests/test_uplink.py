@@ -63,6 +63,10 @@ def test_pilot_length_validated():
         generate_pilots(K, K - 1)
     with pytest.raises(ValueError):
         PilotBlock(np.eye(4)[:2], power=0.0)
+    with pytest.raises(ValueError, match="tau >= K"):
+        PilotBlock(np.eye(4)[:, :2], power=1.0)
+    with pytest.raises(ValueError, match="orthonormal"):
+        PilotBlock(2.0 * np.eye(4)[:2], power=1.0)
 
 
 def test_pilot_powers_validated():
@@ -327,6 +331,8 @@ def test_snr_loss_zero_at_perfect_steering():
 def test_snr_loss_rejects_degenerate_paths():
     with pytest.raises(ValueError):
         loss_inputs(0.3, 0.3, 0.3, 0.0, 1.0)
+    with pytest.raises(ValueError, match="num_receive"):
+        loss_inputs(0.3, 0.5, 0.4, 0.0, 1.0, n=0)
 
 
 @settings(max_examples=200, deadline=None)
