@@ -66,7 +66,8 @@ class ExperimentConfig:
     theta2_deg: float = 54.285
     grid_points: int = 4096
     pinned_random: bool = False
-    # accepted and validated, but every run walks its trials serially
+    # processes a Monte Carlo run forks its chunks of trials over; any
+    # value writes the same bytes
     workers: int = 1
 
     @property
@@ -96,6 +97,9 @@ class ExperimentConfig:
             _require(kind is not int
                      or all(isinstance(v, Integral) for v in values),
                      name, "must be an integer")
+            _require(kind is not bool
+                     or all(isinstance(v, (bool, np.bool_)) for v in values),
+                     name, "must be a boolean")
         _require(self.experiment in EXPERIMENTS, "experiment",
                  f"must be one of {', '.join(EXPERIMENTS)}")
         for name in ("num_receive", "selection", "algorithm", "snr_db",

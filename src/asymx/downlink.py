@@ -51,6 +51,8 @@ def zf_precoder(channel_est: np.ndarray) -> Precoder:
     pseudo-inverse: such users cannot be separated, and they share a beam.
     """
     h = _downlink_data(channel_est)
+    if np.any(np.linalg.norm(h, axis=1) == 0):
+        raise ValueError("ZF undefined for a zero channel row")
     raw = h.conj().T @ _gram_inverse(h @ h.conj().T)
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0):

@@ -20,11 +20,16 @@ NumPy's own SeedSequence.  Each stream is built exactly once, so the chunk
 length cannot move a number, and a run executed twice writes
 byte-identical CSV.
 
-The chunks run one after another in one plain loop on the calling thread,
-and no run starts a thread.  ``ExperimentConfig.workers`` is accepted and
-validated but changes nothing about how a run executes: the per-user NumPy
-calls of a chunk are too small to run outside the interpreter lock, so
-threads over chunks ran at about half the serial speed.
+With ``workers`` > 1 and at least two chunks, ``_in_processes`` splits
+the chunk list into min(workers, chunks) contiguous shares.  The calling
+process walks share 0 itself, and each other share runs in a child forked
+for it, which sends its samples back through a one-way pipe; the caller
+takes them in share order, so the samples stay in trial order and the
+chunk split cannot move a byte either.  A fork copies the pipeline's
+inputs, so nothing is pickled but the samples, and no run starts a
+thread.  With one worker, one chunk or no ``fork`` start method the
+chunks run one after another in one plain loop on the calling process,
+and ``multiprocessing`` is not imported.
 """
 
 from __future__ import annotations
@@ -399,18 +404,83 @@ def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def _monte_carlo(cfg: ExperimentConfig) -> dict:
     """(mean, stderr) over all trials of every cell's samples, drawn in
-    consecutive chunks of trials walked serially."""
+    consecutive chunks of trials."""
     setups = _setups(cfg)
     # orthonormal pilot rows give the same CN(0, I/rho) error at any length
     # tau >= K, so the shortest one is used
     pilots = generate_pilots(cfg.num_users, cfg.num_users,
                              np.array([_linear(snr) for snr in cfg.snr_db]))
     length = max(1, _CHUNK_ENTRIES // _trial_entries(cfg, setups))
-    outcomes = [sample for lo in range(0, cfg.trials, length)
-                for sample in _chunk(cfg, setups, pilots,
-                                     range(lo, min(lo + length, cfg.trials)))]
+    chunks = [range(lo, min(lo + length, cfg.trials))
+              for lo in range(0, cfg.trials, length)]
+
+    def walk(share: list[range]) -> list[dict]:
+        return [sample for trials in share
+                for sample in _chunk(cfg, setups, pilots, trials)]
+
+    outcomes = _in_processes(walk, chunks, cfg.workers)
     return {key: _mean_stderr([o[key] for o in outcomes])
             for key in outcomes[0]}
+
+
+def _in_processes(walk, chunks: list[range], workers: int) -> list[dict]:
+    """``walk`` over every chunk, in order, on up to ``workers`` processes.
+
+    Share sizes differ by at most one chunk.  A child's exception is raised
+    here, and a child that exits without sending raises a RuntimeError
+    naming its exit code.  Every child is joined before this returns or
+    raises; one still running when the caller fails is terminated first.
+    """
+    count = min(workers, len(chunks))
+    if count < 2:
+        return walk(chunks)
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return walk(chunks)
+    context = multiprocessing.get_context("fork")
+    shares = [chunks[i * len(chunks) // count:(i + 1) * len(chunks) // count]
+              for i in range(count)]
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_walk,
+                                    args=(walk, share, sender))
+            child.start()
+            sender.close()  # the child holds the only writer left
+            children.append((child, receiver))
+        samples = walk(shares[0])
+        for child, receiver in children:
+            try:
+                done, value = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"worker process {child.pid} exited with code "
+                    f"{child.exitcode} before sending its samples") from None
+            if not done:
+                raise value
+            samples += value
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.join()
+    return samples
+
+
+def _send_walk(walk, share: list[range], sender) -> None:
+    """A forked child: send ``(True, samples)`` of its share to the caller,
+    or ``(False, exception)`` if walking it raised."""
+    try:
+        message = (True, walk(share))
+    except Exception as exc:
+        message = (False, exc)
+    sender.send(message)
 
 
 def _run_transfer_nmse(cfg: ExperimentConfig) -> ExperimentResult:

@@ -235,6 +235,18 @@ def test_non_integral_counts_rejected(fieldname, value):
     ExperimentConfig("transfer-nmse", **{fieldname: value})
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_non_boolean_pinned_random_rejected(value):
+    # the string "false" is truthy; recipe text is mapped by _coerce
+    with pytest.raises(ConfigError,
+                       match=r"config\.pinned_random: must be a boolean"):
+        ExperimentConfig("se", pinned_random=value)
+    for flag in (True, np.bool_(False)):
+        ExperimentConfig("se", pinned_random=flag)
+    parsed = config_from_values({"experiment": "se", "pinned_random": "false"})
+    assert parsed.pinned_random is False
+
+
 @pytest.mark.parametrize("fieldname, values", [
     ("snr_db", (10.0, 10.0)),
     ("snr_db", (0.0, -0.0)),

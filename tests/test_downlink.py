@@ -67,10 +67,13 @@ def test_mrt_rejects_zero_row():
     h[3] = 0.0
     with pytest.raises(ValueError):
         mrt_precoder(h)
-    # zero forcing leaves such a user a zero beam where the pseudo-inverse
-    # comes out exact
+    # zero forcing refuses the row up front: its pseudo-inverse column is
+    # rounding residue, which normalization would turn into a unit beam
+    with pytest.raises(ValueError, match="zero channel row"):
+        zf_precoder(h)
+    # a row too weak for the pseudo-inverse's cutoff still gets a zero beam
     h = np.zeros((2, 8), dtype=complex)
-    h[0, 0] = 1.0
+    h[0, 0], h[1, 1] = 1.0, 1e-20
     with pytest.raises(ValueError, match="zero beam"):
         zf_precoder(h)
 

@@ -1,5 +1,6 @@
 """Experiment harness: config checks, seeding, determinism, CSV, CLI."""
 
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -424,39 +425,44 @@ def test_every_experiment_is_deterministic_and_thread_safe(experiment, link):
 @pytest.mark.parametrize("experiment, link", [
     ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
     ("ee", "downlink")])
-def test_chunk_length_and_workers_never_move_a_byte(monkeypatch, experiment,
-                                                    link):
+def test_chunk_length_and_workers_never_move_a_byte(monkeypatch, tmp_path,
+                                                    experiment, link):
     # trial by trial, chunks of 2 (the last one short) and one chunk for
-    # all 5 trials, each serial and on 2 or 3 threads
+    # all 5 trials, each serial and on 2 or 3 processes
     cfg = tiny(experiment, link=link, trials=5, snr_db=(0.0, 10.0),
                **sweeps(experiment, link))
-    lengths = []
+    log = tmp_path / "lengths"
     chunk = harness._chunk
 
+    # a file, not a list, so that chunks walked in forked children count
     def recording(cfg, setups, pilots, trials):
-        lengths.append(len(trials))
+        with log.open("a") as out:
+            out.write(f"{len(trials)}\n")
         return chunk(cfg, setups, pilots, trials)
+
+    def lengths():
+        return [int(n) for n in log.read_text().split()]
 
     monkeypatch.setattr(harness, "_chunk", recording)
     monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
     first = run(cfg).csv_text()
-    assert lengths == [1] * 5
+    assert lengths() == [1] * 5
     per_trial = harness._trial_entries(cfg, harness._setups(cfg))
     for entries, longest in ((1, 1), (2 * per_trial, 2), (10**9, 5)):
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", entries)
         for workers in (1, 2, 3):
-            lengths.clear()
+            log.write_text("")
             assert run(replace(cfg, workers=workers)).csv_text() == first, (
                 entries, workers)
-            assert max(lengths) == longest and sum(lengths) == cfg.trials
+            assert max(lengths()) == longest and sum(lengths()) == cfg.trials
 
 
 @pytest.mark.parametrize("experiment, link", [
     ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
     ("ee", "downlink")])
 def test_no_run_starts_a_thread(monkeypatch, experiment, link):
-    # workers is accepted but every run walks its chunks on the caller's
-    # thread
+    # workers > 1 forks a process per share of chunks, and each process
+    # walks its share on its one thread; so does a serial run
     def refuse(thread):
         raise AssertionError(f"a run started thread {thread.name}")
 
@@ -465,6 +471,90 @@ def test_no_run_starts_a_thread(monkeypatch, experiment, link):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for workers in (2, 3):
         run(replace(cfg, workers=workers))
+
+
+def pool_config(workers):
+    return tiny("se", link="downlink", systems=("asym", "full_digital_n"),
+                trials=5, workers=workers)
+
+
+def chunk_failing_at(monkeypatch, trial, fail):
+    """One-trial chunks; the chunk of ``trial`` calls ``fail`` instead."""
+    chunk = harness._chunk
+
+    def failing(cfg, setups, pilots, trials):
+        if trial in trials:
+            fail()
+        return chunk(cfg, setups, pilots, trials)
+
+    monkeypatch.setattr(harness, "_chunk", failing)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+
+
+def test_workers_fork_one_process_per_share(monkeypatch, tmp_path):
+    # five 1-trial chunks on 3 workers: shares of trials {0}, {1, 2} and
+    # {3, 4}; the caller walks the first, a forked child each other one
+    chunk = harness._chunk
+
+    def recording(cfg, setups, pilots, trials):
+        (tmp_path / f"{trials.start}-{os.getpid()}").touch()
+        return chunk(cfg, setups, pilots, trials)
+
+    monkeypatch.setattr(harness, "_chunk", recording)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+    pooled = run(pool_config(3)).csv_text()
+    pids = dict(tuple(map(int, p.name.split("-"))) for p in tmp_path.iterdir())
+    assert sorted(pids) == [0, 1, 2, 3, 4]
+    assert pids[0] == os.getpid()
+    assert pids[1] == pids[2] and pids[3] == pids[4]
+    assert len({pids[0], pids[1], pids[3]}) == 3
+    assert multiprocessing.active_children() == []
+    assert run(pool_config(1)).csv_text() == pooled
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_shares_come_back_in_trial_order(workers):
+    # five chunks of up to 2 trials; each share's chunks by the process
+    # that walked them
+    chunks = [range(lo, min(lo + 2, 9)) for lo in range(0, 9, 2)]
+    walked = harness._in_processes(
+        lambda share: [(t, os.getpid()) for trials in share for t in trials],
+        chunks, workers)
+    assert [t for t, _ in walked] == list(range(9))
+    shares = {}
+    for t, pid in walked:
+        shares.setdefault(pid, set()).add(t // 2)
+    sizes = [len(share) for share in shares.values()]
+    assert len(sizes) == min(workers, 5) and max(sizes) - min(sizes) <= 1
+    assert walked[0][1] == os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("trial", [0, 2, 4])
+def test_failing_chunk_raises_in_the_caller(monkeypatch, trial):
+    # trial 0 fails on the caller, 2 and 4 in the two children
+    def fail():
+        raise LookupError(f"no sample for trial {trial}")
+
+    chunk_failing_at(monkeypatch, trial, fail)
+    with pytest.raises(LookupError) as caught:
+        run(pool_config(3))
+    assert type(caught.value) is LookupError
+    assert str(caught.value) == f"no sample for trial {trial}"
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_exits_unsent_names_its_exit_code(monkeypatch):
+    caller = os.getpid()
+
+    def exit_child():
+        if os.getpid() != caller:
+            os._exit(7)
+
+    chunk_failing_at(monkeypatch, 4, exit_child)
+    with pytest.raises(RuntimeError, match="exited with code 7 before"):
+        run(pool_config(3))
+    assert multiprocessing.active_children() == []
 
 
 RECIPE_DIR = Path(harness.__file__).parent / "recipes"
