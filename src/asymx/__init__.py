@@ -34,7 +34,6 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     config_from_values,
-    load_config,
     load_config_values,
     parse_config_text,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "config_from_values",
-    "load_config",
     "load_config_values",
     "parse_config_text",
     "run",

@@ -14,6 +14,7 @@ schemes trade main-lobe width against side/grating lobes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -143,6 +144,9 @@ def angular_resolution(kind: str, num_transmit: int, num_receive: int) -> float:
 
 
 def _check_counts(num_transmit: int, num_receive: int) -> None:
+    if not (isinstance(num_transmit, Integral)
+            and isinstance(num_receive, Integral)):
+        raise ValueError("antenna counts must be integers")
     if num_transmit < 1 or num_receive < 1:
         raise ValueError("antenna counts must be positive")
     if num_receive > num_transmit:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import SELECTION_KINDS
-from .transfer import TransferConfig
+from .transfer import _OVERSAMPLING, TransferConfig
 
 EXPERIMENTS = (
     "beam-pattern",
@@ -29,6 +29,32 @@ EXPERIMENTS = (
 )
 SYSTEMS = ("asym", "full_digital_m", "full_digital_n", "perfect_csi_m")
 _EE_SYSTEMS = ("asym", "full_digital_m", "full_digital_n")
+
+# Rules that read one field each; ExperimentConfig holds every entry of a
+# list field to them.  The allowed values of each str field:
+_CHOICES = {
+    "experiment": EXPERIMENTS,
+    "selection": SELECTION_KINDS,
+    "algorithm": tuple(_OVERSAMPLING),
+    "detector": ("mrc", "zf"),
+    "precoder": ("mrt", "zf"),
+    "estimator": ("ls", "lmmse", "perfect"),
+    "link": ("uplink", "downlink"),
+    "systems": SYSTEMS,
+}
+# The closed range [least, most] of each count and bounded float; sin(theta)
+# aliases outside [-90, 90] degrees, so a ULA cannot tell those angles apart.
+_RANGES = {
+    **dict.fromkeys(("num_transmit", "num_receive", "num_users",
+                     "paths_per_user", "trials", "workers"), (1, math.inf)),
+    "newton_rounds": (0, math.inf),
+    "master_seed": (0, math.inf),
+    "phase_points": (2, math.inf),
+    "grid_points": (16, math.inf),
+    **dict.fromkeys(("angle_min_deg", "angle_max_deg", "theta1_deg",
+                     "theta2_deg"), (-90.0, 90.0)),
+    "slot_ratio": (0.0, 1.0),
+}
 
 
 class ConfigError(ValueError):
@@ -88,7 +114,7 @@ class ExperimentConfig:
         return ()
 
     def __post_init__(self) -> None:
-        for name, (kind, _, _) in _FIELDS.items():
+        for name, (kind, is_list, optional) in _FIELDS.items():
             value = getattr(self, name)
             values = value if isinstance(value, (tuple, list)) else (value,)
             _require(kind is not float
@@ -100,15 +126,19 @@ class ExperimentConfig:
             _require(kind is not bool
                      or all(isinstance(v, (bool, np.bool_)) for v in values),
                      name, "must be a boolean")
-        _require(self.experiment in EXPERIMENTS, "experiment",
-                 f"must be one of {', '.join(EXPERIMENTS)}")
-        for name in ("num_receive", "selection", "algorithm", "snr_db",
-                     "systems"):
-            values = getattr(self, name)
-            _require(len(values) > 0, name, "needs at least one value")
-            # a repeated entry would write repeated rows of the same draw
-            _require(len(set(values)) == len(values), name,
-                     "lists an entry twice")
+            if is_list and not optional:
+                _require(len(values) > 0, name, "needs at least one value")
+                # a repeated entry would write repeated rows of the same draw
+                _require(len(set(values)) == len(values), name,
+                         "lists an entry twice")
+            if name in _CHOICES:
+                _require(all(v in _CHOICES[name] for v in values), name,
+                         f"must be one of {', '.join(_CHOICES[name])}")
+            if name in _RANGES:
+                lo, hi = _RANGES[name]
+                _require(all(lo <= v <= hi for v in values), name,
+                         f"must be >= {lo}" if hi == math.inf
+                         else f"must lie in [{lo:g}, {hi:g}]")
         # a sweep entry that no row reports would be dropped without a word
         swept = {"transfer-nmse": ("num_receive", "algorithm", "selection"),
                  "beam-pattern": ("selection",),
@@ -126,24 +156,14 @@ class ExperimentConfig:
             # the LMMSE filter and the default threshold divide by rho
             _require(0.0 < rho < math.inf and 1.0 / rho < math.inf, "snr_db",
                      "linear power 10^(snr_db/10) over- or underflows")
-        _require(self.num_transmit >= 1, "num_transmit", "must be positive")
-        for n in self.num_receive:
-            _require(1 <= n <= self.num_transmit, "num_receive",
-                     "entries must lie in [1, num_transmit]")
-        _require(self.num_users >= 1, "num_users", "must be positive")
-        _require(self.paths_per_user >= 1, "paths_per_user", "must be positive")
+        _require(max(self.num_receive) <= self.num_transmit, "num_receive",
+                 "entries must not exceed num_transmit")
         if self.path_powers is not None:
             _require(len(self.path_powers) == self.paths_per_user,
                      "path_powers", "needs one fraction per path")
             _require(all(p >= 0 for p in self.path_powers)
                      and abs(sum(self.path_powers) - 1.0) < 1e-9,
                      "path_powers", "fractions must be >= 0 and sum to 1")
-        for kind in self.selection:
-            _require(kind in SELECTION_KINDS, "selection",
-                     f"unknown kind {kind!r}")
-        for alg in self.algorithm:
-            _require(alg in ("dft", "mnomp"), "algorithm",
-                     f"unknown algorithm {alg!r}")
         if "comb" in self.selection:
             _require(all(self.num_transmit % n == 0 for n in self.num_receive),
                      "num_receive",
@@ -151,39 +171,14 @@ class ExperimentConfig:
         if self.pinned_random and "random" in self.selection:
             _require(min(self.num_receive) >= 2, "num_receive",
                      "pinned random selection needs entries >= 2")
-        # sin(theta) aliases outside [-90, 90] degrees, so a ULA cannot tell
-        # those angles apart
-        for name in ("angle_min_deg", "angle_max_deg", "theta1_deg",
-                     "theta2_deg"):
-            _require(-90.0 <= getattr(self, name) <= 90.0, name,
-                     "must lie in [-90, 90] degrees")
         _require(self.angle_min_deg <= self.angle_max_deg, "angle_min_deg",
                  "angle range is empty")
         _require(not np.isclose(np.sin(np.deg2rad(self.theta1_deg)),
                                 np.sin(np.deg2rad(self.theta2_deg))),
                  "theta2_deg", "paths need distinct spatial frequencies, "
                  "so theta2_deg must differ from theta1_deg")
-        _require(self.trials >= 1, "trials", "must be positive")
-        _require(self.newton_rounds >= 0, "newton_rounds",
-                 "must be non-negative")
-        _require(self.detector in ("mrc", "zf"), "detector",
-                 "must be 'mrc' or 'zf'")
-        _require(self.precoder in ("mrt", "zf"), "precoder",
-                 "must be 'mrt' or 'zf'")
-        _require(self.estimator in ("ls", "lmmse", "perfect"), "estimator",
-                 "must be 'ls', 'lmmse' or 'perfect'")
-        _require(self.link in ("uplink", "downlink"), "link",
-                 "must be 'uplink' or 'downlink'")
-        for system in self.systems:
-            _require(system in SYSTEMS, "systems", f"unknown system {system!r}")
-        _require(0.0 <= self.slot_ratio <= 1.0, "slot_ratio",
-                 "must lie in [0, 1]")
         _require(self.bandwidth_hz > 0, "bandwidth_hz", "must be positive")
         _require(self.spacing > 0, "spacing", "must be positive")
-        _require(self.phase_points >= 2, "phase_points", "must be >= 2")
-        _require(self.grid_points >= 16, "grid_points", "must be >= 16")
-        _require(self.workers >= 1, "workers", "must be positive")
-        _require(self.master_seed >= 0, "master_seed", "must be non-negative")
         # zero forcing inverts the K x K Gram matrix of an N-antenna channel:
         # in detection, and in precoding for the N-antenna full digital BS
         zf_on_n = (
@@ -205,7 +200,7 @@ def _field_kind(hint) -> tuple[type, bool, bool]:
     return hint, False, optional
 
 
-# Parsing and the finiteness and integer checks read the field types here.
+# Parsing and the type checks of ExperimentConfig read the field types here.
 _FIELDS = {name: _field_kind(hint) for name, hint
            in typing.get_type_hints(ExperimentConfig).items()}
 
@@ -269,10 +264,6 @@ def config_from_values(values: dict[str, str]) -> ExperimentConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    return config_from_values(load_config_values(path))
 
 
 def _coerce(key: str, raw: str):

@@ -20,15 +20,12 @@ class Precoder:
     """M x K precoding matrix with unit-norm columns."""
 
     matrix: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         w = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", w)
         if w.ndim != 2:
             raise ValueError("precoder must be an M x K matrix")
-        if self.kind not in ("mrt", "zf"):
-            raise ValueError("precoder kind must be 'mrt' or 'zf'")
         norms = np.linalg.norm(w, axis=0)
         if not np.allclose(norms, 1.0, atol=1e-12):
             raise ValueError("precoder columns must be unit norm")
@@ -40,7 +37,7 @@ def mrt_precoder(channel_est: np.ndarray) -> Precoder:
     norms = np.linalg.norm(h, axis=1)
     if np.any(norms == 0):
         raise ValueError("MRT undefined for a zero channel row")
-    return Precoder((h.conj() / norms[:, None]).T, "mrt")
+    return Precoder((h.conj() / norms[:, None]).T)
 
 
 def zf_precoder(channel_est: np.ndarray) -> Precoder:
@@ -57,7 +54,7 @@ def zf_precoder(channel_est: np.ndarray) -> Precoder:
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0):
         raise ValueError("ZF produced a zero beam; channel is degenerate")
-    return Precoder(raw / norms[None, :], "zf")
+    return Precoder(raw / norms[None, :])
 
 
 def downlink_sinr(
@@ -66,6 +63,8 @@ def downlink_sinr(
     power: float,
 ) -> np.ndarray:
     """Per-user SINR |h_k w_k|^2 / (sum_{i!=k} |h_k w_i|^2 + 1/rho_d)."""
+    if np.ndim(power) != 0:
+        raise ValueError("downlink power must be a scalar")
     if not 0.0 < power < np.inf:
         raise ValueError("downlink power must be positive and finite")
     h = _downlink_data(channel_true)

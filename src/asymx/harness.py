@@ -53,6 +53,7 @@ from .downlink import downlink_se, mrt_precoder, nmse, zf_precoder
 from .econ import Architecture, HardwareProfile, cost, energy_efficiency, power
 from .seeding import seed_streams
 from .transfer import (
+    _OVERSAMPLING,
     TransferConfig,
     TransferResult,
     default_threshold,
@@ -83,9 +84,6 @@ _PATHS, _SELECTION, _NOISE = 0, 1, 2
 # chunks bought no more speed; ee.cfg gets 2, as its M-antenna full digital
 # setup stacks the largest pilots, and longer chunks there cost memory.
 _CHUNK_ENTRIES = 20_000
-
-# Spatial-spectrum oversampling of each transfer algorithm.
-_OVERSAMPLING = {"dft": 8, "mnomp": 4}
 
 
 @dataclass(frozen=True)

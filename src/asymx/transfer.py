@@ -23,7 +23,8 @@ with period 1/d, so bins and Newton steps land on [-1/(2d), 1/(2d)), which
 is [-1, 1) at half-wavelength spacing.
 
 Both stop against the same energy threshold N/rho_tau: the expected noise
-energy left in an N-element LS estimate.
+energy left in an N-element LS estimate.  Both refuse an estimate whose
+energy is not finite, as a NaN or inf entry leaves no path to find.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .arrays import AntennaSelection
 from .channel import ArrayGeometry, _phase_slope, steering_downlink
 # Unused here, but benchmarks/tracer.py wraps asymx.transfer.steering_masked.
 from .channel import steering_masked  # noqa: F401
+
+# Spatial-spectrum oversampling of each algorithm, by its recipe name; the
+# keys are the algorithms a config may name.
+_OVERSAMPLING = {"dft": 8, "mnomp": 4}
 
 
 @dataclass(frozen=True)
@@ -170,11 +175,13 @@ def dft_transfer(
     below zero; it is the rule of the reproduced algorithm and is kept.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
+    energy = float(np.vdot(h_up, h_up).real)
+    if not math.isfinite(energy):
+        raise ValueError("uplink estimate must be finite")
     num_receive = selection.num_receive
     scores = spatial_matched_filter(h_up, selection, config.oversampling)
     peak_bins = find_peaks(scores)
 
-    energy = float(np.vdot(h_up, h_up).real)
     explained = 0.0
     kept: list[int] = []
     truncated = True
@@ -221,13 +228,15 @@ def mnomp_transfer(
     # a Python float: NumPy multiplies arrays and scalars by it faster than
     # by an np.float64, and it rounds the same
     root_n = float(np.sqrt(selection.num_receive))
-    pos = _phase_slopes(selection, geometry)
+    pos = _phase_slope(geometry, selection.indices)
 
     gains: list[complex] = []
     freqs: list[float] = []
     steers: list[np.ndarray] = []
     residual = h_up
     energy = float(np.vdot(residual, residual).real)
+    if not math.isfinite(energy):
+        raise ValueError("uplink estimate must be finite")
     while energy >= config.threshold and len(gains) < config.max_paths:
         scores = spatial_matched_filter(residual, selection,
                                         config.oversampling)
@@ -279,13 +288,6 @@ def mnomp_transfer(
         # bool(): an np.float64 threshold would make this an np.bool_
         truncated=bool(energy >= config.threshold),
     )
-
-
-def _phase_slopes(
-    selection: AntennaSelection, geometry: ArrayGeometry
-) -> np.ndarray:
-    """-j*2*pi*(d/lambda)*(a_n - 1): d/dw of each selected steering phase."""
-    return _phase_slope(geometry, selection.indices)
 
 
 def _steer(pos: np.ndarray, w: float, root_n: float) -> np.ndarray:

@@ -11,7 +11,8 @@ brute-force vectors.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,8 +47,8 @@ class PilotBlock:
     def __post_init__(self) -> None:
         p = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", p)
-        if p.ndim != 2 or p.shape[0] > p.shape[1]:
-            raise ValueError("pilot matrix must be K x tau with tau >= K")
+        if p.ndim != 2 or not 1 <= p.shape[0] <= p.shape[1]:
+            raise ValueError("pilot matrix must be K x tau, K >= 1, tau >= K")
         gram = p @ p.conj().T
         if not np.allclose(gram, np.eye(p.shape[0]), atol=1e-12):
             raise ValueError("pilot rows must be orthonormal")
@@ -77,8 +78,12 @@ class SnrLossInputs:
     d_over_lambda: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.num_receive < 1:
-            raise ValueError("num_receive must be positive")
+        if not (isinstance(self.num_receive, Integral)
+                and self.num_receive >= 1):
+            raise ValueError("num_receive must be a positive integer")
+        if not (np.all(np.isfinite(astuple(self))) and self.d_over_lambda > 0):
+            raise ValueError("angles, phases and spacing must be finite, "
+                             "and spacing positive")
         if np.isclose(np.sin(self.theta1), np.sin(self.theta2)):
             raise ValueError("paths must have distinct spatial frequencies")
 

@@ -50,7 +50,8 @@ from asymx import (
     steering_uplink,
     uplink_channel,
 )
-from asymx.transfer import _derivatives, _phase_slopes
+from asymx.channel import _phase_slope
+from asymx.transfer import _derivatives
 
 EXPECTED_COST = {"adbn": 52432, "dbm": 124672, "hbfn": 382208, "hbsn": 55808}
 
@@ -226,7 +227,7 @@ def test_criterion_08_matched_filter_and_derivatives():
     paths = PathSet(np.array([1.0 + 0.4j, -0.5 + 0.2j]),
                     np.arcsin(np.array([-0.31, 0.47])))
     obs = uplink_channel(paths, sel, geom)
-    pos, root_n = _phase_slopes(sel, geom), np.sqrt(sel.num_receive)
+    pos, root_n = _phase_slope(geom, sel.indices), np.sqrt(sel.num_receive)
 
     def objective(gain, w):
         # J(w) = ||y - sqrt(N) g a_S(w)||^2 and its two w-derivatives

@@ -153,3 +153,9 @@ def test_selection_counts_validated():
         select_random(M, M + 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="num_receive >= 2"):
         select_random(8, 1, np.random.default_rng(0), pinned=True)
+    # a float count used to build a selection that ArrayGeometry refuses
+    with pytest.raises(ValueError, match="integers"):
+        select_comb(8.0, 4)
+    with pytest.raises(ValueError, match="integers"):
+        select_successive(M, 4.0)
+    assert select_comb(np.int64(8), np.int32(4)).num_transmit == 8

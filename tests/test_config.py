@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from asymx.arrays import SELECTION_KINDS
 from asymx.cli import main as cli_main
 from asymx.config import (
+    _CHOICES,
+    _FIELDS,
+    _RANGES,
     EXPERIMENTS,
     SYSTEMS,
     ConfigError,
     ExperimentConfig,
     config_from_values,
-    load_config,
+    load_config_values,
     parse_config_text,
 )
 
@@ -133,7 +136,7 @@ def test_parse_include_merges_with_later_wins(tmp_path):
     (tmp_path / "base.cfg").write_text("trials = 3\nnum_users = 5\n")
     child = tmp_path / "child.cfg"
     child.write_text("include base.cfg\nexperiment = se\ntrials = 9\n")
-    cfg = load_config(child)
+    cfg = config_from_values(load_config_values(child))
     assert cfg.trials == 9
     assert cfg.num_users == 5
 
@@ -149,11 +152,11 @@ def test_include_cycle_names_the_file(tmp_path):
     loop = tmp_path / "loop.cfg"
     loop.write_text("include loop.cfg\nexperiment = se\n")
     with pytest.raises(ConfigError, match="loop.cfg"):
-        load_config(loop)
+        config_from_values(load_config_values(loop))
     (tmp_path / "a.cfg").write_text("include b.cfg\n")
     (tmp_path / "b.cfg").write_text("include a.cfg\n")
     with pytest.raises(ConfigError, match="include cycle"):
-        load_config(tmp_path / "a.cfg")
+        config_from_values(load_config_values(tmp_path / "a.cfg"))
 
 
 def test_include_matches_only_the_whole_first_word():
@@ -196,6 +199,38 @@ def test_config_validation_messages():
         ExperimentConfig("se", paths_per_user=2, path_powers=(0.9, 0.2))
     with pytest.raises(ConfigError, match=r"config\.systems"):
         ExperimentConfig("se", systems=("asym", "hal9000"))
+
+
+def test_every_str_field_and_count_has_a_rule_row():
+    # any string passes the type checks, so an enumerated field without a
+    # row of allowed values would take every typo; a count without a least
+    # value would take zero
+    kinds = {name: kind for name, (kind, _, _) in _FIELDS.items()}
+    strs = {name for name, kind in kinds.items() if kind is str}
+    counts = {name for name, kind in kinds.items() if kind is int}
+    assert strs == set(_CHOICES)
+    assert counts <= set(_RANGES)
+
+
+def one_rule_broken(fieldname, value):
+    """Defaults but for one field; a list field gets one entry."""
+    values = {"experiment": "se",
+              fieldname: (value,) if _FIELDS[fieldname][1] else value}
+    with pytest.raises(ConfigError, match=rf"config\.{fieldname}: must "):
+        ExperimentConfig(**values)
+
+
+@pytest.mark.parametrize("fieldname", sorted(_CHOICES))
+def test_every_choice_row_refuses_other_values(fieldname):
+    one_rule_broken(fieldname, "bogus")
+
+
+@pytest.mark.parametrize("fieldname", sorted(_RANGES))
+def test_every_range_row_refuses_values_outside(fieldname):
+    lo, hi = _RANGES[fieldname]
+    one_rule_broken(fieldname, lo - 1)
+    if hi < float("inf"):
+        one_rule_broken(fieldname, hi + 1)
 
 
 @pytest.mark.parametrize("fieldname, values", [

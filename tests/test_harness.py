@@ -392,7 +392,9 @@ def test_identical_config_and_seed_byte_identical():
     assert run(cfg).csv_text() == run(cfg).csv_text()
 
 
-def test_parallel_equals_serial():
+def test_parallel_equals_serial(monkeypatch):
+    # one trial a chunk: four chunks on four processes, three of them forked
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
     serial = tiny("se", link="downlink", systems=("asym", "full_digital_n"))
     parallel = tiny("se", link="downlink",
                     systems=("asym", "full_digital_n"), workers=4)
@@ -415,7 +417,11 @@ def sweeps(experiment, link):
     ("beam-pattern", "downlink"), ("snr-loss", "downlink"),
     ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
     ("ee", "downlink"), ("cost-table", "downlink")])
-def test_every_experiment_is_deterministic_and_thread_safe(experiment, link):
+def test_every_experiment_is_deterministic_and_thread_safe(monkeypatch,
+                                                          experiment, link):
+    # one trial a chunk, so that the Monte Carlo runs at workers = 2 fork a
+    # child; the name predates the process pool, and no run starts a thread
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
     cfg = tiny(experiment, link=link, trials=3, **sweeps(experiment, link))
     first = run(cfg).csv_text()
     assert run(cfg).csv_text() == first

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from asymx.channel import (
     ArrayGeometry,
     PathSet,
+    _phase_slope,
     downlink_channel,
     steering_uplink,
     uplink_channel,
@@ -16,7 +17,6 @@ from asymx.downlink import nmse
 from asymx.transfer import (
     TransferConfig,
     _derivatives,
-    _phase_slopes,
     _refine,
     bin_to_spatial_freq,
     default_threshold,
@@ -57,7 +57,7 @@ def objective(obs, gain, w, sel):
     """J(w) = ||y - sqrt(N) g a_S(w)||^2 and its first two w-derivatives."""
     steer = steering_uplink(sel, GEOM, w)
     resid = obs - np.sqrt(N) * gain * steer
-    d1, d2 = _derivatives(resid, gain, steer, _phase_slopes(sel, GEOM),
+    d1, d2 = _derivatives(resid, gain, steer, _phase_slope(GEOM, sel.indices),
                           np.sqrt(N))
     return float(np.vdot(resid, resid).real), d1, d2
 
@@ -66,7 +66,8 @@ def refine(residual, gain, w, sel, rounds):
     """``_refine`` from (gain, w) alone: returns (gain, w, residual)."""
     gain, w, _, resid = _refine(residual, gain, w,
                                 steering_uplink(sel, GEOM, w),
-                                _phase_slopes(sel, GEOM), np.sqrt(N), rounds,
+                                _phase_slope(GEOM, sel.indices), np.sqrt(N),
+                                rounds,
                                 GEOM.spacing)
     return gain, w, resid
 
@@ -117,6 +118,19 @@ def test_spatial_matched_filter_rejects_wrong_length():
     assert spatial_matched_filter(h, sel, 4).shape == (4 * M,)
     with pytest.raises(ValueError):
         spatial_matched_filter(h[:-1], sel, 4)
+
+
+@pytest.mark.parametrize("transfer", [dft_transfer, mnomp_transfer])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+def test_transfer_rejects_non_finite_estimate(transfer, bad):
+    # DFT used to divide by zero kept peaks (NaN) or warn (inf); mNOMP
+    # returned no path, a zero downlink and a NaN residual
+    sel = pinned_random(0)
+    h = np.ones(N, dtype=complex)
+    h[3] = bad
+    config = TransferConfig(4, default_threshold(N, 10.0))
+    with pytest.raises(ValueError, match="estimate must be finite"):
+        transfer(h, sel, GEOM, config)
 
 
 def test_spatial_matched_filter_equals_naive_correlation():

@@ -61,6 +61,8 @@ def test_pilot_rows_orthonormal():
 def test_pilot_length_validated():
     with pytest.raises(ValueError):
         generate_pilots(K, K - 1)
+    with pytest.raises(ValueError, match="K >= 1"):
+        generate_pilots(0, 0)
     with pytest.raises(ValueError):
         PilotBlock(np.eye(4)[:2], power=0.0)
     with pytest.raises(ValueError, match="tau >= K"):
@@ -333,6 +335,14 @@ def test_snr_loss_rejects_degenerate_paths():
         loss_inputs(0.3, 0.3, 0.3, 0.0, 1.0)
     with pytest.raises(ValueError, match="num_receive"):
         loss_inputs(0.3, 0.5, 0.4, 0.0, 1.0, n=0)
+    with pytest.raises(ValueError, match="num_receive"):
+        loss_inputs(0.3, 0.5, 0.4, 0.0, 1.0, n=4.5)
+    for angles in ((np.nan, 0.5, 0.4, 0.0, 1.0), (0.3, 0.5, 0.4, 0.0, np.inf),
+                   (0.3, 0.5, np.nan, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            loss_inputs(*angles)
+    with pytest.raises(ValueError, match="spacing"):
+        SnrLossInputs(0.3, 0.5, 0.4, 0.0, 1.0, N, np.nan)
 
 
 @settings(max_examples=200, deadline=None)
