@@ -42,18 +42,14 @@ _CHOICES = {
     "link": ("uplink", "downlink"),
     "systems": SYSTEMS,
 }
-# The closed range [least, most] of each count and bounded float; sin(theta)
-# aliases outside [-90, 90] degrees, so a ULA cannot tell those angles apart.
-_RANGES = {
+# The least value of each count:
+_LEAST = {
     **dict.fromkeys(("num_transmit", "num_receive", "num_users",
-                     "paths_per_user", "trials", "workers"), (1, math.inf)),
-    "newton_rounds": (0, math.inf),
-    "master_seed": (0, math.inf),
-    "phase_points": (2, math.inf),
-    "grid_points": (16, math.inf),
-    **dict.fromkeys(("angle_min_deg", "angle_max_deg", "theta1_deg",
-                     "theta2_deg"), (-90.0, 90.0)),
-    "slot_ratio": (0.0, 1.0),
+                     "paths_per_user", "trials", "workers"), 1),
+    "newton_rounds": 0,
+    "master_seed": 0,
+    "phase_points": 2,
+    "grid_points": 16,
 }
 
 
@@ -73,8 +69,6 @@ class ExperimentConfig:
     path_powers: tuple[float, ...] | None = None
     selection: tuple[str, ...] = ("random",)
     algorithm: tuple[str, ...] = ("mnomp",)
-    angle_min_deg: float = -60.0
-    angle_max_deg: float = 60.0
     snr_db: tuple[float, ...] = (10.0,)
     trials: int = 1000
     newton_rounds: int = TransferConfig.newton_rounds
@@ -84,16 +78,12 @@ class ExperimentConfig:
     link: str = "downlink"
     systems: tuple[str, ...] = SYSTEMS
     master_seed: int = 0
-    slot_ratio: float = 1.0 / 3.0
-    bandwidth_hz: float = 500e6
     spacing: float = 0.5
     phase_points: int = 65
-    theta1_deg: float = 51.315
-    theta2_deg: float = 54.285
     grid_points: int = 4096
     pinned_random: bool = False
-    # processes a Monte Carlo run forks its chunks of trials over; any
-    # value writes the same bytes
+    # processes a Monte Carlo run spreads its chunks of trials over, at
+    # most one per usable core; any value writes the same bytes
     workers: int = 1
 
     @property
@@ -116,6 +106,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name, (kind, is_list, optional) in _FIELDS.items():
             value = getattr(self, name)
+            _require(not is_list or isinstance(value, (tuple, list))
+                     or (optional and value is None), name,
+                     "must be a tuple or list of values")
             values = value if isinstance(value, (tuple, list)) else (value,)
             _require(kind is not float
                      or all(v is None or math.isfinite(v) for v in values),
@@ -134,11 +127,9 @@ class ExperimentConfig:
             if name in _CHOICES:
                 _require(all(v in _CHOICES[name] for v in values), name,
                          f"must be one of {', '.join(_CHOICES[name])}")
-            if name in _RANGES:
-                lo, hi = _RANGES[name]
-                _require(all(lo <= v <= hi for v in values), name,
-                         f"must be >= {lo}" if hi == math.inf
-                         else f"must lie in [{lo:g}, {hi:g}]")
+            if name in _LEAST:
+                _require(all(v >= _LEAST[name] for v in values), name,
+                         f"must be >= {_LEAST[name]}")
         # a sweep entry that no row reports would be dropped without a word
         swept = {"transfer-nmse": ("num_receive", "algorithm", "selection"),
                  "beam-pattern": ("selection",),
@@ -171,13 +162,6 @@ class ExperimentConfig:
         if self.pinned_random and "random" in self.selection:
             _require(min(self.num_receive) >= 2, "num_receive",
                      "pinned random selection needs entries >= 2")
-        _require(self.angle_min_deg <= self.angle_max_deg, "angle_min_deg",
-                 "angle range is empty")
-        _require(not np.isclose(np.sin(np.deg2rad(self.theta1_deg)),
-                                np.sin(np.deg2rad(self.theta2_deg))),
-                 "theta2_deg", "paths need distinct spatial frequencies, "
-                 "so theta2_deg must differ from theta1_deg")
-        _require(self.bandwidth_hz > 0, "bandwidth_hz", "must be positive")
         _require(self.spacing > 0, "spacing", "must be positive")
         # zero forcing inverts the K x K Gram matrix of an N-antenna channel:
         # in detection, and in precoding for the N-antenna full digital BS

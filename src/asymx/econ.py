@@ -40,6 +40,10 @@ _SHARED = frozenset({"mixer", "lo_amp", "phase_shifter"})
 COMPONENTS = tuple(_PRICES)
 ARCHITECTURES = ("adbn", "dbm", "hbfn", "hbsn")
 
+# The uplink's slot share eps and the bandwidth of the ee experiment.
+SLOT_RATIO = 1.0 / 3.0
+BANDWIDTH_HZ = 500e6
+
 
 @dataclass(frozen=True)
 class HardwareProfile:
@@ -119,7 +123,7 @@ def cost(arch: Architecture, profile: HardwareProfile | None = None) -> float:
 def power(
     arch: Architecture,
     profile: HardwareProfile | None = None,
-    slot_ratio: float = 1.0 / 3.0,
+    slot_ratio: float = SLOT_RATIO,
 ) -> float:
     """Slot-weighted power draw in watts: (1 - eps) tx + eps rx."""
     if not 0.0 <= slot_ratio <= 1.0:

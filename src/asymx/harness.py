@@ -21,25 +21,27 @@ length cannot move a number, and a run executed twice writes
 byte-identical CSV.
 
 With ``workers`` > 1 and at least two chunks, ``_in_processes`` splits
-the chunk list into min(workers, chunks) contiguous shares.  The calling
-process walks share 0 itself, and each other share runs in a child forked
-for it, which sends its samples back through a one-way pipe; the caller
-takes them in share order, so the samples stay in trial order and the
-chunk split cannot move a byte either.  A fork copies the pipeline's
-inputs, so nothing is pickled but the samples, and no run starts a
-thread.  With one worker, one chunk or no ``fork`` start method the
-chunks run one after another in one plain loop on the calling process,
-and ``multiprocessing`` is not imported.
+the chunk list into min(workers, chunks, usable cores) contiguous shares.
+The calling process walks share 0 itself, and each other share runs in a
+child forked for it, which sends its samples back through a one-way pipe;
+the caller takes them in share order, so the samples stay in trial order
+and the chunk split cannot move a byte either.  A fork copies the
+pipeline's inputs, so nothing is pickled but the samples, and no run
+starts a thread.  With one worker, one chunk, one usable core or no
+``fork`` start method the chunks run one after another in one plain loop
+on the calling process, and ``multiprocessing`` is not imported.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
+from . import econ
 from .arrays import AntennaSelection, array_factor
 from .channel import (
     ArrayGeometry,
@@ -50,7 +52,7 @@ from .channel import (
 )
 from .config import ExperimentConfig, _linear
 from .downlink import downlink_se, mrt_precoder, nmse, zf_precoder
-from .econ import Architecture, HardwareProfile, cost, energy_efficiency, power
+from .econ import Architecture, cost, energy_efficiency, power
 from .seeding import seed_streams
 from .transfer import (
     _OVERSAMPLING,
@@ -77,6 +79,9 @@ from .uplink import (
 
 # Stream tags, the third field of every seed_stream key.
 _PATHS, _SELECTION, _NOISE = 0, 1, 2
+# Where user paths arrive from, and the two paths of snr-loss, in degrees.
+_PATH_ANGLES_DEG = (-60.0, 60.0)
+_SNR_LOSS_THETAS_DEG = (51.315, 54.285)
 
 # Complex entries (320 kB) that the largest stack of a chunk, the unit of
 # work of the Monte Carlo pipeline, may hold; a chunk takes as many trials
@@ -146,7 +151,6 @@ def run(
 
 
 def _run_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
-    profile = HardwareProfile()
     n = cfg.num_receive[0]
     rows = []
     for kind in ("adbn", "dbm", "hbfn", "hbsn"):
@@ -158,8 +162,8 @@ def _run_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
             kind,
             arch.num_transmit,
             arch.num_receive,
-            cost(arch, profile),
-            power(arch, profile, cfg.slot_ratio),
+            cost(arch),
+            power(arch, slot_ratio=econ.SLOT_RATIO),
         ))
     return ExperimentResult(
         "cost-table",
@@ -194,8 +198,7 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.num_receive[0]
     geometry = ArrayGeometry(cfg.num_transmit, cfg.spacing)
     sel = make_selection("successive", cfg.num_transmit, n)
-    theta1 = np.deg2rad(cfg.theta1_deg)
-    theta2 = np.deg2rad(cfg.theta2_deg)
+    theta1, theta2 = (np.deg2rad(t) for t in _SNR_LOSS_THETAS_DEG)
     w_mid = 0.5 * (np.sin(theta1) + np.sin(theta2))
     phases = np.linspace(0.0, 2.0 * np.pi, cfg.phase_points)
     rows = []
@@ -223,7 +226,7 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _user_paths(cfg: ExperimentConfig, streams: dict,
                 trial: int) -> list[PathSet]:
-    lo, hi = np.deg2rad(cfg.angle_min_deg), np.deg2rad(cfg.angle_max_deg)
+    lo, hi = (np.deg2rad(a) for a in _PATH_ANGLES_DEG)
     powers = (np.asarray(cfg.path_powers)
               if cfg.path_powers is not None else None)
     return [
@@ -422,14 +425,15 @@ def _monte_carlo(cfg: ExperimentConfig) -> dict:
 
 
 def _in_processes(walk, chunks: list[range], workers: int) -> list[dict]:
-    """``walk`` over every chunk, in order, on up to ``workers`` processes.
+    """``walk`` over every chunk, in order, on up to ``workers`` processes,
+    and never more than the cores this process may run on.
 
     Share sizes differ by at most one chunk.  A child's exception is raised
     here, and a child that exits without sending raises a RuntimeError
     naming its exit code.  Every child is joined before this returns or
     raises; one still running when the caller fails is terminated first.
     """
-    count = min(workers, len(chunks))
+    count = min(workers, len(chunks), _usable_cores())
     if count < 2:
         return walk(chunks)
     import multiprocessing
@@ -469,6 +473,14 @@ def _in_processes(walk, chunks: list[range], workers: int) -> list[dict]:
             receiver.close()
             child.join()
     return samples
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, or all where the OS cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _send_walk(walk, share: list[range], sender) -> None:
@@ -524,18 +536,17 @@ def _run_se(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_ee(cfg: ExperimentConfig) -> ExperimentResult:
     """Energy efficiency of the asymmetrical BS vs both full digital sizes."""
-    profile = HardwareProfile()
     cells = _monte_carlo(cfg)
     rows = []
     for snr, system in product(cfg.snr_db, cfg.downlink_systems):
         (se_up, se_dn), (up_err, dn_err) = cells[snr, system]
         _, sys_m, sys_n = _system_array(cfg, system)
         arch = Architecture("adbn" if system == "asym" else "dbm", sys_m, sys_n)
-        p_bs = power(arch, profile, cfg.slot_ratio)
-        ee = energy_efficiency(float(se_up), float(se_dn), cfg.slot_ratio,
-                               p_bs, cfg.bandwidth_hz)
-        ee_err = (cfg.bandwidth_hz / p_bs) * float(np.hypot(
-            cfg.slot_ratio * up_err, (1.0 - cfg.slot_ratio) * dn_err))
+        p_bs = power(arch, slot_ratio=econ.SLOT_RATIO)
+        ee = energy_efficiency(float(se_up), float(se_dn), econ.SLOT_RATIO,
+                               p_bs, econ.BANDWIDTH_HZ)
+        ee_err = (econ.BANDWIDTH_HZ / p_bs) * float(np.hypot(
+            econ.SLOT_RATIO * up_err, (1.0 - econ.SLOT_RATIO) * dn_err))
         rows.append((float(snr), system, float(se_up), float(se_dn), p_bs, ee,
                      float(up_err), float(dn_err), ee_err, cfg.trials))
     return ExperimentResult(

@@ -26,6 +26,7 @@ import time
 
 import numpy as np
 
+import asymx.harness as harness
 from asymx import (
     Architecture,
     ArrayGeometry,
@@ -305,7 +306,7 @@ def test_criterion_10_spectral_efficiency_orderings():
               asym, asym_err, floor, perfect, elapsed))
 
 
-def test_criterion_11_determinism_and_parallel_safety():
+def test_criterion_11_determinism_and_parallel_safety(monkeypatch):
     cfg = ExperimentConfig(
         "transfer-nmse", num_transmit=64, num_receive=(16,), num_users=4,
         paths_per_user=2, snr_db=(10.0,), algorithm=("dft", "mnomp"),
@@ -313,7 +314,8 @@ def test_criterion_11_determinism_and_parallel_safety():
     first = run(cfg).csv_text()
     second = run(cfg).csv_text()
     # 156 trials make four chunks of 39, so workers = 4 walks one chunk on
-    # the caller and forks a process for each other one
+    # the caller and forks a process for each other one, on any machine
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
     serial = run(ExperimentConfig(
         "se", link="downlink", num_transmit=64, num_receive=(16,),
         num_users=4, paths_per_user=2, snr_db=(10.0,), trials=156,

@@ -27,6 +27,16 @@ from asymx.config import (
 from asymx.harness import ExperimentResult, run, seed_stream, seed_streams
 
 
+USABLE_CORES = harness._usable_cores
+
+
+@pytest.fixture(autouse=True)
+def many_cores(monkeypatch):
+    """Let the pool tests fork as many children as their workers ask for,
+    whatever the cores of the machine; the cap has its own test."""
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
+
+
 def tiny(experiment, **overrides):
     base = dict(
         num_transmit=64,
@@ -66,7 +76,6 @@ def test_zero_forcing_needs_no_more_users_than_receive_antennas():
 
 @pytest.mark.parametrize("experiment, line", [
     ("transfer-nmse", "snr_db = nan"),
-    ("ee", "bandwidth_hz = inf"),
     ("se", "snr_db = 0, inf"),
     ("transfer-nmse", "snr_db = 4000"),
     ("se", "snr_db = -4000"),
@@ -87,10 +96,6 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, experiment, line):
 @pytest.mark.parametrize("line", [
     "newton_rounds = -1",
     "spacing = 0",
-    "angle_min_deg = -270",
-    "angle_max_deg = 270",
-    "theta1_deg = 95",
-    "theta2_deg = 51.315",
 ])
 def test_cli_rejects_bad_transfer_pilot_and_geometry_fields(
         tmp_path, capsys, line):
@@ -108,10 +113,18 @@ def test_cli_rejects_bad_transfer_pilot_and_geometry_fields(
     "max_paths = 0",
     "regularizer = -1",
     "cyclic_rounds = -1",
+    "angle_min_deg = -270",
+    "angle_max_deg = 270",
+    "theta1_deg = 95",
+    "theta2_deg = 51.315",
+    "slot_ratio = 0.5",
+    "bandwidth_hz = inf",
 ])
 def test_cli_rejects_removed_transfer_keys(tmp_path, capsys, line):
-    # the transfer's internals live in TransferConfig alone; an old recipe
-    # that still sets one fails instead of running on other settings
+    # the transfer's internals live in TransferConfig alone, and the path
+    # angles, slot share and bandwidth are constants of asymx.harness and
+    # asymx.econ; an old recipe that still sets one fails instead of
+    # running on other settings
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"experiment = transfer-nmse\nnum_users = 2\n{line}\n")
     code = cli_main(["transfer-nmse", "--config", str(cfg), "--trials", "1",
@@ -516,6 +529,34 @@ def test_workers_fork_one_process_per_share(monkeypatch, tmp_path):
     assert len({pids[0], pids[1], pids[3]}) == 3
     assert multiprocessing.active_children() == []
     assert run(pool_config(1)).csv_text() == pooled
+
+
+def test_workers_never_outnumber_usable_cores(monkeypatch):
+    # 64 workers over five 1-trial chunks on 2 usable cores: two shares,
+    # so one forked child
+    process = multiprocessing.get_context("fork").Process
+    start, started = process.start, []
+
+    def counting(child):
+        started.append(child)
+        start(child)
+
+    monkeypatch.setattr(process, "start", counting)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+    pooled = run(pool_config(64)).csv_text()
+    assert len(started) == 1
+    assert pooled == run(pool_config(1)).csv_text()
+    assert multiprocessing.active_children() == []
+
+
+def test_usable_cores_fall_back_to_the_cpu_count(monkeypatch):
+    assert USABLE_CORES() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert USABLE_CORES() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert USABLE_CORES() == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])

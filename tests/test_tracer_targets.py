@@ -4,7 +4,11 @@
 a move in the library makes it raise ``TraceTargetMissing``.  Loading it
 here puts that check in the default test run.  The tracer also reads one
 scalar ``TransferResult`` per transfer call, so the trial pipeline must
-keep transferring one user at a time.
+keep transferring one user at a time.  ``benchmarks/child.py`` summarizes
+every traced run with ``tracer.summarize_call`` and marks the run
+incorrect when a workload's ``transfer.dft.calls`` or
+``transfer.mnomp.calls`` reads 0, so the summary of a traced transfer run
+must count every call of both.
 """
 
 import importlib.util
@@ -51,10 +55,13 @@ def test_transfers_stay_one_traced_call_per_user(monkeypatch):
         harness.run(cfg)
     # trials x setups (selection x N) x SNRs x users
     calls = 2 * (2 * 2) * 2 * 3
+    metrics = tracer.summarize_call(recorder.spans, cfg.trials,
+                                    cfg.num_users)
     for name in tracer.TRANSFERS:
         spans = [span for span in recorder.spans if span[2] == name]
         assert len(spans) == calls, name
         assert all(np.ndim(span[6][1]) == 0 for span in spans)
+        assert metrics[f"{name}.calls"] == len(spans) > 0
     assert len(results) == 2 * calls
     assert all(np.ndim(r.paths_found) == 0 and np.ndim(r.truncated) == 0
                for r in results)
