@@ -50,7 +50,13 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Plane-wave path parameters for one user."""
+    """Plane-wave path parameters of one user, or of a stack of users.
+
+    The path axis is last; leading axes, such as (trials, users), index
+    the users of a stack, and every user of a stack has the same number of
+    paths.  Gains and angles must be finite: a NaN or infinite entry would
+    make every element of the channel NaN.
+    """
 
     gains: np.ndarray
     angles_rad: np.ndarray
@@ -60,12 +66,18 @@ class PathSet:
         a = np.asarray(self.angles_rad, dtype=float)
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "angles_rad", a)
-        if g.ndim != 1 or a.shape != g.shape or g.size == 0:
-            raise ValueError("gains and angles must be matching 1-D arrays")
+        if g.ndim == 0 or a.shape != g.shape or g.size == 0:
+            raise ValueError("gains and angles must be matching non-empty "
+                             "arrays with the path axis last")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("path gains must be finite")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("path angles must be finite")
 
     @property
     def count(self) -> int:
-        return int(self.gains.size)
+        """Paths per user: the size of the last axis."""
+        return self.gains.shape[-1]
 
     @cached_property
     def spatial_freqs(self) -> np.ndarray:
@@ -76,10 +88,16 @@ def draw_path_set(
     num_paths: int,
     angle_low: float,
     angle_high: float,
-    rng: np.random.Generator,
-    powers: np.ndarray | None = None,
+    rng: np.random.Generator | Sequence | np.ndarray,
+    powers: Sequence[float] | np.ndarray | None = None,
 ) -> PathSet:
     """Draw P paths: angles uniform on [low, high], gains CN(0, 1).
+
+    ``rng`` is one generator, which gives one user's 1-D ``PathSet``, or an
+    array-like of generators, whose shape leads the stack's shape.  Each
+    generator draws P uniforms and then 2P standard normals (the real parts
+    of the gains, then the imaginary parts), so every row holds the bits of
+    its own one-generator call and leaves its generator in the same state.
 
     ``powers`` optionally reallocates the average energy across paths
     (fractions summing to 1, e.g. (0.9, 0.1) for a dominant line of
@@ -88,19 +106,30 @@ def draw_path_set(
     """
     if num_paths < 1:
         raise ValueError("num_paths must be positive")
+    if not (np.isfinite(angle_low) and np.isfinite(angle_high)):
+        raise ValueError("angle_low and angle_high must be finite")
     if not angle_low <= angle_high:
         raise ValueError("need angle_low <= angle_high")
-    angles = rng.uniform(angle_low, angle_high, size=num_paths)
-    gains = (
-        rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)
-    ) / np.sqrt(2.0)
     if powers is not None:
         powers = np.asarray(powers, dtype=float)
         if powers.shape != (num_paths,):
             raise ValueError("powers must provide one fraction per path")
         if np.any(powers < 0) or not np.isclose(powers.sum(), 1.0):
             raise ValueError("powers must be non-negative and sum to 1")
-        gains = gains * np.sqrt(num_paths * powers)
+    rngs = np.asarray(rng, dtype=object)
+    angles = np.empty(rngs.shape + (num_paths,))
+    normals = np.empty(rngs.shape + (2, num_paths))
+    for gen, uniform, normal in zip(rngs.flat,
+                                    angles.reshape(-1, num_paths),
+                                    normals.reshape(-1, 2 * num_paths)):
+        gen.random(out=uniform)
+        gen.standard_normal(out=normal)
+    # low + (high - low) * u, the arithmetic of Generator.uniform
+    angles *= angle_high - angle_low
+    angles += angle_low
+    gains = (normals[..., 0, :] + 1j * normals[..., 1, :]) / np.sqrt(2.0)
+    if powers is not None:
+        gains *= np.sqrt(num_paths * powers)
     return PathSet(gains, angles)
 
 
@@ -151,10 +180,18 @@ def steering_masked(
     return out
 
 
+def _one_user(paths: PathSet) -> PathSet:
+    if paths.gains.ndim != 1:
+        raise ValueError("uplink_channel and downlink_channel take one "
+                         "user's 1-D PathSet; pass a stack to user_channels")
+    return paths
+
+
 def uplink_channel(
     paths: PathSet, selection: AntennaSelection, geometry: ArrayGeometry
 ) -> np.ndarray:
     """N-element uplink channel sqrt(N/P) * sum_i g_i * a_U(w_i)."""
+    paths = _one_user(paths)
     n = selection.num_receive
     scale = np.sqrt(n / paths.count)
     vecs = steering_uplink(selection, geometry, paths.spatial_freqs)
@@ -163,13 +200,14 @@ def uplink_channel(
 
 def downlink_channel(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
     """M-element downlink channel sqrt(M/P) * sum_i g_i * a_D(w_i)."""
+    paths = _one_user(paths)
     scale = np.sqrt(geometry.num_transmit / paths.count)
     vecs = steering_downlink(geometry, paths.spatial_freqs)
     return scale * (vecs @ paths.gains)
 
 
 def user_channels(
-    path_sets: Sequence[Sequence[PathSet]],
+    paths: PathSet,
     selections: Sequence[AntennaSelection],
     geometry: ArrayGeometry,
     downlink: bool = True,
@@ -177,8 +215,8 @@ def user_channels(
     """Stack the per-user channels of T trials: uplink T x N x K, downlink
     T x K x M.
 
-    ``path_sets[t]`` holds trial t's users and ``selections[t]`` its
-    selection; every user must have equally many paths, and every selection
+    ``paths`` is a T x K x P stack, trial t's users in row t, and
+    ``selections[t]`` is trial t's selection; every selection must have
     equally many elements.  The trials share one steering call per
     direction and one stacked product with their gains, so slice t holds,
     column for column, the same numbers as ``uplink_channel`` and
@@ -186,17 +224,18 @@ def user_channels(
     M-element channel is not built and ``None`` takes its place; the uplink
     is the same.
     """
-    counts = {p.count for users in path_sets for p in users}
-    if len(counts) != 1:
-        raise ValueError("every user must have the same number of paths")
-    (count,) = counts
-    freqs = np.array([[p.spatial_freqs for p in users] for users in path_sets])
-    gains = np.array([[p.gains for p in users] for users in path_sets])
+    if paths.gains.ndim != 3:
+        raise ValueError("user_channels takes a trials x users x paths "
+                         "PathSet")
+    if len(selections) != len(paths.gains):
+        raise ValueError(f"user_channels got {len(selections)} selections "
+                         f"for {len(paths.gains)} trials")
+    freqs, gains = paths.spatial_freqs, paths.gains
 
     def combine(vecs: np.ndarray, size: int) -> np.ndarray:
         # (T, elements, K, P) steering stack -> T x K x elements channels
         product = vecs.swapaxes(-3, -2) @ gains[..., None]
-        return np.sqrt(size / count) * product[..., 0]
+        return np.sqrt(size / paths.count) * product[..., 0]
 
     # steering_uplink of each trial's own selection, T x N x K x P
     slopes = _phase_slope(geometry, np.stack([s.indices for s in selections]))

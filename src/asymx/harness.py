@@ -2,10 +2,10 @@
 
 Every metric cell is a pure function of (config, master seed).  The Monte
 Carlo experiments share one pipeline whose unit of work is a chunk of
-consecutive trials.  A chunk draws every user's paths once per trial and
-then, for each setup, builds its trials' selections and channels in one
-stacked call, and receives, estimates and detects over all its trials and
-SNRs in one call each.  Transfers stay one call per trial, SNR and user,
+consecutive trials.  A chunk draws all its trials' user paths in one call
+and then, for each setup, builds its trials' selections and channels in
+one stacked call, and receives, estimates and detects over all its trials
+and SNRs in one call each.  Transfers stay one call per trial, SNR and user,
 and downlink precoding one call per trial, SNR and system.  Each trial's
 one draw is reduced to every cell, so cells are paired.
 
@@ -224,19 +224,6 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _user_paths(cfg: ExperimentConfig, streams: dict,
-                trial: int) -> list[PathSet]:
-    lo, hi = (np.deg2rad(a) for a in _PATH_ANGLES_DEG)
-    powers = (np.asarray(cfg.path_powers)
-              if cfg.path_powers is not None else None)
-    return [
-        draw_path_set(cfg.paths_per_user, lo, hi,
-                      streams.pop((cfg.master_seed, trial, _PATHS, user)),
-                      powers)
-        for user in range(cfg.num_users)
-    ]
-
-
 def _transfer(cfg: ExperimentConfig, algorithm: str, est: np.ndarray,
               sel: AntennaSelection, geometry: ArrayGeometry,
               pilot_power: float) -> list[TransferResult]:
@@ -323,7 +310,12 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
     """Every cell's samples from consecutive trials, in trial order: one
     draw per trial, reduced many ways."""
     streams = _chunk_streams(cfg, setups, trials)
-    paths = [_user_paths(cfg, streams, trial) for trial in trials]
+    # T x K x P, from the chunk's path streams in (trial, user) order
+    paths = draw_path_set(
+        cfg.paths_per_user, *np.deg2rad(_PATH_ANGLES_DEG),
+        [[streams.pop((cfg.master_seed, trial, _PATHS, user))
+          for user in range(cfg.num_users)] for trial in trials],
+        cfg.path_powers)
     uplink, downlink = cfg.reports_uplink, bool(cfg.downlink_systems)
     rhos = pilots.power.tolist()
     samples: list[dict[tuple, tuple[float, ...]]] = [{} for _ in trials]

@@ -137,10 +137,73 @@ def test_draw_path_set_power_profile_validation():
         draw_path_set(2, 1.0, -1.0, rng)
 
 
+def test_draw_path_set_refuses_non_finite_bounds():
+    # an infinite range used to escape as NumPy's OverflowError, a NaN bound
+    # as a bare comparison failure
+    rng = np.random.default_rng(0)
+    for low, high in ((-np.inf, np.inf), (-1.0, np.inf), (np.nan, 1.0),
+                      (-1.0, np.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            draw_path_set(2, low, high, rng)
+
+
+def test_draw_path_set_one_generator_keeps_its_draw_order():
+    # P uniforms on [low, high], then the P real and the P imaginary parts
+    # of the gains: the draws Generator.uniform and two standard_normal
+    # calls make, to the bit
+    for seed in range(20):
+        paths = draw(seed, num_paths=4, powers=np.array([0.4, 0.3, 0.2, 0.1]))
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-np.pi / 3, np.pi / 3, size=4)
+        gains = (rng.standard_normal(4)
+                 + 1j * rng.standard_normal(4)) / np.sqrt(2.0)
+        gains = gains * np.sqrt(4 * np.array([0.4, 0.3, 0.2, 0.1]))
+        assert paths.gains.shape == paths.angles_rad.shape == (4,)
+        assert np.array_equal(paths.angles_rad, angles)
+        assert np.array_equal(paths.gains, gains)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       num_paths=st.integers(1, 6),
+       bounds=st.tuples(st.floats(-np.pi / 2, np.pi / 2),
+                        st.floats(0.0, np.pi)),
+       weighted=st.booleans())
+def test_draw_path_set_stack_equals_one_generator_calls(
+        seed, shape, num_paths, bounds, weighted):
+    # row r of a stacked draw holds the bits of the one-generator call on an
+    # identically seeded generator, and leaves that generator in the same
+    # state, so no stream is shifted
+    low, width = bounds
+    weights = np.random.default_rng(seed).random(num_paths) + 0.1
+    powers = weights / weights.sum() if weighted else None
+    seeds = np.arange(np.prod(shape)).reshape(shape) + seed
+    stacked = [np.random.default_rng(s) for s in seeds.flat]
+    paths = draw_path_set(num_paths, low, low + width,
+                          np.array(stacked).reshape(shape), powers)
+    assert paths.gains.shape == (*shape, num_paths)
+    assert paths.count == num_paths
+    for index, s, rng in zip(np.ndindex(*shape), seeds.flat, stacked):
+        alone = np.random.default_rng(s)
+        row = draw_path_set(num_paths, low, low + width, alone, powers)
+        assert np.array_equal(paths.gains[index], row.gains)
+        assert np.array_equal(paths.angles_rad[index], row.angles_rad)
+        assert np.array_equal(paths.spatial_freqs[index], row.spatial_freqs)
+        assert rng.random() == alone.random()
+
+
+def stack(path_sets):
+    """One T x K x P PathSet of nested per-user PathSets."""
+    return PathSet([[p.gains for p in users] for users in path_sets],
+                   [[p.angles_rad for p in users] for users in path_sets])
+
+
 def test_user_channels_shapes():
     sel = make_selection("successive", M, N)
     path_sets = [draw(seed) for seed in range(10)]
-    h_up, h_down = user_channels([path_sets, path_sets], [sel, sel], GEOM)
+    h_up, h_down = user_channels(stack([path_sets, path_sets]), [sel, sel],
+                                 GEOM)
     # plain arrays; the uplink stack in C order, the layout the frozen CSVs
     # were made with
     assert type(h_up) is type(h_down) is np.ndarray
@@ -156,13 +219,38 @@ def test_user_channels_shapes():
 
 
 def test_user_channels_rejects_unequal_path_counts():
+    # a stack holds one path count: ragged users cannot form one, and
+    # user_channels takes nothing but a trials x users x paths stack
     sel = make_selection("successive", M, N)
     rng = np.random.default_rng(0)
     two, three = (draw_path_set(count, -1.0, 1.0, rng) for count in (2, 3))
     # between users of one trial, and between trials
     for path_sets in ([[two, three]], [[two, two], [three, three]]):
         with pytest.raises(ValueError):
-            user_channels(path_sets, [sel] * len(path_sets), GEOM)
+            stack(path_sets)
+    for paths in (two, PathSet(two.gains[None], two.angles_rad[None])):
+        with pytest.raises(ValueError, match="trials x users x paths"):
+            user_channels(paths, [sel], GEOM)
+
+
+def test_user_channels_needs_one_selection_per_trial():
+    # one selection for two trials used to broadcast to both
+    sel = make_selection("successive", M, N)
+    paths = draw_path_set(3, -1.0, 1.0, [[np.random.default_rng(s)
+                                          for s in range(4)] for _ in "ab"])
+    for sels in ([sel], [sel] * 3):
+        with pytest.raises(ValueError, match=f"{len(sels)} selections for "
+                                             "2 trials"):
+            user_channels(paths, sels, GEOM)
+
+
+def test_single_user_channels_refuse_a_stack():
+    sel = make_selection("successive", M, N)
+    paths = stack([[draw(0), draw(1)]])
+    for build in (lambda: uplink_channel(paths, sel, GEOM),
+                  lambda: downlink_channel(paths, GEOM)):
+        with pytest.raises(ValueError, match="one user's 1-D PathSet"):
+            build()
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,19 +265,18 @@ def test_user_channels_equal_per_user_channels(seed, num_users, num_paths,
     m = int(rng.integers(1, 129))
     sel = make_selection("random", m, int(rng.integers(1, m + 1)), rng)
     geometry = ArrayGeometry(m, float(rng.choice([0.25, 0.5, 1.0])))
-    path_sets = []
-    for _ in range(num_users):
-        weights = rng.random(num_paths) + 0.1
-        path_sets.append(draw_path_set(
-            num_paths, -np.pi / 2, np.pi / 2, rng,
-            weights / weights.sum() if weighted else None))
-    h_up, h_down = user_channels([path_sets], [sel], geometry)
+    weights = rng.random(num_paths) + 0.1
+    paths = draw_path_set(num_paths, -np.pi / 2, np.pi / 2,
+                          [rng.spawn(num_users)],
+                          weights / weights.sum() if weighted else None)
+    users = [PathSet(g, a) for g, a in zip(paths.gains[0],
+                                           paths.angles_rad[0])]
+    h_up, h_down = user_channels(paths, [sel], geometry)
     assert np.array_equal(h_up[0], np.stack(
-        [uplink_channel(p, sel, geometry) for p in path_sets], axis=1))
+        [uplink_channel(p, sel, geometry) for p in users], axis=1))
     assert np.array_equal(h_down[0], np.stack(
-        [downlink_channel(p, geometry) for p in path_sets]))
-    up_only, no_down = user_channels([path_sets], [sel], geometry,
-                                     downlink=False)
+        [downlink_channel(p, geometry) for p in users]))
+    up_only, no_down = user_channels(paths, [sel], geometry, downlink=False)
     assert no_down is None
     assert np.array_equal(up_only, h_up)
 
@@ -209,15 +296,15 @@ def test_trial_stack_equals_per_trial_calls(seed, num_trials, num_users,
     geometry = ArrayGeometry(m, float(rng.choice([0.25, 0.5, 1.0])))
     powers = rng.random(num_paths) + 0.1 if weighted else None
     sels = [make_selection("random", m, n, rng) for _ in range(num_trials)]
-    path_sets = [[draw_path_set(num_paths, -np.pi / 2, np.pi / 2, rng,
-                                None if powers is None
-                                else powers / powers.sum())
-                  for _ in range(num_users)] for _ in range(num_trials)]
-    h_up, h_down = user_channels(path_sets, sels, geometry)
+    paths = draw_path_set(num_paths, -np.pi / 2, np.pi / 2,
+                          [rng.spawn(num_users) for _ in range(num_trials)],
+                          None if powers is None else powers / powers.sum())
+    h_up, h_down = user_channels(paths, sels, geometry)
     assert h_up.shape == (num_trials, n, num_users)
     assert h_down.shape == (num_trials, num_users, m)
-    for t, (users, sel) in enumerate(zip(path_sets, sels)):
-        up, down = user_channels([users], [sel], geometry)
+    for t, sel in enumerate(sels):
+        trial = PathSet(paths.gains[t:t + 1], paths.angles_rad[t:t + 1])
+        up, down = user_channels(trial, [sel], geometry)
         assert np.array_equal(h_up[t], up[0])
         assert np.array_equal(h_down[t], down[0])
 
@@ -227,6 +314,25 @@ def test_path_set_validation():
         PathSet(np.array([1.0 + 0j]), np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         PathSet(np.array([]), np.array([]))
+    with pytest.raises(ValueError):
+        PathSet(np.ones((2, 0)), np.ones((2, 0)))
+    with pytest.raises(ValueError):
+        PathSet(1.0, 0.1)
+    # leading axes stack users; the path axis is last
+    stacked = PathSet(np.ones((2, 3, 4)), np.zeros((2, 3, 4)))
+    assert stacked.count == 4
+
+
+def test_path_set_refuses_non_finite_entries():
+    # a NaN or infinite gain or angle made every channel entry NaN
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="gains must be finite"):
+            PathSet(np.array([bad, 1.0]), np.array([0.1, 0.2]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            PathSet(np.array([1.0, 1.0]), np.array([0.1, bad]))
+        with pytest.raises(ValueError, match="angles must be finite"):
+            PathSet(np.ones((2, 2)), np.array([[0.1, 0.2], [bad, 0.2]]))
 
 
 def test_geometry_validation():

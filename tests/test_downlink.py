@@ -24,15 +24,13 @@ GEOM = ArrayGeometry(M)
 def random_downlink(seed, num_users=K):
     rng = np.random.default_rng(seed)
     sel = make_selection("successive", M, 16)
-    paths = [
-        PathSet(
-            (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            / np.sqrt(2),
-            rng.uniform(-np.pi / 3, np.pi / 3, 3),
-        )
+    users = [
+        ((rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2),
+         rng.uniform(-np.pi / 3, np.pi / 3, 3))
         for _ in range(num_users)
     ]
-    _, h_down = user_channels([paths], [sel], GEOM)
+    gains, angles = zip(*users)
+    _, h_down = user_channels(PathSet([gains], [angles]), [sel], GEOM)
     return h_down[0]
 
 

@@ -8,7 +8,9 @@ keep transferring one user at a time.  ``benchmarks/child.py`` summarizes
 every traced run with ``tracer.summarize_call`` and marks the run
 incorrect when a workload's ``transfer.dft.calls`` or
 ``transfer.mnomp.calls`` reads 0, so the summary of a traced transfer run
-must count every call of both.
+must count every call of both.  A chunk draws all its users' paths in one
+``draw_path_set`` call, and every count the tracer reads must repeat
+between traced runs of one config, or the run is marked incorrect.
 """
 
 import importlib.util
@@ -65,3 +67,31 @@ def test_transfers_stay_one_traced_call_per_user(monkeypatch):
     assert len(results) == 2 * calls
     assert all(np.ndim(r.paths_found) == 0 and np.ndim(r.truncated) == 0
                for r in results)
+
+
+def test_one_path_draw_per_chunk_and_counts_repeat(monkeypatch):
+    # 5 trials at 2 per chunk: three chunks, so three draws
+    cfg = ExperimentConfig(
+        "se", link="uplink", num_transmit=32, num_receive=(8,), num_users=3,
+        paths_per_user=2, snr_db=(0.0, 10.0), selection=("random",),
+        detector="zf", trials=5, master_seed=9)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES",
+                        2 * harness._trial_entries(cfg, harness._setups(cfg)))
+    chunks = 3
+    tracer = load_tracer()
+    summaries = []
+    for _ in range(2):
+        recorder = tracer.Tracer()
+        with recorder.installed(), recorder.run_span():
+            harness.run(cfg)
+        draws = [span for span in recorder.spans
+                 if span[2] == "channel.draw_path_set"]
+        assert len(draws) == chunks
+        summaries.append(tracer.summarize_call(recorder.spans, cfg.trials,
+                                               cfg.num_users))
+    first, second = summaries
+    assert first["channel.draws_per_user_trial"] == (
+        chunks / (cfg.trials * cfg.num_users))
+    assert first["channel.user_channels.calls"] == chunks
+    for name in tracer.COUNT_METRICS:
+        assert first[name] == second[name], name

@@ -36,15 +36,13 @@ GEOM = ArrayGeometry(M)
 def random_uplink(seed, num_users=K, num_receive=N):
     rng = np.random.default_rng(seed)
     sel = make_selection("random", M, num_receive, rng)
-    paths = [
-        PathSet(
-            (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            / np.sqrt(2),
-            rng.uniform(-np.pi / 3, np.pi / 3, 3),
-        )
+    users = [
+        ((rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2),
+         rng.uniform(-np.pi / 3, np.pi / 3, 3))
         for _ in range(num_users)
     ]
-    h_up, _ = user_channels([paths], [sel], GEOM)
+    gains, angles = zip(*users)
+    h_up, _ = user_channels(PathSet([gains], [angles]), [sel], GEOM)
     return sel, h_up[0]
 
 
