@@ -180,18 +180,17 @@ def steering_masked(
     return out
 
 
-def _one_user(paths: PathSet) -> PathSet:
+def _require_one_user(paths: PathSet) -> None:
     if paths.gains.ndim != 1:
         raise ValueError("uplink_channel and downlink_channel take one "
                          "user's 1-D PathSet; pass a stack to user_channels")
-    return paths
 
 
 def uplink_channel(
     paths: PathSet, selection: AntennaSelection, geometry: ArrayGeometry
 ) -> np.ndarray:
     """N-element uplink channel sqrt(N/P) * sum_i g_i * a_U(w_i)."""
-    paths = _one_user(paths)
+    _require_one_user(paths)
     n = selection.num_receive
     scale = np.sqrt(n / paths.count)
     vecs = steering_uplink(selection, geometry, paths.spatial_freqs)
@@ -200,7 +199,7 @@ def uplink_channel(
 
 def downlink_channel(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
     """M-element downlink channel sqrt(M/P) * sum_i g_i * a_D(w_i)."""
-    paths = _one_user(paths)
+    _require_one_user(paths)
     scale = np.sqrt(geometry.num_transmit / paths.count)
     vecs = steering_downlink(geometry, paths.spatial_freqs)
     return scale * (vecs @ paths.gains)
