@@ -38,7 +38,6 @@ from .config import (
     parse_config_text,
 )
 from .downlink import (
-    Precoder,
     downlink_se,
     downlink_sinr,
     mrt_precoder,
@@ -102,7 +101,6 @@ __all__ = [
     "steering_uplink",
     "uplink_channel",
     "user_channels",
-    "Precoder",
     "downlink_se",
     "downlink_sinr",
     "mrt_precoder",

@@ -5,9 +5,13 @@ Carlo experiments share one pipeline whose unit of work is a chunk of
 consecutive trials.  A chunk draws all its trials' user paths in one call
 and then, for each setup, builds its trials' selections and channels in
 one stacked call, and receives, estimates and detects over all its trials
-and SNRs in one call each.  Transfers stay one call per trial, SNR and user,
-and downlink precoding one call per trial, SNR and system.  Each trial's
-one draw is reduced to every cell, so cells are paired.
+and SNRs in one call each; setups of one array size share one M-element
+downlink.  Transfers stay one call per trial, SNR and user, as the
+benchmark's tracer reads one scalar result per transfer call.  Their
+estimates are stacked, so the NMSE of a setup and algorithm is one call,
+and a downlink system precodes and scores its (trial, SNR) slices in one
+call per pattern of active users.  Each trial's one draw is reduced to
+every cell, so cells are paired.
 
 Every stream is a PCG64 generator seeded by a SeedSequence of the key
 ``(master_seed, trial, tag, index)``, of fixed length, whose tag names the
@@ -57,7 +61,6 @@ from .seeding import seed_streams
 from .transfer import (
     _OVERSAMPLING,
     TransferConfig,
-    TransferResult,
     default_threshold,
     dft_transfer,
     mnomp_transfer,
@@ -65,6 +68,7 @@ from .transfer import (
 from .uplink import (
     PilotBlock,
     SnrLossInputs,
+    _scan_phases,
     composite_angle,
     estimate_lmmse,
     estimate_ls,
@@ -200,11 +204,14 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     sel = make_selection("successive", cfg.num_transmit, n)
     theta1, theta2 = (np.deg2rad(t) for t in _SNR_LOSS_THETAS_DEG)
     w_mid = 0.5 * (np.sin(theta1) + np.sin(theta2))
-    phases = np.linspace(0.0, 2.0 * np.pi, cfg.phase_points)
+    # the first grid of every composite-angle scan and the window of every
+    # peak count read no phase, so each phase matrix is built once
+    coarse = _scan_phases(sel, geometry)
+    window = _scan_phases(sel, geometry, w_mid)
     rows = []
-    for phase in phases:
+    for phase in np.linspace(0.0, 2.0 * np.pi, cfg.phase_points):
         theta_s = composite_angle(theta1, theta2, 0.0, float(phase),
-                                  sel, geometry)
+                                  sel, geometry, coarse)
         inputs = SnrLossInputs(theta1, theta2, theta_s, 0.0, float(phase),
                                n, cfg.spacing)
         paths = PathSet(np.array([1.0, np.exp(1j * phase)]),
@@ -214,7 +221,7 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
             float(phase),
             snr_loss_closed_form(inputs),
             snr_loss_numeric(inputs),
-            resolved_path_count(h, sel, geometry, w_mid),
+            resolved_path_count(h, sel, geometry, w_mid, window),
         ))
     return ExperimentResult(
         "snr-loss",
@@ -224,29 +231,50 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _transfer(cfg: ExperimentConfig, algorithm: str, est: np.ndarray,
-              sel: AntennaSelection, geometry: ArrayGeometry,
-              pilot_power: float) -> list[TransferResult]:
-    """Every user's downlink rebuilt from its uplink estimate."""
-    tconf = TransferConfig(_OVERSAMPLING[algorithm],
-                           default_threshold(sel.num_receive, pilot_power),
-                           newton_rounds=cfg.newton_rounds)
+def _transfer(cfg: ExperimentConfig, algorithm: str, ests: np.ndarray,
+              sels: list[AntennaSelection], geometry: ArrayGeometry,
+              rhos: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's downlink rebuilt from its uplink estimate, one transfer
+    call per trial, SNR and user: the T x S x K x M downlink estimates of
+    the T x S x N x K uplink ones, and the T x S x K path counts."""
     transfer = dft_transfer if algorithm == "dft" else mnomp_transfer
-    return [transfer(est[:, k], sel, geometry, tconf)
-            for k in range(cfg.num_users)]
+    tconfs = [TransferConfig(_OVERSAMPLING[algorithm],
+                             default_threshold(sels[0].num_receive, rho),
+                             newton_rounds=cfg.newton_rounds) for rho in rhos]
+    results = [transfer(est[:, k], sel, geometry, tconf)
+               for trial_ests, sel in zip(ests, sels)
+               for est, tconf in zip(trial_ests, tconfs)
+               for k in range(cfg.num_users)]
+    shape = (len(sels), len(rhos), cfg.num_users)
+    return (np.array([r.downlink_estimate for r in results]).reshape(
+                *shape, -1),
+            np.array([r.paths_found for r in results]).reshape(shape))
 
 
-def _downlink_system_se(cfg: ExperimentConfig, down_est: np.ndarray,
-                        h_down: np.ndarray, power: float) -> float:
-    """System SE of precoding on a K x M downlink estimate; a user whose
-    estimate fell below the transfer threshold gets no beam and zero rate."""
-    active = np.linalg.norm(down_est, axis=1) > 0.0
-    if not np.any(active):
-        return 0.0
+def _system_se(cfg: ExperimentConfig, down_est: np.ndarray,
+               h_down: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """T x S system SE of precoding on T x S x K x M downlink estimates,
+    scored on each trial's K x M true downlink at each SNR's power.
+
+    A user whose estimate fell below the transfer threshold (a zero row)
+    gets no beam and zero rate, and a slice with no user left scores 0.
+    The slices are grouped by their active users, and each group is
+    precoded and scored in one stacked call.
+    """
+    trials, snrs, users, m = down_est.shape
+    est = down_est.reshape(trials * snrs, users, m)
+    active = np.linalg.norm(est, axis=-1) > 0.0
+    patterns, group = np.unique(active, axis=0, return_inverse=True)
     precode = zf_precoder if cfg.precoder == "zf" else mrt_precoder
-    w = precode(down_est[active])
-    _, system_se = downlink_se(h_down[active], w, power)
-    return system_se
+    system_se = np.zeros(trials * snrs)
+    for index, pattern in enumerate(patterns):
+        if not pattern.any():
+            continue
+        slices, on = np.flatnonzero(group == index), np.flatnonzero(pattern)
+        _, system_se[slices] = downlink_se(
+            h_down[np.ix_(slices // snrs, on)],
+            precode(est[np.ix_(slices, on)]), power[slices % snrs])
+    return system_se.reshape(trials, snrs)
 
 
 def _system_array(cfg: ExperimentConfig, system: str) -> tuple[str, int, int]:
@@ -319,6 +347,7 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
     uplink, downlink = cfg.reports_uplink, bool(cfg.downlink_systems)
     rhos = pilots.power.tolist()
     samples: list[dict[tuple, tuple[float, ...]]] = [{} for _ in trials]
+    downs: dict[int, np.ndarray | None] = {}
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
         geometry = ArrayGeometry(m, cfg.spacing)
         # a fixed selection reads no stream, so one serves every trial
@@ -329,7 +358,11 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
                 if kind == "random" else
                 [make_selection(kind, m, n, None, cfg.pinned_random)]
                 * len(trials))
-        h_up, h_down = user_channels(paths, sels, geometry, _reads_down(cfg))
+        # the M-element downlink reads only the paths and M, so setups of
+        # equal M share the first one's
+        h_up, h_down = user_channels(paths, sels, geometry,
+                                     _reads_down(cfg) and m not in downs)
+        h_down = downs.setdefault(m, h_down)
         # T x S x N x K, one slice per trial and SNR; each trial's noise is
         # drawn from its own stream in SNR order
         if cfg.estimator == "perfect":
@@ -340,6 +373,16 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
             noise = [streams.pop((cfg.master_seed, trial, _NOISE, index))
                      for trial in trials]
             ests = estimate(received_pilot(h_up, pilots, noise), pilots)
+        if cfg.experiment == "transfer-nmse":
+            for alg in cfg.algorithm:
+                down_est, found = _transfer(cfg, alg, ests, sels, geometry,
+                                            rhos)
+                ratios = nmse(down_est, h_down[:, None]).mean(axis=-1)
+                for out, row, counts in zip(samples, ratios.tolist(),
+                                            found.mean(axis=-1).tolist()):
+                    for snr, ratio, count in zip(cfg.snr_db, row, counts):
+                        out[snr, alg, kind, n] = (ratio, count)
+            continue
         # per trial and SNR, the uplink SE as a 1-tuple, or () without it
         se_up = [[()] * len(rhos)] * len(trials)
         if uplink:
@@ -347,33 +390,25 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
                                cfg.detector)
             se_up = [[(se,) for se in row]
                      for row in np.log2(1.0 + sinr).sum(axis=-1).tolist()]
-        for t, (out, sel) in enumerate(zip(samples, sels)):
-            for snr, rho, est, up in zip(cfg.snr_db, rhos, ests[t], se_up[t]):
-                if cfg.experiment == "transfer-nmse":
-                    for alg in cfg.algorithm:
-                        results = _transfer(cfg, alg, est, sel, geometry, rho)
-                        ratios = [nmse(r.downlink_estimate, h_down[t, k])
-                                  for k, r in enumerate(results)]
-                        out[snr, alg, kind, n] = (
-                            float(np.mean(ratios)),
-                            float(np.mean([r.paths_found for r in results])))
-                    continue
-                if not downlink:
+        if not downlink:
+            for out, ups in zip(samples, se_up):
+                for snr, up in zip(cfg.snr_db, ups):
                     out[snr, kind] = up
-                    continue
-                for system in systems:
-                    if system == "asym":
-                        down_est = np.stack([
-                            r.downlink_estimate for r in _transfer(
-                                cfg, cfg.algorithm[0], est, sel, geometry,
-                                rho)])
-                    elif system == "perfect_csi_m":
-                        down_est = h_down[t]
-                    else:
-                        # full digital: the uplink estimate is the downlink one
-                        down_est = est.T
-                    out[snr, system] = up + (_downlink_system_se(
-                        cfg, down_est, h_down[t], rho),)
+            continue
+        for system in systems:
+            if system == "asym":
+                down_est, _ = _transfer(cfg, cfg.algorithm[0], ests, sels,
+                                        geometry, rhos)
+            elif system == "perfect_csi_m":
+                down_est = np.broadcast_to(h_down[:, None], (
+                    len(trials), len(rhos), *h_down.shape[1:]))
+            else:
+                # full digital: the uplink estimate is the downlink one
+                down_est = ests.swapaxes(-1, -2)
+            system_se = _system_se(cfg, down_est, h_down, pilots.power)
+            for out, ups, row in zip(samples, se_up, system_se.tolist()):
+                for snr, up, se in zip(cfg.snr_db, ups, row):
+                    out[snr, system] = up + (se,)
     return samples
 
 

@@ -292,10 +292,40 @@ def steered_response(
     selection: AntennaSelection,
     geometry: ArrayGeometry,
     w_grid: np.ndarray,
+    phases: np.ndarray | None = None,
 ) -> np.ndarray:
-    """|a_U(w)^H h| over a grid of spatial frequencies (the periodogram)."""
-    phases = _broadside_phases(selection, w_grid, geometry.spacing)
+    """|a_U(w)^H h| over a grid of spatial frequencies (the periodogram).
+
+    ``phases`` is the grid's N x W phase matrix, if the caller built it
+    once for many channels; by default it is built here.
+    """
+    if phases is None:
+        phases = _broadside_phases(selection, w_grid, geometry.spacing)
     return np.abs(phases.T @ channel) / np.sqrt(selection.num_receive)
+
+
+def _scan_phases(
+    selection: AntennaSelection,
+    geometry: ArrayGeometry,
+    w_center: float | None = None,
+) -> np.ndarray:
+    """The N x 16M phase matrix of the first grid that ``composite_angle``
+    scans (``w_center`` None) or of the window of ``resolved_path_count``
+    around ``w_center``.  Neither grid reads the channel, so a sweep over
+    channels on one array builds each matrix once and passes it in."""
+    return _broadside_phases(selection, _scan_grid(selection, geometry,
+                                                   w_center),
+                             geometry.spacing)
+
+
+def _scan_grid(selection: AntennaSelection, geometry: ArrayGeometry,
+               w_center: float | None) -> np.ndarray:
+    """16*M points on [-1, 1], or on +/- 4/N of w_center clipped to it."""
+    lo, hi = -1.0, 1.0
+    if w_center is not None:
+        half = 4.0 / selection.num_receive
+        lo, hi = max(lo, w_center - half), min(hi, w_center + half)
+    return np.linspace(lo, hi, 16 * geometry.num_transmit)
 
 
 def composite_angle(
@@ -305,21 +335,25 @@ def composite_angle(
     phi2: float,
     selection: AntennaSelection,
     geometry: ArrayGeometry,
+    phases: np.ndarray | None = None,
 ) -> float:
     """Dominant resolved angle of a merged two-path channel.
 
     Maximizes the periodogram |a_U(w)^H h| over a grid of 16*M points on
     [-1, 1], then zooms in: 33 points over one step either side of the
     best, clipped to [-1, 1], a 16x finer step, until it is below 1e-9 in w.
+    ``phases`` is that first grid's ``_scan_phases(selection, geometry)``,
+    if the caller built it once.
     """
     paths = PathSet(
         np.array([np.exp(1j * phi1), np.exp(1j * phi2)]),
         np.array([theta1, theta2]),
     )
     h = uplink_channel(paths, selection, geometry)
-    grid = np.linspace(-1.0, 1.0, 16 * geometry.num_transmit)
+    grid = _scan_grid(selection, geometry, None)
     while True:
-        response = steered_response(h, selection, geometry, grid)
+        response = steered_response(h, selection, geometry, grid, phases)
+        phases = None  # the zoomed grids depend on the channel
         w_star = float(grid[np.argmax(response)])
         step = grid[1] - grid[0]
         if step < 1e-9:
@@ -333,6 +367,7 @@ def resolved_path_count(
     selection: AntennaSelection,
     geometry: ArrayGeometry,
     w_center: float,
+    phases: np.ndarray | None = None,
 ) -> int:
     """Number of dominant periodogram peaks near a spatial frequency.
 
@@ -341,12 +376,11 @@ def resolved_path_count(
     prominence at least 10 % of it;
     Dirichlet side lobes (-13 dB, i.e. 0.22 of the peak) stay excluded
     while a genuinely split composite (two comparable lobes) counts as 2.
+    ``phases`` is the window's ``_scan_phases(selection, geometry,
+    w_center)``, if the caller built it once.
     """
-    half = 4.0 / selection.num_receive
-    lo = max(-1.0, w_center - half)
-    hi = min(1.0, w_center + half)
-    grid = np.linspace(lo, hi, 16 * geometry.num_transmit)
-    response = steered_response(channel, selection, geometry, grid)
+    grid = _scan_grid(selection, geometry, w_center)
+    response = steered_response(channel, selection, geometry, grid, phases)
     top = response.max()
     return _peak_count(response, 0.5 * top, 0.1 * top)
 

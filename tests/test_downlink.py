@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from asymx.channel import ArrayGeometry, PathSet, user_channels
 from asymx.downlink import (
-    Precoder,
     downlink_se,
     downlink_sinr,
     mrt_precoder,
@@ -36,22 +35,14 @@ def random_downlink(seed, num_users=K):
 
 def test_precoder_columns_unit_norm():
     h = random_downlink(0)
-    for precoder in (mrt_precoder(h), zf_precoder(h)):
-        norms = np.linalg.norm(precoder.matrix, axis=0)
-        assert np.allclose(norms, 1.0, atol=1e-12)
-        assert precoder.matrix.shape == (M, K)
-
-
-def test_precoder_validation():
-    with pytest.raises(ValueError):
-        Precoder(np.eye(4)[:, :2] * 2.0)  # not unit norm
-    with pytest.raises(ValueError):
-        Precoder(np.ones(4))
+    for w in (mrt_precoder(h), zf_precoder(h)):
+        assert w.shape == (M, K)
+        assert np.allclose(np.linalg.norm(w, axis=0), 1.0, atol=1e-12)
 
 
 def test_mrt_matches_conjugate_rows():
     h = random_downlink(1)
-    w = mrt_precoder(h).matrix
+    w = mrt_precoder(h)
     for k in range(K):
         row = h[k]
         assert np.allclose(w[:, k], row.conj() / np.linalg.norm(row),
@@ -67,6 +58,11 @@ def test_mrt_rejects_zero_row():
     # rounding residue, which normalization would turn into a unit beam
     with pytest.raises(ValueError, match="zero channel row"):
         zf_precoder(h)
+    # in a stack, one slice's zero row refuses the call
+    stack = np.stack([random_downlink(2), h])
+    for precode in (mrt_precoder, zf_precoder):
+        with pytest.raises(ValueError, match="zero channel row"):
+            precode(stack)
     # a row too weak for the pseudo-inverse's cutoff still gets a zero beam
     h = np.zeros((2, 8), dtype=complex)
     h[0, 0], h[1, 1] = 1.0, 1e-20
@@ -77,7 +73,7 @@ def test_mrt_rejects_zero_row():
 def test_zf_removes_interference():
     h = random_downlink(3)
     w = zf_precoder(h)
-    cross = h @ w.matrix
+    cross = h @ w
     off = cross - np.diag(np.diag(cross))
     assert np.max(np.abs(off)) < 1e-9
 
@@ -85,7 +81,7 @@ def test_zf_removes_interference():
 def test_zf_shares_a_beam_between_identical_estimates():
     # an exactly singular Gram matrix: both users get the matched beam
     row = np.array([1.0, 2.0j, -2.0])
-    w = zf_precoder(np.stack([row, row])).matrix
+    w = zf_precoder(np.stack([row, row]))
     assert np.allclose(w, (row.conj() / 3.0)[:, None], atol=1e-12)
 
 
@@ -104,8 +100,8 @@ def test_zf_nearly_identical_users_share_a_beam(seed, gap):
     near = exact.copy()
     step = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     near[1] += gap * np.linalg.norm(exact[0]) / np.linalg.norm(step) * step
-    w_near = zf_precoder(near).matrix
-    w_exact = zf_precoder(exact).matrix
+    w_near = zf_precoder(near)
+    w_exact = zf_precoder(exact)
     assert np.allclose(w_near, w_exact, rtol=0.0, atol=1e-6)
     sinr_near = uplink_sinr(near.T, h.T, 2.0, "zf")
     sinr_exact = uplink_sinr(exact.T, h.T, 2.0, "zf")
@@ -118,13 +114,13 @@ def test_zf_sinr_equals_rho_times_gain():
     w = zf_precoder(h)
     rho = 5.0
     sinr = downlink_sinr(h, w, rho)
-    direct = rho * np.abs(np.diag(h @ w.matrix)) ** 2
+    direct = rho * np.abs(np.diag(h @ w)) ** 2
     assert np.allclose(sinr, direct, rtol=1e-9)
 
 
 def test_downlink_sinr_manual_two_user():
     h = np.array([[1.0 + 0j, 0.0], [0.6, 0.8]])
-    w = Precoder(np.eye(2, dtype=complex))
+    w = np.eye(2, dtype=complex)
     rho = 2.0
     sinr = downlink_sinr(h, w, rho)
     assert sinr[0] == pytest.approx(1.0 / (0.5), rel=1e-12)
@@ -154,6 +150,12 @@ def test_power_validated():
     for power in (-1.0, 0.0, np.nan, np.inf, np.array([1.0, 2.0])):
         with pytest.raises(ValueError, match="power"):
             downlink_sinr(h, zf_precoder(h), power)
+    # a stack takes one power, or one per slice, and no other shape
+    stack = np.stack([h, h])
+    w = zf_precoder(stack)
+    for power in (np.ones(3), np.ones((2, 1)), np.array([1.0, -1.0])):
+        with pytest.raises(ValueError, match="power"):
+            downlink_sinr(stack, w, power)
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,20 +189,60 @@ def test_downlink_accepts_plain_vector():
     h = random_downlink(8, num_users=1)
     vec = h[0]
     w = mrt_precoder(vec)
-    assert w.matrix.shape == (M, 1)
+    assert w.shape == (M, 1)
     sinr_vec = downlink_sinr(vec, w, 1.0)
     sinr_mat = downlink_sinr(h, w, 1.0)
     assert sinr_vec[0] == pytest.approx(sinr_mat[0], rel=1e-12)
 
 
-@pytest.mark.parametrize("call", (
-    mrt_precoder,
-    zf_precoder,
-    lambda h: downlink_sinr(h, Precoder(np.eye(M, K)), 1.0),
-), ids=("mrt_precoder", "zf_precoder", "downlink_sinr"))
-def test_channel_stack_rejected(call):
-    # the link functions take one K x M matrix; a stack of them is refused
-    # with one message, not an error from deep inside the algebra
-    h = random_downlink(9)
-    with pytest.raises(ValueError, match="stack"):
-        call(np.stack([h, h]))
+
+
+def gaussian(rng, *shape):
+    return (rng.standard_normal(shape)
+            + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def estimate_stacks(seed=10):
+    """(estimates, true channels) of three 4 x K x M stacks: full-rank
+    slices; one slice with a collinear pair of users; one with a pair a
+    relative 1e-10 apart, whose Gram is singular up to rounding."""
+    rng = np.random.default_rng(seed)
+    stacks = {}
+    for case in ("full_rank", "collinear", "near_singular"):
+        est = gaussian(rng, 4, K, M)
+        if case == "collinear":
+            est[2, 1] = (0.6 - 0.8j) * est[2, 0]
+        if case == "near_singular":
+            step = gaussian(rng, M)
+            est[1, 1] = est[1, 0] + 1e-10 * (
+                np.linalg.norm(est[1, 0]) / np.linalg.norm(step) * step)
+        stacks[case] = (est, est + 0.3 * gaussian(rng, 4, K, M))
+    return stacks
+
+
+@pytest.mark.parametrize(
+    "name", ("mrt_precoder", "zf_precoder", "downlink_se", "nmse"))
+def test_stack_equals_its_slices(name):
+    # each slice of a stacked call holds the bits of its own one-slice call
+    powers = np.array([0.1, 1.0, 10.0, 1000.0])
+    for case, (est, truth) in estimate_stacks().items():
+        for g in range(len(est)):
+            if name == "nmse":
+                ratios = nmse(est, truth)
+                single = [nmse(est[g, k], truth[g, k]) for k in range(K)]
+                assert ratios.shape == (4, K)
+                assert np.array_equal(ratios[g], single), (case, g)
+                assert all(type(r) is float for r in single)
+                continue
+            for precode in (zf_precoder, mrt_precoder):
+                w = precode(est)
+                assert w.shape == (4, M, K)
+                if name == "downlink_se":
+                    rates, system = downlink_se(truth, w, powers)
+                    rates_g, system_g = downlink_se(truth[g], w[g],
+                                                    float(powers[g]))
+                    assert type(system_g) is float
+                    assert np.array_equal(rates[g], rates_g), (case, g)
+                    assert np.array_equal(system[g], system_g), (case, g)
+                elif precode.__name__ == name:
+                    assert np.array_equal(w[g], precode(est[g])), (case, g)

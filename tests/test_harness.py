@@ -682,6 +682,70 @@ def test_se_downlink_survives_thresholded_out_users():
         assert row[4] >= 0.0
 
 
+@pytest.mark.parametrize("precoder", ("zf", "mrt"))
+def test_system_se_scores_each_slice_on_its_active_users(precoder):
+    # slices are precoded in groups of equal active users; each slice must
+    # hold the bits of precoding its active users alone, and a slice with
+    # none scores 0
+    rng = np.random.default_rng(3)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    trials, snrs, users, m = 3, 2, 4, 16
+    h_down = gaussian(trials, users, m)
+    est = h_down[:, None] + 0.3 * gaussian(trials, snrs, users, m)
+    est[0, 1, 2] = 0.0  # one user without a beam
+    est[1, 0, [0, 3]] = 0.0  # two users without one
+    est[1, 1, 1:] = 0.0  # one user left
+    est[2, 1] = 0.0  # no user left
+    power = np.array([0.5, 20.0])
+    cfg = tiny("se", link="downlink", precoder=precoder)
+    precode = (harness.zf_precoder if precoder == "zf"
+               else harness.mrt_precoder)
+    system_se = harness._system_se(cfg, est, h_down, power)
+    assert system_se.shape == (trials, snrs)
+    for trial in range(trials):
+        for snr in range(snrs):
+            active = np.linalg.norm(est[trial, snr], axis=1) > 0.0
+            expected = 0.0 if not active.any() else harness.downlink_se(
+                h_down[trial][active], precode(est[trial, snr][active]),
+                float(power[snr]))[1]
+            assert np.array_equal(system_se[trial, snr], expected)
+    assert system_se[2, 1] == 0.0
+
+
+def test_downlink_built_once_per_chunk_and_array_size(monkeypatch):
+    # ee builds the random, M-antenna and N-antenna setups: the first two
+    # share one M-element downlink, so a chunk builds two, one per size
+    import asymx.channel
+
+    sizes = []
+    original = asymx.channel.steering_downlink
+
+    def counting(geometry, w):
+        sizes.append(geometry.num_transmit)
+        return original(geometry, w)
+
+    monkeypatch.setattr(asymx.channel, "steering_downlink", counting)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 10**9)
+    flags = []
+
+    def recording(paths, sels, geometry, downlink):
+        flags.append(downlink)
+        return asymx.channel.user_channels(paths, sels, geometry, downlink)
+
+    monkeypatch.setattr(harness, "user_channels", recording)
+    run(tiny("ee", trials=2, selection=("random",)))
+    assert sizes == [64, 16]
+    assert flags == [True, False, True]
+    # transfer-nmse: four setups of one M read one downlink
+    sizes.clear()
+    run(tiny("transfer-nmse", trials=2, num_receive=(8, 16),
+             selection=("random", "comb"), algorithm=("dft",)))
+    assert sizes == [64]
+
+
 def test_ee_schema_and_power_column():
     result = run(tiny("ee", trials=2))
     assert result.columns[:6] == ("snr_db", "system", "se_uplink",

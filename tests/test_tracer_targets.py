@@ -9,8 +9,9 @@ every traced run with ``tracer.summarize_call`` and marks the run
 incorrect when a workload's ``transfer.dft.calls`` or
 ``transfer.mnomp.calls`` reads 0, so the summary of a traced transfer run
 must count every call of both.  A chunk draws all its users' paths in one
-``draw_path_set`` call, and every count the tracer reads must repeat
-between traced runs of one config, or the run is marked incorrect.
+``draw_path_set`` call and precodes its (trial, SNR) slices in stacked
+calls, and every count the tracer reads must repeat between traced runs of
+one config, or the run is marked incorrect.
 """
 
 import importlib.util
@@ -93,5 +94,41 @@ def test_one_path_draw_per_chunk_and_counts_repeat(monkeypatch):
     assert first["channel.draws_per_user_trial"] == (
         chunks / (cfg.trials * cfg.num_users))
     assert first["channel.user_channels.calls"] == chunks
+    for name in tracer.COUNT_METRICS:
+        assert first[name] == second[name], name
+
+
+def test_traced_ee_run_transfers_per_user_and_counts_repeat(monkeypatch):
+    # ee at workers = 1 over two chunks: the downlink stage precodes a
+    # chunk's slices in stacked calls, while the transfers stay one call per
+    # trial, SNR and user, and every count the tracer reads repeats
+    cfg = ExperimentConfig(
+        "ee", num_transmit=32, num_receive=(8,), num_users=3,
+        paths_per_user=2, snr_db=(-10.0, 10.0), selection=("random",),
+        algorithm=("mnomp",), precoder="zf", detector="zf", trials=4,
+        master_seed=3, workers=1)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES",
+                        2 * harness._trial_entries(cfg, harness._setups(cfg)))
+    chunks = 2
+    tracer = load_tracer()
+    summaries = []
+    for _ in range(2):
+        recorder = tracer.Tracer()
+        with recorder.installed(), recorder.run_span():
+            harness.run(cfg)
+        names = [span[2] for span in recorder.spans]
+        # every wrapped downlink function is still the one the harness calls
+        assert names.count("downlink.zf_precoder") >= (
+            chunks * len(cfg.downlink_systems))
+        assert names.count("downlink.downlink_se") == names.count(
+            "downlink.zf_precoder")
+        summaries.append(tracer.summarize_call(recorder.spans, cfg.trials,
+                                               cfg.num_users))
+    first, second = summaries
+    assert first["transfer.mnomp.calls"] == (
+        cfg.trials * len(cfg.snr_db) * cfg.num_users)
+    assert first["transfer.dft.calls"] == 0
+    assert first["channel.user_channels.calls"] == (
+        chunks * len(harness._setups(cfg)))
     for name in tracer.COUNT_METRICS:
         assert first[name] == second[name], name

@@ -14,6 +14,7 @@ from asymx.channel import (
 from asymx.uplink import (
     PilotBlock,
     _peak_count,
+    _scan_phases,
     SnrLossInputs,
     composite_angle,
     dirichlet_ratio,
@@ -400,6 +401,26 @@ def test_resolved_path_count_merged_vs_split():
     split = PathSet(np.array([1.0, np.exp(1.5j * np.pi)]), np.array([t1, t2]))
     h2 = uplink_channel(split, sel, geom)
     assert resolved_path_count(h2, sel, geom, w_mid) == 2
+
+
+@pytest.mark.parametrize("spacing", (0.5, 0.4))
+def test_snr_loss_scans_take_their_phase_matrices_prebuilt(spacing):
+    # a sweep builds the first composite-angle grid and the peak window
+    # once; each channel's scans must give the bits of building them itself
+    sel = make_selection("successive", 64, 16)
+    geom = ArrayGeometry(64, spacing)
+    t1, t2 = np.deg2rad(20.0), np.deg2rad(24.0)
+    w_mid = 0.5 * (np.sin(t1) + np.sin(t2))
+    coarse = _scan_phases(sel, geom)
+    window = _scan_phases(sel, geom, w_mid)
+    assert coarse.shape == window.shape == (16, 16 * 64)
+    for phi in np.linspace(0.0, 2.0 * np.pi, 7):
+        assert composite_angle(t1, t2, 0.0, phi, sel, geom, coarse) == (
+            composite_angle(t1, t2, 0.0, phi, sel, geom))
+        h = uplink_channel(PathSet(np.array([1.0, np.exp(1j * phi)]),
+                                   np.array([t1, t2])), sel, geom)
+        assert resolved_path_count(h, sel, geom, w_mid, window) == (
+            resolved_path_count(h, sel, geom, w_mid))
 
 
 @settings(max_examples=300, deadline=None)
