@@ -415,9 +415,11 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
 def _trial_entries(cfg: ExperimentConfig, setups: dict) -> int:
     """Complex entries one trial adds to the largest stack of a chunk: the
     received pilots, estimates and combiners (S x N x K), the SINR terms
-    (S x K x K) or the steering vectors (N or M x K x P) of one setup."""
+    (S x K x K), the steering vectors (N or M x K x P) or the downlink
+    estimates (S x K x M) of one setup."""
     k, s, p = cfg.num_users, len(cfg.snr_db), cfg.paths_per_user
-    return max(k * max(s * max(n, k), p * (m if _reads_down(cfg) else n))
+    return max(k * max(s * max(n, k),
+                       max(p, s) * m if _reads_down(cfg) else p * n)
                for _, m, n in setups)
 
 

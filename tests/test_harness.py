@@ -343,6 +343,13 @@ def test_fixed_selections_built_once_per_setup_and_chunk(monkeypatch):
                                  + ["successive"] * chunks)
 
 
+def test_chunk_budget_counts_the_downlink_estimates():
+    # a transfer-nmse trial stacks S x K x M downlink estimates, more
+    # entries than its pilots (S x N x K) or steering vectors (M x K x P)
+    cfg = tiny("transfer-nmse", snr_db=(0.0, 10.0, 20.0))
+    assert harness._trial_entries(cfg, harness._setups(cfg)) == 3 * 4 * 64
+
+
 # ------------------------------------------------------------ experiments
 
 
