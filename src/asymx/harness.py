@@ -261,9 +261,8 @@ def _system_se(cfg: ExperimentConfig, down_est: np.ndarray,
     The slices are grouped by their active users, and each group is
     precoded and scored in one stacked call.
     """
-    trials, snrs, users, m = down_est.shape
-    est = down_est.reshape(trials * snrs, users, m)
-    active = np.linalg.norm(est, axis=-1) > 0.0
+    trials, snrs, users, _ = down_est.shape
+    active = np.linalg.norm(down_est, axis=-1).reshape(-1, users) > 0.0
     patterns, group = np.unique(active, axis=0, return_inverse=True)
     precode = zf_precoder if cfg.precoder == "zf" else mrt_precoder
     system_se = np.zeros(trials * snrs)
@@ -271,9 +270,10 @@ def _system_se(cfg: ExperimentConfig, down_est: np.ndarray,
         if not pattern.any():
             continue
         slices, on = np.flatnonzero(group == index), np.flatnonzero(pattern)
+        trial, snr = np.divmod(slices, snrs)
         _, system_se[slices] = downlink_se(
-            h_down[np.ix_(slices // snrs, on)],
-            precode(est[np.ix_(slices, on)]), power[slices % snrs])
+            h_down[trial[:, None], on],
+            precode(down_est[trial[:, None], snr[:, None], on]), power[snr])
     return system_se.reshape(trials, snrs)
 
 
