@@ -91,7 +91,8 @@ _SNR_LOSS_THETAS_DEG = (51.315, 54.285)
 # work of the Monte Carlo pipeline, may hold; a chunk takes as many trials
 # as fit, at least one.  se_uplink.cfg gets 8 trials a chunk, where longer
 # chunks bought no more speed; ee.cfg gets 2, as its M-antenna full digital
-# setup stacks the largest pilots, and longer chunks there cost memory.
+# setup stacks the largest pilots, and longer chunks there cost memory;
+# transfer_nmse.cfg gets 1, as it stacks nine SNRs' downlink estimates.
 _CHUNK_ENTRIES = 20_000
 
 
@@ -205,7 +206,8 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     theta1, theta2 = (np.deg2rad(t) for t in _SNR_LOSS_THETAS_DEG)
     w_mid = 0.5 * (np.sin(theta1) + np.sin(theta2))
     # the first grid of every composite-angle scan and the window of every
-    # peak count read no phase, so each phase matrix is built once
+    # peak count do not depend on the swept phase, so each phase matrix is
+    # built once
     coarse = _scan_phases(sel, geometry)
     window = _scan_phases(sel, geometry, w_mid)
     rows = []
