@@ -5,7 +5,11 @@ text that ``asymx.run`` wrote for that bundled recipe at 2 trials and its
 own master seed, for the five Monte Carlo recipes x estimator {ls, lmmse,
 perfect} x detector {zf, mrc}.  Keys ``<recipe>|<field>=<value>`` hold a
 recipe with one field overridden: the beam pattern and the SNR loss on
-reduced grids, and the downlink SE under MRT precoding.  Every cell is a
+reduced grids, the downlink SE under MRT precoding, and three recipes at
+9 trials.  A 2-trial mean cannot show a change of summation order; at 9
+trials a chunk split falls inside the run, ``ee.cfg`` groups its slices
+into several precoding blocks, and the one-column cells of the two SE
+recipes take NumPy's pairwise summation over trials.  Every cell is a
 pure function of (config, master seed), so a refactor or speedup must
 write these bytes again; a failure names the first row that differs.
 
@@ -33,6 +37,9 @@ CASES = [
     "snr_loss.cfg|phase_points=9",
     "snr_loss.cfg|phase_points=65",
     "se_downlink.cfg|precoder=mrt",
+    "ee.cfg|trials=9",
+    "se_downlink.cfg|trials=9",
+    "se_uplink.cfg|trials=9",
 ] + [f"{recipe}|{estimator}|{detector}" for recipe, estimator, detector
      in product(RECIPES, ESTIMATORS, DETECTORS)]
 
