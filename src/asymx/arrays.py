@@ -21,6 +21,12 @@ import numpy as np
 SELECTION_KINDS = ("successive", "comb", "random")
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer, and not a bool: ``True`` passes
+    ``isinstance(value, Integral)``, but is never meant as a count of 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AntennaSelection:
     """Subset of transmit-array elements wired to receive chains.
@@ -144,8 +150,7 @@ def angular_resolution(kind: str, num_transmit: int, num_receive: int) -> float:
 
 
 def _check_counts(num_transmit: int, num_receive: int) -> None:
-    if not (isinstance(num_transmit, Integral)
-            and isinstance(num_receive, Integral)):
+    if not (_is_count(num_transmit) and _is_count(num_receive)):
         raise ValueError("antenna counts must be integers")
     if num_transmit < 1 or num_receive < 1:
         raise ValueError("antenna counts must be positive")

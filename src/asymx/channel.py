@@ -20,11 +20,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .arrays import AntennaSelection
+from .arrays import AntennaSelection, _is_count
 
 # Gram condition number above which zero forcing takes the shared-beam
 # rule: six decades above any Gram the bundled recipes build, and far below
@@ -41,8 +40,7 @@ class ArrayGeometry:
     spacing: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.num_transmit, Integral)
-                and self.num_transmit >= 1):
+        if not (_is_count(self.num_transmit) and self.num_transmit >= 1):
             raise ValueError("num_transmit must be a positive integer")
         if not 0.0 < self.spacing < np.inf:
             raise ValueError("element spacing must be positive and finite")

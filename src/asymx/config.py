@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .arrays import SELECTION_KINDS
+from .arrays import SELECTION_KINDS, _is_count
 from .transfer import _OVERSAMPLING, TransferConfig
 
 EXPERIMENTS = (
@@ -113,8 +112,7 @@ class ExperimentConfig:
             _require(kind is not float
                      or all(v is None or math.isfinite(v) for v in values),
                      name, "must be finite")
-            _require(kind is not int
-                     or all(isinstance(v, Integral) for v in values),
+            _require(kind is not int or all(_is_count(v) for v in values),
                      name, "must be an integer")
             _require(kind is not bool
                      or all(isinstance(v, (bool, np.bool_)) for v in values),

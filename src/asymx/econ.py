@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+
+from .arrays import _is_count
 
 # 28 GHz testbed reference numbers: (USD, W) per part.
 _PRICES = {
@@ -76,7 +77,7 @@ class Architecture:
         if self.kind not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.kind!r}")
         counts = (self.num_transmit, self.num_receive)
-        if not all(isinstance(c, Integral) and c >= 1 for c in counts):
+        if not all(_is_count(c) and c >= 1 for c in counts):
             raise ValueError("antenna counts must be positive integers")
         if self.num_receive > self.num_transmit:
             raise ValueError("num_receive cannot exceed num_transmit")

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .arrays import AntennaSelection
+from .arrays import AntennaSelection, _is_count
 from .channel import ArrayGeometry, _phase_slope, steering_downlink
 # Unused here, but benchmarks/tracer.py wraps asymx.transfer.steering_masked.
 from .channel import steering_masked  # noqa: F401
@@ -65,7 +64,7 @@ class TransferConfig:
     def __post_init__(self) -> None:
         for name in ("oversampling", "newton_rounds", "cyclic_rounds",
                      "max_paths"):
-            if not isinstance(getattr(self, name), Integral):
+            if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if self.oversampling < 1:
             raise ValueError("oversampling factor must be >= 1")

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .arrays import (
     AntennaSelection,
     _broadside_phases,
+    _is_count,
     select_comb,
     select_random,
     select_successive,
@@ -78,8 +78,7 @@ class SnrLossInputs:
     d_over_lambda: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.num_receive, Integral)
-                and self.num_receive >= 1):
+        if not (_is_count(self.num_receive) and self.num_receive >= 1):
             raise ValueError("num_receive must be a positive integer")
         if not (np.all(np.isfinite(astuple(self))) and self.d_over_lambda > 0):
             raise ValueError("angles, phases and spacing must be finite, "

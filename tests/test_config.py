@@ -1,13 +1,15 @@
 """Recipe text: parsing, includes, and round trips through ExperimentConfig."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymx.arrays import SELECTION_KINDS
+from asymx.arrays import SELECTION_KINDS, select_successive
+from asymx.channel import ArrayGeometry
 from asymx.cli import main as cli_main
 from asymx.config import (
     _CHOICES,
@@ -21,6 +23,9 @@ from asymx.config import (
     load_config_values,
     parse_config_text,
 )
+from asymx.econ import Architecture
+from asymx.transfer import TransferConfig
+from asymx.uplink import SnrLossInputs
 
 
 def recipe_text(cfg: ExperimentConfig) -> str:
@@ -269,6 +274,36 @@ def test_non_integral_counts_rejected(fieldname, value):
     value = ((np.int64(16), np.int32(8)) if fieldname == "num_receive"
              else np.int64(int(value)))
     ExperimentConfig("transfer-nmse", **{fieldname: value})
+
+
+def _bool_count_cases():
+    for name, (kind, is_list, _) in _FIELDS.items():
+        if kind is int:
+            value = (True,) if is_list else True
+            yield pytest.param(
+                partial(ExperimentConfig, "se", **{name: value}),
+                rf"config\.{name}: must be an integer", id=f"config.{name}")
+    for name in ("oversampling", "newton_rounds", "cyclic_rounds",
+                 "max_paths"):
+        yield pytest.param(
+            partial(TransferConfig, **{"oversampling": 4, "threshold": 1.0,
+                                       name: True}),
+            f"{name} must be an integer", id=f"TransferConfig.{name}")
+    yield pytest.param(partial(ArrayGeometry, True), "positive integer",
+                       id="ArrayGeometry")
+    yield pytest.param(partial(select_successive, 16, True),
+                       "must be integers", id="select_successive")
+    yield pytest.param(partial(Architecture, "adbn", 16, True),
+                       "positive integers", id="Architecture")
+    yield pytest.param(partial(SnrLossInputs, 0.1, 0.3, 0.2, 0.0, 0.0, True),
+                       "positive integer", id="SnrLossInputs")
+
+
+@pytest.mark.parametrize("build, message", _bool_count_cases())
+def test_bool_refused_as_a_count(build, message):
+    # True passes isinstance(value, Integral), so it used to count as 1
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("fieldname, value", [
