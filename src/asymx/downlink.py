@@ -6,7 +6,10 @@ Every function here also takes a stack: leading axes index slices, such as
 the (trial, SNR) slices of one chunk, and each slice of a stacked call
 holds the same numbers as its own one-slice call.  Ergodic averages live
 in the harness, which pairs each slice's precoder with the same trial's
-true channel.
+true channel and precodes a system's slices in blocks sized to its chunk
+budget, so the size of a stack here is the caller's to bound.  Zero rows
+are found by their squared norm, which allocates nothing of the stack's
+size, and the precoders scale fresh beams in place.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ def mrt_precoder(channel_est: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(h, axis=-1)
     if np.any(norms == 0):
         raise ValueError("MRT undefined for a zero channel row")
-    return (h.conj() / norms[..., None]).swapaxes(-1, -2)
+    beams = h.conj()
+    beams /= norms[..., None]
+    return beams.swapaxes(-1, -2)
 
 
 def zf_precoder(channel_est: np.ndarray) -> np.ndarray:
@@ -37,14 +42,15 @@ def zf_precoder(channel_est: np.ndarray) -> np.ndarray:
     such users cannot be separated, and they share a beam.
     """
     h = _downlink_data(channel_est)
-    if np.any(np.linalg.norm(h, axis=-1) == 0):
+    if np.any(np.vecdot(h, h).real == 0):
         raise ValueError("ZF undefined for a zero channel row")
     h_herm = h.conj().swapaxes(-1, -2)
-    raw = h_herm @ _gram_inverse(h @ h_herm)
-    norms = np.linalg.norm(raw, axis=-2)
+    beams = h_herm @ _gram_inverse(h @ h_herm)
+    norms = np.linalg.norm(beams, axis=-2)
     if np.any(norms == 0):
         raise ValueError("ZF produced a zero beam; channel is degenerate")
-    return raw / norms[..., None, :]
+    beams /= norms[..., None, :]
+    return beams
 
 
 def downlink_sinr(

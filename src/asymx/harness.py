@@ -9,9 +9,10 @@ and SNRs in one call each; setups of one array size share one M-element
 downlink.  Transfers stay one call per trial, SNR and user, as the
 benchmark's tracer reads one scalar result per transfer call.  Their
 estimates are stacked, so the NMSE of a setup and algorithm is one call,
-and a downlink system precodes and scores its (trial, SNR) slices in one
-call per pattern of active users.  Each trial's one draw is reduced to
-every cell, so cells are paired.
+and a downlink system groups its (trial, SNR) slices by their active
+users and precodes and scores each group in blocks of slices sized to a
+quarter of the chunk budget.  Each trial's one draw is reduced to every
+cell, so cells are paired.
 
 Every stream is a PCG64 generator seeded by a SeedSequence of the key
 ``(master_seed, trial, tag, index)``, of fixed length, whose tag names the
@@ -93,6 +94,9 @@ _SNR_LOSS_THETAS_DEG = (51.315, 54.285)
 # chunks bought no more speed; ee.cfg gets 2, as its M-antenna full digital
 # setup stacks the largest pilots, and longer chunks there cost memory;
 # transfer_nmse.cfg gets 1, as it stacks nine SNRs' downlink estimates.
+# A downlink system precodes a block of slices whose gathered estimates
+# hold at most a quarter of this, at least one slice (3 on ee.cfg), as
+# zero forcing holds several temporaries of that size at once.
 _CHUNK_ENTRIES = 20_000
 
 
@@ -261,21 +265,26 @@ def _system_se(cfg: ExperimentConfig, down_est: np.ndarray,
     A user whose estimate fell below the transfer threshold (a zero row)
     gets no beam and zero rate, and a slice with no user left scores 0.
     The slices are grouped by their active users, and each group is
-    precoded and scored in one stacked call.
+    precoded and scored in stacked calls over blocks of its slices, whose
+    gathered estimates hold at most a quarter of ``_CHUNK_ENTRIES``.
     """
-    trials, snrs, users, _ = down_est.shape
-    active = np.linalg.norm(down_est, axis=-1).reshape(-1, users) > 0.0
+    trials, snrs, users, m = down_est.shape
+    active = np.vecdot(down_est, down_est).real.reshape(-1, users) > 0.0
     patterns, group = np.unique(active, axis=0, return_inverse=True)
     precode = zf_precoder if cfg.precoder == "zf" else mrt_precoder
     system_se = np.zeros(trials * snrs)
     for index, pattern in enumerate(patterns):
         if not pattern.any():
             continue
-        slices, on = np.flatnonzero(group == index), np.flatnonzero(pattern)
-        trial, snr = np.divmod(slices, snrs)
-        _, system_se[slices] = downlink_se(
-            h_down[trial[:, None], on],
-            precode(down_est[trial[:, None], snr[:, None], on]), power[snr])
+        members, on = np.flatnonzero(group == index), np.flatnonzero(pattern)
+        block = max(1, _CHUNK_ENTRIES // (4 * len(on) * m))
+        for start in range(0, len(members), block):
+            slices = members[start:start + block]
+            trial, snr = np.divmod(slices, snrs)
+            _, system_se[slices] = downlink_se(
+                h_down[trial[:, None], on],
+                precode(down_est[trial[:, None], snr[:, None], on]),
+                power[snr])
     return system_se.reshape(trials, snrs)
 
 
@@ -408,6 +417,8 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
                 # full digital: the uplink estimate is the downlink one
                 down_est = ests.swapaxes(-1, -2)
             system_se = _system_se(cfg, down_est, h_down, pilots.power)
+            # freed now, not when the next setup has built its estimates
+            del down_est
             for out, ups, row in zip(samples, se_up, system_se.tolist()):
                 for snr, up, se in zip(cfg.snr_db, ups, row):
                     out[snr, system] = up + (se,)

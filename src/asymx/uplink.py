@@ -158,8 +158,8 @@ def estimate_lmmse(received: np.ndarray, pilots: PilotBlock) -> np.ndarray:
     """
     ls = estimate_ls(received, pilots)
     rho = np.asarray(pilots.power)[..., None, None]
-    shrink = 1.0 / ((1.0 / ls.shape[-2]) * (1.0 / rho) + 1.0)
-    return ls * shrink
+    ls *= 1.0 / ((1.0 / ls.shape[-2]) * (1.0 / rho) + 1.0)
+    return ls
 
 
 def uplink_sinr(

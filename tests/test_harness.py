@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -720,6 +721,72 @@ def test_system_se_scores_each_slice_on_its_active_users(precoder):
                 float(power[snr]))[1]
             assert np.array_equal(system_se[trial, snr], expected)
     assert system_se[2, 1] == 0.0
+
+
+@pytest.mark.parametrize("precoder", ("zf", "mrt"))
+def test_system_se_blocks_equal_one_call_per_group(monkeypatch, precoder):
+    # a group precodes its slices in blocks whose gathered estimates hold
+    # at most a quarter of the chunk budget; blocks of any size must give
+    # the bits of one call per group
+    rng = np.random.default_rng(5)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    trials, snrs, users, m = 4, 3, 4, 16
+    h_down = gaussian(trials, users, m)
+    est = h_down[:, None] + 0.3 * gaussian(trials, snrs, users, m)
+    est[0, 1, 2] = est[3, 0, 2] = est[3, 2, 2] = 0.0  # a 3-user group
+    est[1, 2, 1:] = 0.0  # one user left
+    est[2, 0] = 0.0  # no user left
+    power = np.array([0.5, 4.0, 20.0])
+    cfg = tiny("se", link="downlink", precoder=precoder)
+    name = f"{precoder}_precoder"
+    original = getattr(harness, name)
+    calls = []
+
+    def recording(channel_est):
+        calls.append(channel_est.shape[:-2])
+        return original(channel_est)
+
+    monkeypatch.setattr(harness, name, recording)
+    whole = harness._system_se(cfg, est, h_down, power)
+    # the 4-user group's 7 slices, the 3-user group's 3, the 1-user slice
+    assert sorted(calls) == [(1,), (3,), (7,)]
+    # blocks of 2 slices of 4 users: 7 = 2+2+2+1 and 3 = 2+1, and the
+    # 1-user slice alone; then one slice a block
+    for entries, want in ((2 * 4 * users * m, [(1,)] * 3 + [(2,)] * 4),
+                          (1, [(1,)] * 11)):
+        calls.clear()
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", entries)
+        assert np.array_equal(harness._system_se(cfg, est, h_down, power),
+                              whole)
+        assert sorted(calls) == want
+    assert whole[2, 0] == 0.0
+
+
+def test_ee_working_set_stays_within_four_chunk_budgets():
+    # a chunk's stacks hold at most _CHUNK_ENTRIES complex entries, and
+    # a precoding block a quarter of them; zero forcing a whole system's
+    # estimates at once would hold about 6 budgets
+    values = load_config_values(resolve_config("ee.cfg"))
+    values.update(trials="4", workers="1")
+    cfg = config_from_values(values)
+    setups = harness._setups(cfg)
+    assert harness._CHUNK_ENTRIES // harness._trial_entries(cfg, setups) == 2
+    run(cfg)  # what the first run caches is not working set
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 4 * harness._CHUNK_ENTRIES * 16, f"{peak / 1024:.0f} KiB"
 
 
 def test_downlink_built_once_per_chunk_and_array_size(monkeypatch):
