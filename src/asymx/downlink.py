@@ -7,9 +7,9 @@ the (trial, SNR) slices of one chunk, and each slice of a stacked call
 holds the same numbers as its own one-slice call.  Ergodic averages live
 in the harness, which pairs each slice's precoder with the same trial's
 true channel and precodes a system's slices in blocks sized to its chunk
-budget, so the size of a stack here is the caller's to bound.  Zero rows
-are found by their squared norm, which allocates nothing of the stack's
-size, and the precoders scale fresh beams in place.
+budget, so the size of a stack here is the caller's to bound.  ZF finds
+zero rows by their squared norm, which allocates nothing of the stack's
+size, and both precoders scale their fresh beams in place.
 """
 
 from __future__ import annotations
