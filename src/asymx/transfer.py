@@ -13,10 +13,12 @@ path parameters from the uplink estimate.  Two estimators are provided:
   spatial frequency, cyclic re-refinement of all paths, and a regularized
   least-squares gain re-fit per iteration.
 
-Both work on N-element vectors.  Selected element a_n carries the steering
-entry exp(-j*2*pi*(d/lambda)*(a_n - 1)*w) / sqrt(N), and each w-derivative
-multiplies it by the fixed phase slope -j*2*pi*(d/lambda)*(a_n - 1), which
-``asymx.channel`` owns, so the Newton algebra needs no other element.  Only
+Both work on N-element vectors.  Selected element a_n carries the phase
+slope p_n = -j*2*pi*(d/lambda)*(a_n - 1), which ``asymx.channel`` owns.
+mNOMP works with the unnormalised steering e_n(w) = exp(p_n * w), of unit
+modulus: a path of gain g contributes g * e(w) = sqrt(N) g a_S(w), each
+w-derivative multiplies e by p, and the Newton curvature needs only the
+per-call sum of |p_n|^2, so the algebra needs no other element.  Only
 ``spatial_matched_filter`` scatters an N-vector onto the M-element aperture:
 one zero-padded FFT scores every oversampled bin.  The entries repeat in w
 with period 1/d, so bins and Newton steps land on [-1/(2d), 1/(2d)), which
@@ -222,12 +224,18 @@ def mnomp_transfer(
     found so far (``cyclic_rounds`` passes), then re-fit all gains jointly
     with a ridge least squares and recompute the residual.  Stops when the
     residual energy falls below the threshold or max_paths is hit.
+
+    A path of gain g at w contributes g * e(w), with the unnormalised
+    steering e(w) = exp(p * w) = sqrt(N) a_S(w) and |e_n| = 1.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
-    # a Python float: NumPy multiplies arrays and scalars by it faster than
-    # by an np.float64, and it rounds the same
-    root_n = float(np.sqrt(selection.num_receive))
     pos = _phase_slope(geometry, selection.indices)
+    slopes = np.stack((pos, pos * pos))
+    slope_energy = float(np.vdot(pos, pos).real)
+    period = 1.0 / geometry.spacing
+    # the basis E has columns e(w_i), N times the Gram of the unit-norm
+    # a_S(w_i), so (E^H E + N lambda I) g = E^H h is the ridge of a_S
+    ridge = selection.num_receive * config.regularizer
 
     gains: list[complex] = []
     freqs: list[float] = []
@@ -241,12 +249,13 @@ def mnomp_transfer(
                                         config.oversampling)
         best = int(np.argmax(np.abs(scores)))  # ties go to the lower bin
         w0 = bin_to_spatial_freq(best, scores.size, geometry.spacing)
-        gain0 = np.conj(scores[best])  # scores live in the conjugate domain
-        steer0 = _steer(pos, w0, root_n)
-        residual = residual - root_n * gain0 * steer0
+        # scores live in the conjugate domain
+        gain0 = complex(scores[best]).conjugate()
+        steer0 = np.exp(pos * w0)
+        residual = residual - gain0 * steer0
         gain, w, steer, residual = _refine(
-            residual, gain0, w0, steer0, pos, root_n, config.newton_rounds,
-            geometry.spacing,
+            residual, gain0, w0, steer0, pos, slopes, slope_energy,
+            config.newton_rounds, period,
         )
         gains.append(gain)
         freqs.append(w)
@@ -255,22 +264,16 @@ def mnomp_transfer(
         for _ in range(config.cyclic_rounds):
             for i in range(len(gains)):
                 gains[i], freqs[i], steers[i], residual = _refine(
-                    residual,
-                    gains[i],
-                    freqs[i],
-                    steers[i],
-                    pos,
-                    root_n,
-                    config.newton_rounds,
-                    geometry.spacing,
+                    residual, gains[i], freqs[i], steers[i], pos, slopes,
+                    slope_energy, config.newton_rounds, period,
                 )
 
         basis = np.stack(steers, axis=1)
         adjoint = basis.conj().T
-        gram = adjoint @ basis + config.regularizer * np.eye(len(gains))
-        refit = np.linalg.solve(gram, adjoint @ h_up) / root_n
-        gains = list(refit)
-        residual = h_up - root_n * (basis @ refit)
+        gram = adjoint @ basis + ridge * np.eye(len(gains))
+        refit = np.linalg.solve(gram, adjoint @ h_up)
+        gains = refit.tolist()
+        residual = h_up - basis @ refit
         energy = float(np.vdot(residual, residual).real)
 
     freqs_arr = np.asarray(freqs, dtype=float)
@@ -289,32 +292,26 @@ def mnomp_transfer(
     )
 
 
-def _steer(pos: np.ndarray, w: float, root_n: float) -> np.ndarray:
-    """N-element steering vector; the same bits as ``steering_uplink``."""
-    return np.exp(pos * w) / root_n
-
-
-def _derivatives(
+def _path_derivatives(
     resid: np.ndarray,
     gain: complex,
     steer: np.ndarray,
-    pos: np.ndarray,
-    root_n: float,
+    slopes: np.ndarray,
+    slope_energy: float,
 ) -> tuple[float, float]:
-    """dJ/dw and d2J/dw2 of J(w) = ||y - sqrt(N) g a_S(w)||^2, on N entries.
+    """dJ/dw and d2J/dw2 of J(w) = ||y - g e(w)||^2, on N entries.
 
-    ``resid`` is y - sqrt(N) g a_S(w) and ``steer`` is a_S(w).  Both come
-    back as ``np.float64``.
+    ``resid`` is y - g e(w), ``steer`` is e(w) = exp(p * w), ``slopes`` the
+    stack [p, p^2] and ``slope_energy`` sum |p_n|^2.  With s_k the
+    correlation of the residual with p^k e, dJ/dw = -2 Re(g s_1) and
+    d2J/dw2 = -2 Re(g s_2) + 2 |g|^2 sum |p_n|^2, as |e_n| = 1.  ``gain``
+    is a Python complex; both come back as Python floats.
     """
-    vdot = np.vdot
-    d_steer = pos * steer
-    dd_steer = pos * d_steer
-    scale = -2.0 * root_n
-    d1 = scale * (gain * vdot(resid, d_steer)).real
-    d2 = scale * (gain * vdot(resid, dd_steer)).real
-    d2 += 2.0 * steer.size * (
-        np.abs(gain) ** 2 * vdot(d_steer, d_steer).real
-    )
+    s1, s2 = np.vecdot(resid, slopes * steer).tolist()
+    d1 = -2.0 * (gain * s1).real
+    d2 = (-2.0 * (gain * s2).real
+          + 2.0 * (gain.real * gain.real + gain.imag * gain.imag)
+          * slope_energy)
     return d1, d2
 
 
@@ -324,66 +321,53 @@ def _refine(
     w: float,
     steer: np.ndarray,
     pos: np.ndarray,
-    root_n: float,
+    slopes: np.ndarray,
+    slope_energy: float,
     rounds: int,
-    spacing: float,
+    period: float,
 ) -> tuple[complex, float, np.ndarray, np.ndarray]:
     """Refine one path against the data with all other paths removed.
 
-    ``residual`` excludes this path's contribution; it is re-added to form
-    the single-path observation, then each round takes a Newton step in w
-    followed by a least-squares gain re-fit.  A step is committed only when
-    the curvature is positive and the fit error does not grow; the first
-    rejected step ends the refinement.  ``steer`` is a_S(w).  Returns the
-    updated (gain, w, steer) and the residual with the refined path removed
-    again; an accepted trial's residual and energy are carried into the
-    next round, which would recompute the same values.  A step lands on
-    the steering period [-1/(2d), 1/(2d)) of element spacing ``spacing``.
+    ``residual`` excludes this path's contribution g * e(w), ``steer`` is
+    e(w) = exp(p * w) with p = ``pos``; the path is re-added to form the
+    single-path observation y.  Each round takes a Newton step in w from
+    ``_path_derivatives`` followed by the least-squares gain
+    g' = vdot(e', y) / N, exact since |e'|^2 = N.  A step is committed only
+    when the curvature is positive and the fit error does not grow; the
+    first rejected step ends the refinement.  Returns the updated
+    (gain, w, steer) and the residual with the refined path removed again.
+    A step lands on the steering period [-P/2, P/2), P = ``period`` = 1/d.
 
-    The operations of one call, in order, with p = ``pos``, s = ``steer``,
-    g = ``gain``, R = ``root_n`` and P = 1/``spacing``; a kernel that must
-    reproduce these bits keeps every grouping::
+    One round is 8 NumPy calls::
 
-        y  = residual + (R * g) * s;  r = y - (R * g) * s;  v = |r|^2
-        each round:
-          ds = p * s;  dds = p * ds                     # in _derivatives
-          d1 = (-2.0 * R) * (g * vdot(r, ds)).real
-          d2 = (-2.0 * R) * (g * vdot(r, dds)).real
-          d2 += (2.0 * N) * (np.abs(g) ** 2 * vdot(ds, ds).real)
-          stop if d2 <= 0
-          w' = (w - d1 / d2 + 0.5 * P) % P - 0.5 * P
-          s' = exp(p * w') / R                          # _steer
-          g' = complex(vdot(s', y) / (R * vdot(s', s').real))
-          r' = y - (R * g') * s';  v' = vdot(r', r').real
-          stop if v' > v, else (g, w, s, r, v) = (g', w', s', r', v')
+        s1, s2 = vecdot(r, [p, p^2] * e)          # 2
+        d1 = -2 Re(g s1);  d2 = -2 Re(g s2) + 2 |g|^2 sum |p_n|^2
+        stop if d2 <= 0
+        w' = (w - d1 / d2 + P/2) % P - P/2
+        e' = exp(p * w');  g' = vdot(e', y) / N   # 3
+        r' = y - g' e';  stop if |r'|^2 > |r|^2   # 3
 
-    |r|^2 is ``vdot(r, r).real``.  ``np.abs`` is NumPy's complex magnitude
-    (the array form agrees; Python's ``abs`` differs in about 3 of 10
-    draws), and ``** 2`` on its ``np.float64`` is libm ``pow``, which
-    differs from ``a * a`` or an array's ``** 2`` in about 1 of 1200
-    draws.  Scalars stay NumPy scalars: an accepted w is an ``np.float64``
-    and the re-fitted gain a Python ``complex``.
+    The kernel fixture holds the result to the same greedy decisions and
+    rtol 1e-9, not to the bits of any one grouping of these operations.
     """
     vdot = np.vdot
-    period = 1.0 / spacing
     half = 0.5 * period
-    path = root_n * gain * steer
-    observation = residual + path
-    resid = observation - path
-    value = vdot(resid, resid).real
+    num_receive = steer.size
+    observation = residual + gain * steer
+    value = vdot(residual, residual).real
     for _ in range(rounds):
-        d1, d2 = _derivatives(resid, gain, steer, pos, root_n)
+        d1, d2 = _path_derivatives(residual, gain, steer, slopes,
+                                   slope_energy)
         if d2 <= 0.0:
             break
         w_new = (w - d1 / d2 + half) % period - half
-        steer_new = _steer(pos, w_new, root_n)
-        norm_sq = vdot(steer_new, steer_new).real
-        gain_new = complex(vdot(steer_new, observation) / (root_n * norm_sq))
-        trial = observation - root_n * gain_new * steer_new
+        steer_new = np.exp(pos * w_new)
+        gain_new = complex(vdot(steer_new, observation)) / num_receive
+        trial = observation - gain_new * steer_new
         trial_value = vdot(trial, trial).real
         if trial_value > value:
             break
-        gain, w, steer, resid, value = (
+        gain, w, steer, residual, value = (
             gain_new, w_new, steer_new, trial, trial_value
         )
-    return gain, w, steer, resid
+    return gain, w, steer, residual

@@ -198,7 +198,8 @@ def uplink_sinr(
     cross = np.abs(combiner.conj().swapaxes(-1, -2) @ h) ** 2
     signal = np.diagonal(cross, axis1=-2, axis2=-1)
     interference = cross.sum(axis=-1) - signal
-    norms = np.sum(np.abs(combiner) ** 2, axis=-2)
+    # ||v_k||^2 without two (..., N, K) float temporaries
+    norms = np.vecdot(combiner, combiner, axis=-2).real
     rho = rho[..., None]
     return rho * signal / (rho * interference + norms)
 

@@ -52,7 +52,7 @@ from asymx import (
     uplink_channel,
 )
 from asymx.channel import _phase_slope
-from asymx.transfer import _derivatives
+from asymx.transfer import _path_derivatives
 
 EXPECTED_COST = {"adbn": 52432, "dbm": 124672, "hbfn": 382208, "hbsn": 55808}
 
@@ -229,13 +229,15 @@ def test_criterion_08_matched_filter_and_derivatives():
                     np.arcsin(np.array([-0.31, 0.47])))
     obs = uplink_channel(paths, sel, geom)
     pos, root_n = _phase_slope(geom, sel.indices), np.sqrt(sel.num_receive)
+    slopes, slope_energy = np.stack((pos, pos * pos)), np.vdot(pos, pos).real
 
     def objective(gain, w):
-        # J(w) = ||y - sqrt(N) g a_S(w)||^2 and its two w-derivatives
-        steer = steering_uplink(sel, geom, w)
-        resid = obs - root_n * gain * steer
+        # J(w) = ||y - g e(w)||^2, e(w) = sqrt(N) a_S(w), and its two
+        # w-derivatives
+        steer = root_n * steering_uplink(sel, geom, w)
+        resid = obs - gain * steer
         return (float(np.vdot(resid, resid).real),
-                *_derivatives(resid, gain, steer, pos, root_n))
+                *_path_derivatives(resid, gain, steer, slopes, slope_energy))
 
     # the curvature check differences the analytic slope: a plain second
     # difference of the objective loses half the mantissa to roundoff

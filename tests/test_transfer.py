@@ -16,7 +16,7 @@ from asymx.channel import (
 from asymx.downlink import nmse
 from asymx.transfer import (
     TransferConfig,
-    _derivatives,
+    _path_derivatives,
     _refine,
     bin_to_spatial_freq,
     default_threshold,
@@ -29,6 +29,7 @@ from asymx.uplink import make_selection
 
 M, N = 128, 32
 GEOM = ArrayGeometry(M)
+SPACINGS = (0.25, 0.4, 0.5, 0.75, 1.0)
 
 
 def pinned_random(seed):
@@ -53,22 +54,29 @@ def channel_pair(paths, sel):
     return uplink_channel(paths, sel, GEOM), downlink_channel(paths, GEOM)
 
 
+def slope_terms(sel, geom=GEOM):
+    """(p, [p, p^2], sum |p_n|^2) of a selection, as ``mnomp_transfer``."""
+    pos = _phase_slope(geom, sel.indices)
+    return pos, np.stack((pos, pos * pos)), float(np.vdot(pos, pos).real)
+
+
 def objective(obs, gain, w, sel):
-    """J(w) = ||y - sqrt(N) g a_S(w)||^2 and its first two w-derivatives."""
-    steer = steering_uplink(sel, GEOM, w)
-    resid = obs - np.sqrt(N) * gain * steer
-    d1, d2 = _derivatives(resid, gain, steer, _phase_slope(GEOM, sel.indices),
-                          np.sqrt(N))
+    """J(w) = ||y - g e(w)||^2, e(w) = sqrt(N) a_S(w), and its first two
+    w-derivatives."""
+    steer = np.sqrt(N) * steering_uplink(sel, GEOM, w)
+    resid = obs - gain * steer
+    _, slopes, slope_energy = slope_terms(sel)
+    d1, d2 = _path_derivatives(resid, gain, steer, slopes, slope_energy)
     return float(np.vdot(resid, resid).real), d1, d2
 
 
-def refine(residual, gain, w, sel, rounds):
+def refine(residual, gain, w, sel, rounds, geom=GEOM):
     """``_refine`` from (gain, w) alone: returns (gain, w, residual)."""
+    pos, slopes, slope_energy = slope_terms(sel, geom)
     gain, w, _, resid = _refine(residual, gain, w,
-                                steering_uplink(sel, GEOM, w),
-                                _phase_slope(GEOM, sel.indices), np.sqrt(N),
-                                rounds,
-                                GEOM.spacing)
+                                np.sqrt(N) * steering_uplink(sel, geom, w),
+                                pos, slopes, slope_energy, rounds,
+                                1.0 / geom.spacing)
     return gain, w, resid
 
 
@@ -285,22 +293,25 @@ def test_fit_error_vanishes_at_the_true_path():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 6))
+@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 6),
+       spacing=st.sampled_from(SPACINGS))
 # seeds whose least-squares start gets worse if a worse step is kept
-@example(seed=10, rounds=1)
-@example(seed=43, rounds=2)
-@example(seed=74, rounds=5)
-def test_refine_never_worsens_fit(seed, rounds):
+@example(seed=10, rounds=1, spacing=0.5)
+@example(seed=43, rounds=2, spacing=0.5)
+@example(seed=74, rounds=5, spacing=0.5)
+def test_refine_never_worsens_fit(seed, rounds, spacing):
+    geom = ArrayGeometry(M, spacing)
+    half = 0.5 / spacing
     rng = np.random.default_rng(seed)
     sel = make_selection("random", M, N, rng, pinned=True)
     paths = PathSet(
         (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2),
         rng.uniform(-np.pi / 3, np.pi / 3, 2),
     )
-    obs = uplink_channel(paths, sel, GEOM)
-    w0 = float(rng.uniform(-1.0, 1.0))
+    obs = uplink_channel(paths, sel, geom)
+    w0 = float(rng.uniform(-half, half))
     g0 = complex(rng.standard_normal(), rng.standard_normal())
-    a0 = steering_uplink(sel, GEOM, w0)
+    a0 = steering_uplink(sel, geom, w0)
     # the first trial's gain refit beats a random start gain whatever the
     # step does; only a start at the least-squares gain for w0 leaves the
     # acceptance test to judge the step itself
@@ -308,9 +319,9 @@ def test_refine_never_worsens_fit(seed, rounds):
     for g in (g0, g_ls):
         start = obs - np.sqrt(N) * g * a0
         before = float(np.vdot(start, start).real)
-        gain, w, after = refine(start, g, w0, sel, rounds)
+        gain, w, after = refine(start, g, w0, sel, rounds, geom)
         assert float(np.vdot(after, after).real) <= before + 1e-9
-        assert -1.0 <= w < 1.0
+        assert -half <= w < half
 
 
 def test_refine_polishes_single_path():
@@ -327,9 +338,24 @@ def test_refine_polishes_single_path():
     assert float(np.vdot(resid, resid).real) < 1e-8
 
 
-# ------------------------------------------------------- mNOMP end to end
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_refine_wraps_onto_the_period(spacing):
+    # a path just above -1/(2d), refined from just below 1/(2d): the steps
+    # cross the period's edge and must land back on [-1/(2d), 1/(2d))
+    geom = ArrayGeometry(M, spacing)
+    half = 0.5 / spacing
+    sel = pinned_random(11)
+    w_true, g_true = -half + 5e-4, 0.8 - 0.6j
+    obs = np.sqrt(N) * g_true * steering_uplink(sel, geom, w_true)
+    w0 = half - 5e-4
+    start = obs - np.sqrt(N) * g_true * steering_uplink(sel, geom, w0)
+    gain, w, resid = refine(start, g_true, w0, sel, 30, geom)
+    assert -half <= w < half
+    assert abs(w - w_true) < 1e-6
+    assert float(np.vdot(resid, resid).real) < 1e-8
 
-SPACINGS = (0.25, 0.4, 0.5, 0.75, 1.0)
+
+# ------------------------------------------------------- mNOMP end to end
 
 
 @settings(max_examples=80, deadline=None)
