@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -147,9 +147,17 @@ def steering_downlink(
     column for column the same numbers as one call per frequency; a K x P
     array gives M x K x P.
     """
-    slopes = _phase_slope(geometry, np.arange(1, geometry.num_transmit + 1))
-    return (np.exp(np.multiply.outer(slopes, w))
+    return (np.exp(np.multiply.outer(_downlink_slopes(geometry), w))
             / np.sqrt(geometry.num_transmit))
+
+
+@lru_cache(maxsize=8)
+def _downlink_slopes(geometry: ArrayGeometry) -> np.ndarray:
+    """Read-only phase slopes of all M elements, built once per geometry;
+    ``ArrayGeometry`` compares and hashes by its values."""
+    slopes = _phase_slope(geometry, np.arange(1, geometry.num_transmit + 1))
+    slopes.flags.writeable = False
+    return slopes
 
 
 def steering_uplink(

@@ -16,9 +16,13 @@ path parameters from the uplink estimate.  Two estimators are provided:
 Both work on N-element vectors.  Selected element a_n carries the phase
 slope p_n = -j*2*pi*(d/lambda)*(a_n - 1), which ``asymx.channel`` owns.
 mNOMP works with the unnormalised steering e_n(w) = exp(p_n * w), of unit
-modulus: a path of gain g contributes g * e(w) = sqrt(N) g a_S(w), each
-w-derivative multiplies e by p, and the Newton curvature needs only the
-per-call sum of |p_n|^2, so the algebra needs no other element.  Only
+modulus: a path of gain g contributes g * e(w) = sqrt(N) g a_S(w), and each
+w-derivative multiplies e by p.  A path is refined against its observation
+y, the residual with this path added back, through the three correlations
+u_k = sum_n conj(y_n) p_n^k e_n(w), k = 0, 1, 2: they give the
+least-squares gain, the fit error and both w-derivatives of the fit error,
+so a Newton round needs no residual.  p, [1, p, p^2] and the scatter
+offsets are built once per selection, not once per call.  Only
 ``spatial_matched_filter`` scatters an N-vector onto the M-element aperture:
 one zero-padded FFT scores every oversampled bin.  The entries repeat in w
 with period 1/d, so bins and Newton steps land on [-1/(2d), 1/(2d)), which
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +49,10 @@ from .channel import steering_masked  # noqa: F401
 # Spatial-spectrum oversampling of each algorithm, by its recipe name; the
 # keys are the algorithms a config may name.
 _OVERSAMPLING = {"dft": 8, "mnomp": 4}
+
+# Selections whose slope terms mNOMP keeps.  The harness transfers every
+# user and SNR of one trial's selection in a row, so a handful suffices.
+_SLOPE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -124,10 +133,17 @@ def spatial_matched_filter(
     h = np.asarray(h_up, dtype=complex)
     if h.shape != (selection.num_receive,):
         raise ValueError("estimate length must match the selection")
-    padded = np.zeros(selection.num_transmit, dtype=complex)
-    padded[selection.indices - 1] = np.conj(h)
-    return (np.fft.fft(padded, n=padded.size * oversampling)
-            / selection.num_receive)
+    return _matched_filter(h, selection.indices - 1, selection.num_transmit,
+                           oversampling)
+
+
+def _matched_filter(h: np.ndarray, offsets: np.ndarray, num_transmit: int,
+                    oversampling: int) -> np.ndarray:
+    """``spatial_matched_filter`` of a checked N-vector ``h`` scattered to
+    the 0-based aperture ``offsets``."""
+    padded = np.zeros(num_transmit, dtype=complex)
+    padded[offsets] = np.conj(h)
+    return np.fft.fft(padded, n=num_transmit * oversampling) / h.size
 
 
 def bin_to_spatial_freq(
@@ -229,13 +245,15 @@ def mnomp_transfer(
     steering e(w) = exp(p * w) = sqrt(N) a_S(w) and |e_n| = 1.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
-    pos = _phase_slope(geometry, selection.indices)
-    slopes = np.stack((pos, pos * pos))
-    slope_energy = float(np.vdot(pos, pos).real)
+    if h_up.shape != (selection.num_receive,):
+        raise ValueError("estimate length must match the selection")
+    offsets, pos, weights = _slope_terms(selection.indices.tobytes(),
+                                         geometry)
     period = 1.0 / geometry.spacing
     # the basis E has columns e(w_i), N times the Gram of the unit-norm
     # a_S(w_i), so (E^H E + N lambda I) g = E^H h is the ridge of a_S
     ridge = selection.num_receive * config.regularizer
+    rounds = config.newton_rounds
 
     gains: list[complex] = []
     freqs: list[float] = []
@@ -245,35 +263,31 @@ def mnomp_transfer(
     if not math.isfinite(energy):
         raise ValueError("uplink estimate must be finite")
     while energy >= config.threshold and len(gains) < config.max_paths:
-        scores = spatial_matched_filter(residual, selection,
-                                        config.oversampling)
+        scores = _matched_filter(residual, offsets, selection.num_transmit,
+                                 config.oversampling)
         best = int(np.argmax(np.abs(scores)))  # ties go to the lower bin
         w0 = bin_to_spatial_freq(best, scores.size, geometry.spacing)
         # scores live in the conjugate domain
         gain0 = complex(scores[best]).conjugate()
-        steer0 = np.exp(pos * w0)
-        residual = residual - gain0 * steer0
-        gain, w, steer, residual = _refine(
-            residual, gain0, w0, steer0, pos, slopes, slope_energy,
-            config.newton_rounds, period,
-        )
+        # the residual before this path is taken out is its observation
+        gain, w, steer, _ = _refine(residual, gain0, w0, np.exp(pos * w0),
+                                    pos, weights, rounds, period)
+        residual = residual - gain * steer
         gains.append(gain)
         freqs.append(w)
         steers.append(steer)
 
         for _ in range(config.cyclic_rounds):
             for i in range(len(gains)):
-                gains[i], freqs[i], steers[i], residual = _refine(
-                    residual, gains[i], freqs[i], steers[i], pos, slopes,
-                    slope_energy, config.newton_rounds, period,
+                observation = residual + gains[i] * steers[i]
+                gains[i], freqs[i], steers[i], moved = _refine(
+                    observation, gains[i], freqs[i], steers[i], pos, weights,
+                    rounds, period,
                 )
+                if moved:
+                    residual = observation - gains[i] * steers[i]
 
-        basis = np.stack(steers, axis=1)
-        adjoint = basis.conj().T
-        gram = adjoint @ basis + ridge * np.eye(len(gains))
-        refit = np.linalg.solve(gram, adjoint @ h_up)
-        gains = refit.tolist()
-        residual = h_up - basis @ refit
+        gains, residual = _refit(steers, h_up, ridge)
         energy = float(np.vdot(residual, residual).real)
 
     freqs_arr = np.asarray(freqs, dtype=float)
@@ -292,82 +306,129 @@ def mnomp_transfer(
     )
 
 
-def _path_derivatives(
-    resid: np.ndarray,
-    gain: complex,
-    steer: np.ndarray,
-    slopes: np.ndarray,
-    slope_energy: float,
-) -> tuple[float, float]:
+@lru_cache(maxsize=_SLOPE_CACHE_SIZE)
+def _slope_terms(
+    indices: bytes, geometry: ArrayGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (offsets, p, conj([1, p, p^2])) of the selection whose
+    ``AntennaSelection.indices`` have these bytes.
+
+    The key is the indices' content, so two selections with the same
+    elements share one entry and a selection never reads another's.  The
+    0-based offsets scatter an N-vector onto the aperture; the 3 x N stack
+    times an observation y gives the rows whose ``np.vecdot`` with e(w) is
+    the correlations u_0, u_1, u_2 of ``_refine``.
+    """
+    elements = np.frombuffer(indices, dtype=int)
+    pos = _phase_slope(geometry, elements)
+    terms = (elements - 1,
+             pos,
+             np.conj(np.stack((np.ones_like(pos), pos, pos * pos))))
+    for array in terms:
+        array.flags.writeable = False
+    return terms
+
+
+def _path_derivatives(gain: complex, u1: complex, u2: complex
+                      ) -> tuple[float, float]:
     """dJ/dw and d2J/dw2 of J(w) = ||y - g e(w)||^2, on N entries.
 
-    ``resid`` is y - g e(w), ``steer`` is e(w) = exp(p * w), ``slopes`` the
-    stack [p, p^2] and ``slope_energy`` sum |p_n|^2.  With s_k the
-    correlation of the residual with p^k e, dJ/dw = -2 Re(g s_1) and
-    d2J/dw2 = -2 Re(g s_2) + 2 |g|^2 sum |p_n|^2, as |e_n| = 1.  ``gain``
-    is a Python complex; both come back as Python floats.
+    ``u1`` and ``u2`` are the correlations u_k = sum_n conj(y_n) p_n^k
+    e_n(w) of the observation y.  In terms of the residual r = y - g e,
+    dJ/dw = -2 Re(g s_1) and d2J/dw2 = -2 Re(g s_2) + 2 |g|^2 sum |p_n|^2,
+    with s_k = sum conj(r_n) p_n^k e_n.  As |e_n| = 1,
+    s_k = u_k - conj(g) sum p_n^k, and because every p_n is imaginary,
+    Re(|g|^2 sum p_n) = 0 and sum p_n^2 = -sum |p_n|^2: the slope sums cancel
+    and dJ/dw = -2 Re(g u_1), d2J/dw2 = -2 Re(g u_2).  ``gain`` and the
+    correlations are Python complex; both come back as Python floats.
     """
-    s1, s2 = np.vecdot(resid, slopes * steer).tolist()
-    d1 = -2.0 * (gain * s1).real
-    d2 = (-2.0 * (gain * s2).real
-          + 2.0 * (gain.real * gain.real + gain.imag * gain.imag)
-          * slope_energy)
-    return d1, d2
+    return -2.0 * (gain * u1).real, -2.0 * (gain * u2).real
+
+
+def _fit_error(gain: complex, u0: complex, num_receive: int) -> float:
+    """J - ||y||^2 = N |g|^2 - 2 Re(g u_0), where J = ||y - g e||^2 and
+    u_0 = sum conj(y_n) e_n, as |e|^2 = N.  At the least-squares gain
+    g = conj(u_0) / N it is -|u_0|^2 / N."""
+    return (num_receive * (gain.real * gain.real + gain.imag * gain.imag)
+            - 2.0 * (gain * u0).real)
 
 
 def _refine(
-    residual: np.ndarray,
+    observation: np.ndarray,
     gain: complex,
     w: float,
     steer: np.ndarray,
     pos: np.ndarray,
-    slopes: np.ndarray,
-    slope_energy: float,
+    weights: np.ndarray,
     rounds: int,
     period: float,
-) -> tuple[complex, float, np.ndarray, np.ndarray]:
-    """Refine one path against the data with all other paths removed.
+) -> tuple[complex, float, np.ndarray, bool]:
+    """Refine one path against its observation, all other paths removed.
 
-    ``residual`` excludes this path's contribution g * e(w), ``steer`` is
-    e(w) = exp(p * w) with p = ``pos``; the path is re-added to form the
-    single-path observation y.  Each round takes a Newton step in w from
+    ``observation`` is y, the residual with this path's g * e(w) added
+    back; ``steer`` is e(w) = exp(p * w) with p = ``pos``, and ``weights``
+    is conj([1, p, p^2]).  Each round takes a Newton step in w from
     ``_path_derivatives`` followed by the least-squares gain
-    g' = vdot(e', y) / N, exact since |e'|^2 = N.  A step is committed only
+    g' = conj(u_0') / N, exact since |e'|^2 = N.  A step is committed only
     when the curvature is positive and the fit error does not grow; the
     first rejected step ends the refinement.  Returns the updated
-    (gain, w, steer) and the residual with the refined path removed again.
-    A step lands on the steering period [-P/2, P/2), P = ``period`` = 1/d.
+    (gain, w, steer) and whether any step was committed: if none was, the
+    caller's residual y - g e still holds.  A step lands on the steering
+    period [-P/2, P/2), P = ``period`` = 1/d.
 
-    One round is 8 NumPy calls::
+    The fit error is compared as J - ||y||^2 (``_fit_error``), which is
+    all that differs between two points of one observation.  Once per call
+    the rows A = conj([1, p, p^2]) * y and the start's correlations
+    [u_0, u_1, u_2] = vecdot(A, e) are formed (2 NumPy calls); then one
+    round is 3::
 
-        s1, s2 = vecdot(r, [p, p^2] * e)          # 2
-        d1 = -2 Re(g s1);  d2 = -2 Re(g s2) + 2 |g|^2 sum |p_n|^2
-        stop if d2 <= 0
+        d1 = -2 Re(g u_1);  d2 = -2 Re(g u_2);  stop if d2 <= 0
         w' = (w - d1 / d2 + P/2) % P - P/2
-        e' = exp(p * w');  g' = vdot(e', y) / N   # 3
-        r' = y - g' e';  stop if |r'|^2 > |r|^2   # 3
+        e' = exp(p * w')                          # 2
+        [u_0', u_1', u_2'] = vecdot(A, e')        # 1
+        g' = conj(u_0') / N;  stop if -|u_0'|^2 / N > J - ||y||^2
 
     The kernel fixture holds the result to the same greedy decisions and
     rtol 1e-9, not to the bits of any one grouping of these operations.
     """
-    vdot = np.vdot
+    vecdot = np.vecdot
     half = 0.5 * period
     num_receive = steer.size
-    observation = residual + gain * steer
-    value = vdot(residual, residual).real
+    rows = weights * observation
+    u0, u1, u2 = vecdot(rows, steer).tolist()
+    value = _fit_error(gain, u0, num_receive)
+    moved = False
     for _ in range(rounds):
-        d1, d2 = _path_derivatives(residual, gain, steer, slopes,
-                                   slope_energy)
+        d1, d2 = _path_derivatives(gain, u1, u2)
         if d2 <= 0.0:
             break
         w_new = (w - d1 / d2 + half) % period - half
         steer_new = np.exp(pos * w_new)
-        gain_new = complex(vdot(steer_new, observation)) / num_receive
-        trial = observation - gain_new * steer_new
-        trial_value = vdot(trial, trial).real
+        u0, u1_new, u2_new = vecdot(rows, steer_new).tolist()
+        gain_new = u0.conjugate() / num_receive
+        trial_value = _fit_error(gain_new, u0, num_receive)
         if trial_value > value:
             break
-        gain, w, steer, residual, value = (
-            gain_new, w_new, steer_new, trial, trial_value
+        gain, w, steer, u1, u2, value, moved = (
+            gain_new, w_new, steer_new, u1_new, u2_new, trial_value, True
         )
-    return gain, w, steer, residual
+    return gain, w, steer, moved
+
+
+def _refit(steers: list[np.ndarray], h_up: np.ndarray, ridge: float
+           ) -> tuple[list[complex], np.ndarray]:
+    """Ridge least-squares gains (E^H E + ridge I) g = E^H h of the paths
+    with steering columns E = ``steers``, and the residual h - E g.
+
+    One path takes the closed form g = vdot(e, h) / (N + ridge), as
+    |e|^2 = N; more paths solve the system.
+    """
+    if len(steers) == 1:
+        steer = steers[0]
+        gain = complex(np.vdot(steer, h_up)) / (steer.size + ridge)
+        return [gain], h_up - gain * steer
+    basis = np.stack(steers, axis=1)
+    adjoint = basis.conj().T
+    gram = adjoint @ basis + ridge * np.eye(len(steers))
+    refit = np.linalg.solve(gram, adjoint @ h_up)
+    return refit.tolist(), h_up - basis @ refit

@@ -194,8 +194,9 @@ def uplink_sinr(
         combiner = h_est @ _gram_inverse(gram)
     else:
         raise ValueError(f"unknown detector {detector!r}")
-    # [..., k, i] = |v_k^H h_i|^2
-    cross = np.abs(combiner.conj().swapaxes(-1, -2) @ h) ** 2
+    # [..., k, i] = |v_k^H h_i|^2 = |h_i^H v_k|^2: conjugating the true
+    # channel, which has no SNR axis, not the (..., S, N, K) combiner
+    cross = np.abs(h.conj().swapaxes(-1, -2) @ combiner).swapaxes(-1, -2) ** 2
     signal = np.diagonal(cross, axis1=-2, axis2=-1)
     interference = cross.sum(axis=-1) - signal
     # ||v_k||^2 without two (..., N, K) float temporaries

@@ -51,8 +51,7 @@ from asymx import (
     steering_uplink,
     uplink_channel,
 )
-from asymx.channel import _phase_slope
-from asymx.transfer import _path_derivatives
+from asymx.transfer import _path_derivatives, _slope_terms
 
 EXPECTED_COST = {"adbn": 52432, "dbm": 124672, "hbfn": 382208, "hbsn": 55808}
 
@@ -228,16 +227,17 @@ def test_criterion_08_matched_filter_and_derivatives():
     paths = PathSet(np.array([1.0 + 0.4j, -0.5 + 0.2j]),
                     np.arcsin(np.array([-0.31, 0.47])))
     obs = uplink_channel(paths, sel, geom)
-    pos, root_n = _phase_slope(geom, sel.indices), np.sqrt(sel.num_receive)
-    slopes, slope_energy = np.stack((pos, pos * pos)), np.vdot(pos, pos).real
+    _, _, weights = _slope_terms(sel.indices.tobytes(), geom)
+    root_n = np.sqrt(sel.num_receive)
 
     def objective(gain, w):
         # J(w) = ||y - g e(w)||^2, e(w) = sqrt(N) a_S(w), and its two
         # w-derivatives
         steer = root_n * steering_uplink(sel, geom, w)
         resid = obs - gain * steer
+        _, u1, u2 = np.vecdot(weights * obs, steer).tolist()
         return (float(np.vdot(resid, resid).real),
-                *_path_derivatives(resid, gain, steer, slopes, slope_energy))
+                *_path_derivatives(gain, u1, u2))
 
     # the curvature check differences the analytic slope: a plain second
     # difference of the objective loses half the mantissa to roundoff

@@ -5,19 +5,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asymx.arrays import SELECTION_KINDS
 from asymx.channel import (
     ArrayGeometry,
     PathSet,
-    _phase_slope,
     downlink_channel,
     steering_uplink,
     uplink_channel,
 )
 from asymx.downlink import nmse
 from asymx.transfer import (
+    _SLOPE_CACHE_SIZE,
     TransferConfig,
+    _fit_error,
     _path_derivatives,
     _refine,
+    _refit,
+    _slope_terms,
     bin_to_spatial_freq,
     default_threshold,
     dft_transfer,
@@ -55,9 +59,9 @@ def channel_pair(paths, sel):
 
 
 def slope_terms(sel, geom=GEOM):
-    """(p, [p, p^2], sum |p_n|^2) of a selection, as ``mnomp_transfer``."""
-    pos = _phase_slope(geom, sel.indices)
-    return pos, np.stack((pos, pos * pos)), float(np.vdot(pos, pos).real)
+    """(p, conj([1, p, p^2])) of a selection, as ``mnomp_transfer``."""
+    _, pos, weights = _slope_terms(sel.indices.tobytes(), geom)
+    return pos, weights
 
 
 def objective(obs, gain, w, sel):
@@ -65,19 +69,20 @@ def objective(obs, gain, w, sel):
     w-derivatives."""
     steer = np.sqrt(N) * steering_uplink(sel, GEOM, w)
     resid = obs - gain * steer
-    _, slopes, slope_energy = slope_terms(sel)
-    d1, d2 = _path_derivatives(resid, gain, steer, slopes, slope_energy)
+    _, weights = slope_terms(sel)
+    _, u1, u2 = np.vecdot(weights * obs, steer).tolist()
+    d1, d2 = _path_derivatives(gain, u1, u2)
     return float(np.vdot(resid, resid).real), d1, d2
 
 
 def refine(residual, gain, w, sel, rounds, geom=GEOM):
     """``_refine`` from (gain, w) alone: returns (gain, w, residual)."""
-    pos, slopes, slope_energy = slope_terms(sel, geom)
-    gain, w, _, resid = _refine(residual, gain, w,
-                                np.sqrt(N) * steering_uplink(sel, geom, w),
-                                pos, slopes, slope_energy, rounds,
-                                1.0 / geom.spacing)
-    return gain, w, resid
+    pos, weights = slope_terms(sel, geom)
+    steer = np.sqrt(N) * steering_uplink(sel, geom, w)
+    obs = residual + gain * steer
+    gain, w, steer, moved = _refine(obs, gain, w, steer, pos, weights,
+                                    rounds, 1.0 / geom.spacing)
+    return gain, w, obs - gain * steer if moved else residual
 
 
 # ------------------------------------------------------------- plumbing
@@ -353,6 +358,97 @@ def test_refine_wraps_onto_the_period(spacing):
     assert -half <= w < half
     assert abs(w - w_true) < 1e-6
     assert float(np.vdot(resid, resid).real) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_receive=st.integers(1, 64), stride=st.integers(1, 4),
+       spacing=st.sampled_from(SPACINGS),
+       kind=st.sampled_from(SELECTION_KINDS),
+       gain=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                               allow_nan=False, allow_infinity=False),
+       w=st.floats(-2.0, 2.0), regularizer=st.floats(0.0, 1e-2),
+       seed=st.integers(0, 2**32 - 1))
+def test_observation_form_matches_residual_form(num_receive, stride, spacing,
+                                                kind, gain, w, regularizer,
+                                                seed):
+    # _refine reads a path's fit and its w-derivatives from the three
+    # correlations of the observation y with [1, p, p^2] e, where the
+    # residual form reads them from r = y - g e.  Each difference is judged
+    # against the size of the terms it sums, as either form can cancel.
+    rng = np.random.default_rng(seed)
+    geom = ArrayGeometry(num_receive * stride, spacing)
+    sel = make_selection(kind, geom.num_transmit, num_receive, rng)
+    pos, weights = slope_terms(sel, geom)
+    obs = rng.standard_normal(num_receive) + 1j * rng.standard_normal(
+        num_receive)
+    steer = np.exp(pos * w)
+    u0, u1, u2 = np.vecdot(weights * obs, steer).tolist()
+    scale = np.sum(np.abs(obs)) + abs(gain) * num_receive
+    energy = float(np.vdot(obs, obs).real)
+
+    resid = obs - gain * steer
+    s1 = np.vecdot(resid, pos * steer)
+    s2 = np.vecdot(resid, pos * pos * steer)
+    d1, d2 = _path_derivatives(gain, u1, u2)
+    slope = 2.0 * abs(gain) * np.max(np.abs(pos), initial=1.0)
+    assert d1 == pytest.approx(-2.0 * (gain * s1).real, rel=1e-10,
+                               abs=1e-10 * slope * scale)
+    assert d2 == pytest.approx(
+        -2.0 * (gain * s2).real
+        + 2.0 * abs(gain) ** 2 * np.vdot(pos, pos).real,
+        rel=1e-10, abs=1e-10 * slope * np.max(np.abs(pos), initial=1.0)
+        * scale)
+
+    # the fit error at any gain, and at the least-squares gain of e
+    for g in (gain, u0.conjugate() / num_receive):
+        fit = obs - g * steer
+        assert energy + _fit_error(g, u0, num_receive) == pytest.approx(
+            float(np.vdot(fit, fit).real), rel=1e-10,
+            abs=1e-10 * scale * scale)
+    assert u0.conjugate() / num_receive == pytest.approx(
+        np.vdot(steer, obs) / num_receive, rel=1e-10,
+        abs=1e-10 * scale / num_receive)
+
+    # a one-path ridge refit takes the closed form
+    ridge = num_receive * regularizer
+    gains, left = _refit([steer], obs, ridge)
+    solved = np.linalg.solve(
+        np.array([[np.vdot(steer, steer) + ridge]]),
+        np.array([np.vdot(steer, obs)]))
+    assert gains == pytest.approx(solved.tolist(), rel=1e-12)
+    assert np.allclose(left, obs - solved[0] * steer, rtol=1e-12, atol=0.0)
+
+
+def test_slope_terms_follow_the_indices_not_the_selection():
+    # random selections built and dropped in a loop reuse ids: terms keyed
+    # on anything but the indices' content would hand a new selection the
+    # slopes of a dead one.  Every result must be the bits that a cold
+    # cache gives.
+    rng = np.random.default_rng(29)
+    config = TransferConfig(4, 0.5)
+    for _ in range(3 * _SLOPE_CACHE_SIZE):
+        sel = make_selection("random", M, N, rng)
+        h_up = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        warm = mnomp_transfer(h_up, sel, GEOM, config)
+        assert _slope_terms.cache_info().currsize <= _SLOPE_CACHE_SIZE
+        _slope_terms.cache_clear()
+        cold = mnomp_transfer(h_up, sel, GEOM, config)
+        for got, want in zip((warm.gains, warm.spatial_freqs,
+                              warm.downlink_estimate),
+                             (cold.gains, cold.spatial_freqs,
+                              cold.downlink_estimate)):
+            assert np.array_equal(got, want)
+        assert (warm.residual_energy, warm.truncated) == (
+            cold.residual_energy, cold.truncated)
+    # distinct selections fill the cache to its bound and no further
+    for _ in range(2 * _SLOPE_CACHE_SIZE):
+        mnomp_transfer(h_up, make_selection("random", M, N, rng), GEOM,
+                       config)
+    assert _slope_terms.cache_info().currsize == _SLOPE_CACHE_SIZE
+    # the shared arrays cannot be written through
+    for array in _slope_terms(sel.indices.tobytes(), GEOM):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 # ------------------------------------------------------- mNOMP end to end
