@@ -311,7 +311,7 @@ def _slope_terms(
     indices: bytes, geometry: ArrayGeometry
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (offsets, p, conj([1, p, p^2])) of the selection whose
-    ``AntennaSelection.indices`` have these bytes.
+    ``AntennaSelection.indices`` (an ``int`` array) have these bytes.
 
     The key is the indices' content, so two selections with the same
     elements share one entry and a selection never reads another's.  The
