@@ -43,13 +43,13 @@ def main():
                                           "beams"))
     w_mid = 0.5 * (np.sin(theta1) + np.sin(theta2))
     for phi in np.linspace(0.0, 2.0 * np.pi, PHASE_POINTS):
-        comp = composite_angle(theta1, theta2, 0.0, phi, selection, geometry)
-        inputs = SnrLossInputs(theta1, theta2, comp, 0.0, phi, NUM_RECEIVE)
-        closed = snr_loss_closed_form(inputs)
-        numeric = snr_loss_numeric(inputs)
         gains = np.array([1.0, np.exp(1j * phi)])
         h = uplink_channel(PathSet(gains, np.array([theta1, theta2])),
                            selection, geometry)
+        comp = composite_angle(h, selection, geometry)
+        inputs = SnrLossInputs(theta1, theta2, comp, 0.0, phi, NUM_RECEIVE)
+        closed = snr_loss_closed_form(inputs)
+        numeric = snr_loss_numeric(inputs)
         beams = resolved_path_count(h, selection, geometry, w_mid)
         print("%-10.2f %-14.4f %-12.6f %-12.6f %d"
               % (phi / np.pi, np.degrees(comp), closed, numeric, beams))

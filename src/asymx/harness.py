@@ -12,7 +12,10 @@ estimates are stacked, so the NMSE of a setup and algorithm is one call,
 and a downlink system groups its (trial, SNR) slices by their active
 users and precodes and scores each group in blocks of slices sized to a
 quarter of the chunk budget.  Each trial's one draw is reduced to every
-cell, so cells are paired.
+cell, so cells are paired.  A chunk's samples are one T x S x C float
+array per report row (T trials, S SNRs, the row's C metrics), and the
+run joins each row's arrays and takes the mean and standard error of
+each SNR's T x C column.
 
 Every stream is a PCG64 generator seeded by a SeedSequence of the key
 ``(master_seed, trial, tag, index)``, of fixed length, whose tag names the
@@ -216,13 +219,12 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     window = _scan_phases(sel, geometry, w_mid)
     rows = []
     for phase in np.linspace(0.0, 2.0 * np.pi, cfg.phase_points):
-        theta_s = composite_angle(theta1, theta2, 0.0, float(phase),
-                                  sel, geometry, coarse)
-        inputs = SnrLossInputs(theta1, theta2, theta_s, 0.0, float(phase),
-                               n, cfg.spacing)
         paths = PathSet(np.array([1.0, np.exp(1j * phase)]),
                         np.array([theta1, theta2]))
         h = uplink_channel(paths, sel, geometry)
+        inputs = SnrLossInputs(theta1, theta2,
+                               composite_angle(h, sel, geometry, coarse),
+                               0.0, float(phase), n, cfg.spacing)
         rows.append((
             float(phase),
             snr_loss_closed_form(inputs),
@@ -345,9 +347,10 @@ def _reads_down(cfg: ExperimentConfig) -> bool:
 
 
 def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
-           trials: range) -> list[dict]:
-    """Every cell's samples from consecutive trials, in trial order: one
-    draw per trial, reduced many ways."""
+           trials: range) -> dict[tuple, np.ndarray]:
+    """Every report row's samples from consecutive trials: a T x S x C
+    float array per row key, its T trials by S SNRs by the row's C
+    metrics.  One draw per trial, reduced many ways."""
     streams = _chunk_streams(cfg, setups, trials)
     # T x K x P, from the chunk's path streams in (trial, user) order
     paths = draw_path_set(
@@ -355,9 +358,8 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
         [[streams.pop((cfg.master_seed, trial, _PATHS, user))
           for user in range(cfg.num_users)] for trial in trials],
         cfg.path_powers)
-    uplink, downlink = cfg.reports_uplink, bool(cfg.downlink_systems)
     rhos = pilots.power.tolist()
-    samples: list[dict[tuple, tuple[float, ...]]] = [{} for _ in trials]
+    samples: dict[tuple, np.ndarray] = {}
     downs: dict[int, np.ndarray | None] = {}
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
         geometry = ArrayGeometry(m, cfg.spacing)
@@ -388,23 +390,18 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
             for alg in cfg.algorithm:
                 down_est, found = _transfer(cfg, alg, ests, sels, geometry,
                                             rhos)
-                ratios = nmse(down_est, h_down[:, None]).mean(axis=-1)
-                for out, row, counts in zip(samples, ratios.tolist(),
-                                            found.mean(axis=-1).tolist()):
-                    for snr, ratio, count in zip(cfg.snr_db, row, counts):
-                        out[snr, alg, kind, n] = (ratio, count)
+                samples[alg, kind, n] = np.stack(
+                    (nmse(down_est, h_down[:, None]).mean(axis=-1),
+                     found.mean(axis=-1)), axis=-1)
             continue
-        # per trial and SNR, the uplink SE as a 1-tuple, or () without it
-        se_up = [[()] * len(rhos)] * len(trials)
-        if uplink:
+        # T x S x 1 uplink SE, or T x S x 0 where no row reports it
+        se_up = np.empty((len(trials), len(rhos), 0))
+        if cfg.reports_uplink:
             sinr = uplink_sinr(ests, h_up[:, None], pilots.power,
                                cfg.detector)
-            se_up = [[(se,) for se in row]
-                     for row in np.log2(1.0 + sinr).sum(axis=-1).tolist()]
-        if not downlink:
-            for out, ups in zip(samples, se_up):
-                for snr, up in zip(cfg.snr_db, ups):
-                    out[snr, kind] = up
+            se_up = np.log2(1.0 + sinr).sum(axis=-1)[..., None]
+        if not systems:
+            samples[kind,] = se_up
             continue
         for system in systems:
             if system == "asym":
@@ -419,9 +416,8 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
             system_se = _system_se(cfg, down_est, h_down, pilots.power)
             # freed now, not when the next setup has built its estimates
             del down_est
-            for out, ups, row in zip(samples, se_up, system_se.tolist()):
-                for snr, up, se in zip(cfg.snr_db, ups, row):
-                    out[snr, system] = up + (se,)
+            samples[system,] = np.concatenate(
+                (se_up, system_se[..., None]), axis=-1)
     return samples
 
 
@@ -436,9 +432,9 @@ def _trial_entries(cfg: ExperimentConfig, setups: dict) -> int:
                for _, m, n in setups)
 
 
-def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean over trials and its standard error."""
-    samples = np.asarray(samples, dtype=float)
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean of one cell's T x C samples over its T trials, and
+    its standard error."""
     mean = samples.mean(axis=0)
     if len(samples) < 2:
         return mean, np.zeros_like(mean)
@@ -446,8 +442,10 @@ def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _monte_carlo(cfg: ExperimentConfig) -> dict:
-    """(mean, stderr) over all trials of every cell's samples, drawn in
-    consecutive chunks of trials."""
+    """(mean, stderr) over all trials of every (snr, *row key) cell: each
+    row's T x S x C samples from consecutive chunks of trials are joined,
+    and each SNR's T x C column is reduced on its own, as reducing the
+    whole stack would sum a one-metric column in another order."""
     setups = _setups(cfg)
     # orthonormal pilot rows give the same CN(0, I/rho) error at any length
     # tau >= K, so the shortest one is used
@@ -458,12 +456,14 @@ def _monte_carlo(cfg: ExperimentConfig) -> dict:
               for lo in range(0, cfg.trials, length)]
 
     def walk(share: list[range]) -> list[dict]:
-        return [sample for trials in share
-                for sample in _chunk(cfg, setups, pilots, trials)]
+        return [_chunk(cfg, setups, pilots, trials) for trials in share]
 
     outcomes = _in_processes(walk, chunks, cfg.workers)
-    return {key: _mean_stderr([o[key] for o in outcomes])
-            for key in outcomes[0]}
+    stacks = {key: np.concatenate([o[key] for o in outcomes])
+              for key in outcomes[0]}
+    return {(snr, *key): _mean_stderr(stack[:, s])
+            for key, stack in stacks.items()
+            for s, snr in enumerate(cfg.snr_db)}
 
 
 def _in_processes(walk, chunks: list[range], workers: int) -> list[dict]:

@@ -23,13 +23,7 @@ from .arrays import (
     select_random,
     select_successive,
 )
-from .channel import (
-    ArrayGeometry,
-    PathSet,
-    _gram_inverse,
-    steering_uplink,
-    uplink_channel,
-)
+from .channel import ArrayGeometry, _gram_inverse, steering_uplink
 
 
 @dataclass(frozen=True)
@@ -330,30 +324,23 @@ def _scan_grid(selection: AntennaSelection, geometry: ArrayGeometry,
 
 
 def composite_angle(
-    theta1: float,
-    theta2: float,
-    phi1: float,
-    phi2: float,
+    channel: np.ndarray,
     selection: AntennaSelection,
     geometry: ArrayGeometry,
     phases: np.ndarray | None = None,
 ) -> float:
-    """Dominant resolved angle of a merged two-path channel.
+    """Dominant resolved angle of a merged multipath channel.
 
-    Maximizes the periodogram |a_U(w)^H h| over a grid of 16*M points on
-    [-1, 1], then zooms in: 33 points over one step either side of the
-    best, clipped to [-1, 1], a 16x finer step, until it is below 1e-9 in w.
-    ``phases`` is that first grid's ``_scan_phases(selection, geometry)``,
-    if the caller built it once.
+    Maximizes the periodogram |a_U(w)^H h| of the N-element ``channel``
+    over a grid of 16*M points on [-1, 1], then zooms in: 33 points over
+    one step either side of the best, clipped to [-1, 1], a 16x finer
+    step, until it is below 1e-9 in w.  ``phases`` is that first grid's
+    ``_scan_phases(selection, geometry)``, if the caller built it once.
     """
-    paths = PathSet(
-        np.array([np.exp(1j * phi1), np.exp(1j * phi2)]),
-        np.array([theta1, theta2]),
-    )
-    h = uplink_channel(paths, selection, geometry)
     grid = _scan_grid(selection, geometry, None)
     while True:
-        response = steered_response(h, selection, geometry, grid, phases)
+        response = steered_response(channel, selection, geometry, grid,
+                                    phases)
         phases = None  # the zoomed grids depend on the channel
         w_star = float(grid[np.argmax(response)])
         step = grid[1] - grid[0]

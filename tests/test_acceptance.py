@@ -119,7 +119,9 @@ def test_criterion_04_loss_phase_curve_anchor():
     phases = np.linspace(0.0, np.pi, 33)
     losses = []
     for phi in phases:
-        comp = composite_angle(t1, t2, 0.0, phi, sel, geom)
+        h = uplink_channel(PathSet(np.array([1.0, np.exp(1j * phi)]),
+                                   np.array([t1, t2])), sel, geom)
+        comp = composite_angle(h, sel, geom)
         losses.append(snr_loss_closed_form(
             SnrLossInputs(t1, t2, comp, 0.0, phi, 32)))
     losses = np.asarray(losses)
@@ -139,8 +141,9 @@ def test_criterion_05_composite_direction_anchor():
     start = time.perf_counter()
     sel = make_selection("successive", 256, 32)
     geom = ArrayGeometry(256)
-    comp = np.degrees(composite_angle(np.deg2rad(51.3), np.deg2rad(54.3),
-                                      0.0, 0.0, sel, geom))
+    h = uplink_channel(PathSet(np.ones(2), np.deg2rad([51.3, 54.3])),
+                       sel, geom)
+    comp = np.degrees(composite_angle(h, sel, geom))
     elapsed = time.perf_counter() - start
     report(5, "composite beam direction anchor",
            abs(comp - 52.8) <= 0.15 and elapsed < 5.0,

@@ -484,6 +484,41 @@ def test_chunk_length_and_workers_never_move_a_byte(monkeypatch, tmp_path,
             assert max(lengths()) == longest and sum(lengths()) == cfg.trials
 
 
+@pytest.mark.parametrize("trials", [11, 20])
+@pytest.mark.parametrize("experiment, link", [
+    ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
+    ("ee", "downlink")])
+def test_cells_reduce_each_snr_as_a_plain_trial_list(monkeypatch, experiment,
+                                                     link, trials):
+    # chunks of 3 trials, joined and reduced per SNR, must give the bits of
+    # reducing each cell's samples from one all-trials chunk as a plain
+    # list; from 8 trials NumPy sums a one-metric column pairwise, so a
+    # reduction in another order shows
+    cfg = tiny(experiment, link=link, trials=trials,
+               snr_db=(-5.0, 5.0, 15.0), **sweeps(experiment, link))
+    chunk, inputs = harness._chunk, []
+
+    def recording(cfg, setups, pilots, trials):
+        inputs.append((setups, pilots))
+        return chunk(cfg, setups, pilots, trials)
+
+    monkeypatch.setattr(harness, "_chunk", recording)
+    per_trial = harness._trial_entries(cfg, harness._setups(cfg))
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 3 * per_trial)
+    cells = harness._monte_carlo(cfg)
+    assert len(inputs) == -(-trials // 3)
+    whole = chunk(cfg, *inputs[0], range(trials))
+    assert len(cells) == len(whole) * len(cfg.snr_db)
+    for key, stack in whole.items():
+        assert stack.shape[:2] == (trials, len(cfg.snr_db))
+        for s, snr in enumerate(cfg.snr_db):
+            rows = np.asarray(stack[:, s].tolist(), float)
+            mean, err = cells[(snr, *key)]
+            assert mean.tobytes() == rows.mean(axis=0).tobytes(), (key, snr)
+            assert err.tobytes() == (rows.std(axis=0, ddof=1)
+                                     / np.sqrt(trials)).tobytes(), (key, snr)
+
+
 @pytest.mark.parametrize("experiment, link", [
     ("transfer-nmse", "downlink"), ("se", "uplink"), ("se", "downlink"),
     ("ee", "downlink")])

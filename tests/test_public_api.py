@@ -1,4 +1,4 @@
-"""The package's exported names, and the demos that import them."""
+"""The package's exported names, and the demos that use them."""
 
 import importlib.util
 from pathlib import Path
@@ -18,11 +18,23 @@ def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
-def test_demo_imports(path):
+def load_demo(path):
     # executing the module runs its imports but not main(), which is behind
     # the __main__ check
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
+def test_demo_imports(path):
+    assert callable(load_demo(path).main)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
+def test_demo_main_runs(path, capsys):
+    # a demo that calls a changed signature fails only when main() runs;
+    # any warning fails it too
+    load_demo(path).main()
+    assert capsys.readouterr().out.strip()

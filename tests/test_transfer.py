@@ -416,7 +416,10 @@ def test_observation_form_matches_residual_form(num_receive, stride, spacing,
         np.array([[np.vdot(steer, steer) + ridge]]),
         np.array([np.vdot(steer, obs)]))
     assert gains == pytest.approx(solved.tolist(), rel=1e-12)
-    assert np.allclose(left, obs - solved[0] * steer, rtol=1e-12, atol=0.0)
+    # where one path fits exactly (N = 1, no ridge) both residuals are
+    # rounding residue, so they are judged against the observation's size
+    assert np.allclose(left, obs - solved[0] * steer, rtol=1e-12,
+                       atol=1e-12 * np.sum(np.abs(obs)))
 
 
 def test_slope_terms_follow_the_indices_not_the_selection():

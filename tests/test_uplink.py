@@ -360,11 +360,18 @@ def test_snr_loss_bounded_and_consistent(t1, dt, ts, phi1, phi2):
     assert closed == pytest.approx(numeric, rel=1e-8, abs=1e-10)
 
 
+def two_paths(theta1, theta2, phi, sel, geom):
+    """The N-element uplink of unit gains at theta1 and theta2, the second
+    turned by phase phi."""
+    return uplink_channel(PathSet(np.array([1.0, np.exp(1j * phi)]),
+                                  np.array([theta1, theta2])), sel, geom)
+
+
 def test_composite_angle_between_paths_for_equal_phases():
     sel = make_selection("successive", 256, 32)
     geom = ArrayGeometry(256)
     t1, t2 = np.deg2rad(51.3), np.deg2rad(54.3)
-    comp = composite_angle(t1, t2, 0.0, 0.0, sel, geom)
+    comp = composite_angle(two_paths(t1, t2, 0.0, sel, geom), sel, geom)
     assert t1 < comp < t2
     # frozen reference from a dense steering sweep of this configuration
     assert np.degrees(comp) == pytest.approx(52.77457, abs=2e-3)
@@ -374,8 +381,9 @@ def test_composite_angle_symmetric_paths():
     # paths inside one resolution cell merge into a broadside beam
     sel = make_selection("successive", 256, 32)
     geom = ArrayGeometry(256)
-    comp = composite_angle(np.deg2rad(-1.0), np.deg2rad(1.0), 0.5, 0.5,
-                           sel, geom)
+    h = uplink_channel(PathSet(np.exp(0.5j) * np.ones(2),
+                               np.deg2rad([-1.0, 1.0])), sel, geom)
+    comp = composite_angle(h, sel, geom)
     assert abs(np.degrees(comp)) < 0.05
 
 
@@ -415,10 +423,9 @@ def test_snr_loss_scans_take_their_phase_matrices_prebuilt(spacing):
     window = _scan_phases(sel, geom, w_mid)
     assert coarse.shape == window.shape == (16, 16 * 64)
     for phi in np.linspace(0.0, 2.0 * np.pi, 7):
-        assert composite_angle(t1, t2, 0.0, phi, sel, geom, coarse) == (
-            composite_angle(t1, t2, 0.0, phi, sel, geom))
-        h = uplink_channel(PathSet(np.array([1.0, np.exp(1j * phi)]),
-                                   np.array([t1, t2])), sel, geom)
+        h = two_paths(t1, t2, phi, sel, geom)
+        assert composite_angle(h, sel, geom, coarse) == (
+            composite_angle(h, sel, geom))
         assert resolved_path_count(h, sel, geom, w_mid, window) == (
             resolved_path_count(h, sel, geom, w_mid))
 
@@ -461,9 +468,7 @@ def test_composite_angle_zoom_matches_bounded_brent(m, n, spacing, theta1,
     w1 = np.sin(theta1)
     w2 = w1 + gap / (n * spacing) * (1.0 if w1 < 0 else -1.0)
     theta2 = float(np.arcsin(np.clip(w2, -1.0, 1.0)))
-    paths = PathSet(np.array([1.0, np.exp(1j * phi)]),
-                    np.array([theta1, theta2]))
-    h = uplink_channel(paths, sel, geom)
+    h = two_paths(theta1, theta2, phi, sel, geom)
     grid = np.linspace(-1.0, 1.0, 16 * m)
     best = grid[np.argmax(steered_response(h, sel, geom, grid))]
     step = grid[1] - grid[0]
@@ -471,7 +476,7 @@ def test_composite_angle_zoom_matches_bounded_brent(m, n, spacing, theta1,
         lambda w: -steered_response(h, sel, geom, w)[0],
         bounds=(max(-1.0, best - step), min(1.0, best + step)),
         method="bounded", options={"xatol": 1e-7}).x
-    w_zoom = np.sin(composite_angle(theta1, theta2, 0.0, phi, sel, geom))
+    w_zoom = np.sin(composite_angle(h, sel, geom))
     assert abs(w_zoom - brent) <= 1e-7
     zoom_value, brent_value = steered_response(h, sel, geom, [w_zoom, brent])
     assert zoom_value >= brent_value * (1.0 - 1e-13)
