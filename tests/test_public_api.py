@@ -18,23 +18,13 @@ def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
-def load_demo(path):
-    # executing the module runs its imports but not main(), which is behind
-    # the __main__ check
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
+def test_demo_imports(path, capsys):
+    # executing the module runs its imports; main(), behind the __main__
+    # check, is run here, as a demo that calls a changed signature fails
+    # only then (any warning fails it too)
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
-def test_demo_imports(path):
-    assert callable(load_demo(path).main)
-
-
-@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
-def test_demo_main_runs(path, capsys):
-    # a demo that calls a changed signature fails only when main() runs;
-    # any warning fails it too
-    load_demo(path).main()
+    module.main()
     assert capsys.readouterr().out.strip()
