@@ -7,6 +7,11 @@ estimate transfer algorithms that rebuild the full downlink channel from
 the subsampled uplink estimate, plus the spectral efficiency, hardware
 cost, power and energy efficiency accounting needed to compare the
 architecture against conventional full digital and hybrid basestations.
+
+The exported names are what the paper's experiments need: geometry and
+paths, selections, the two transfers, the uplink and downlink layers, the
+cost/power/EE model, and recipes with ``run``.  Helpers behind them stay
+in their modules.
 """
 
 from .arrays import (
@@ -25,7 +30,6 @@ from .channel import (
     draw_path_set,
     steering_downlink,
     steering_masked,
-    steering_uplink,
     uplink_channel,
     user_channels,
 )
@@ -35,41 +39,21 @@ from .config import (
     ExperimentConfig,
     config_from_values,
     load_config_values,
-    parse_config_text,
 )
-from .downlink import (
-    downlink_se,
-    downlink_sinr,
-    mrt_precoder,
-    nmse,
-    nmse_db,
-    zf_precoder,
-)
-from .econ import (
-    ARCHITECTURES,
-    COMPONENTS,
-    Architecture,
-    HardwareProfile,
-    cost,
-    energy_efficiency,
-    power,
-)
+from .downlink import downlink_se, mrt_precoder, nmse, nmse_db, zf_precoder
+from .econ import Architecture, cost, energy_efficiency, power
 from .harness import ExperimentResult, run, seed_stream
 from .transfer import (
     TransferConfig,
     TransferResult,
-    bin_to_spatial_freq,
     default_threshold,
     dft_transfer,
-    find_peaks,
     mnomp_transfer,
-    spatial_matched_filter,
 )
 from .uplink import (
     PilotBlock,
     SnrLossInputs,
     composite_angle,
-    dirichlet_ratio,
     estimate_lmmse,
     estimate_ls,
     generate_pilots,
@@ -78,72 +62,67 @@ from .uplink import (
     resolved_path_count,
     snr_loss_closed_form,
     snr_loss_numeric,
-    steered_response,
     uplink_sinr,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SELECTION_KINDS",
-    "AntennaSelection",
-    "angular_resolution",
-    "array_factor",
-    "select_comb",
-    "select_random",
-    "select_successive",
+    # geometry and paths
     "ArrayGeometry",
     "PathSet",
-    "downlink_channel",
     "draw_path_set",
+    "uplink_channel",
+    "downlink_channel",
+    "user_channels",
     "steering_downlink",
     "steering_masked",
-    "steering_uplink",
-    "uplink_channel",
-    "user_channels",
-    "downlink_se",
-    "downlink_sinr",
+    # selections
+    "SELECTION_KINDS",
+    "AntennaSelection",
+    "select_successive",
+    "select_comb",
+    "select_random",
+    "make_selection",
+    "array_factor",
+    "angular_resolution",
+    # the two transfers
+    "TransferConfig",
+    "TransferResult",
+    "default_threshold",
+    "dft_transfer",
+    "mnomp_transfer",
+    # uplink: pilots, estimation, SINR, and the steering loss of merged paths
+    "PilotBlock",
+    "generate_pilots",
+    "received_pilot",
+    "estimate_ls",
+    "estimate_lmmse",
+    "uplink_sinr",
+    "SnrLossInputs",
+    "snr_loss_closed_form",
+    "snr_loss_numeric",
+    "composite_angle",
+    "resolved_path_count",
+    # downlink: precoding, spectral efficiency, NMSE
     "mrt_precoder",
+    "zf_precoder",
+    "downlink_se",
     "nmse",
     "nmse_db",
-    "zf_precoder",
-    "ARCHITECTURES",
-    "COMPONENTS",
+    # cost, power and energy efficiency
     "Architecture",
-    "HardwareProfile",
     "cost",
-    "energy_efficiency",
     "power",
+    "energy_efficiency",
+    # recipes and runs
     "EXPERIMENTS",
     "ConfigError",
     "ExperimentConfig",
-    "ExperimentResult",
     "config_from_values",
     "load_config_values",
-    "parse_config_text",
+    "ExperimentResult",
     "run",
     "seed_stream",
-    "TransferConfig",
-    "TransferResult",
-    "bin_to_spatial_freq",
-    "default_threshold",
-    "dft_transfer",
-    "find_peaks",
-    "mnomp_transfer",
-    "spatial_matched_filter",
-    "PilotBlock",
-    "SnrLossInputs",
-    "composite_angle",
-    "dirichlet_ratio",
-    "estimate_lmmse",
-    "estimate_ls",
-    "generate_pilots",
-    "make_selection",
-    "received_pilot",
-    "resolved_path_count",
-    "snr_loss_closed_form",
-    "snr_loss_numeric",
-    "steered_response",
-    "uplink_sinr",
     "__version__",
 ]

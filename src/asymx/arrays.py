@@ -70,11 +70,6 @@ class AntennaSelection:
     def num_receive(self) -> int:
         return int(self.indices.size)
 
-    @property
-    def span(self) -> int:
-        """Occupied aperture in elements, max(indices) - min(indices) + 1."""
-        return int(self.indices[-1] - self.indices[0] + 1)
-
 
 def select_successive(num_transmit: int, num_receive: int) -> AntennaSelection:
     """First ``num_receive`` elements: indices {1, ..., N}."""

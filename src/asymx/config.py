@@ -187,7 +187,7 @@ _FIELDS = {name: _field_kind(hint) for name, hint
            in typing.get_type_hints(ExperimentConfig).items()}
 
 
-def parse_config_text(
+def _parse_config_text(
     text: str, base_dir: Path | None = None, _including: tuple = ()
 ) -> dict[str, str]:
     """Flat key=value parse with include resolution; later keys win.
@@ -223,8 +223,8 @@ def load_config_values(path: str | Path,
     if p.resolve() in _including:
         raise ConfigError(f"config file {p}: include cycle, the file "
                           "includes itself")
-    return parse_config_text(p.read_text(), base_dir=p.parent,
-                             _including=(*_including, p.resolve()))
+    return _parse_config_text(p.read_text(), base_dir=p.parent,
+                              _including=(*_including, p.resolve()))
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,

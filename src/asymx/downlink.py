@@ -53,7 +53,7 @@ def zf_precoder(channel_est: np.ndarray) -> np.ndarray:
     return beams
 
 
-def downlink_sinr(
+def _downlink_sinr(
     channel_true: np.ndarray,
     precoder: np.ndarray,
     power: float | np.ndarray,
@@ -85,7 +85,7 @@ def downlink_se(
     One slice gives its K rates and a float; a stack gives (..., K) rates
     and the (...) array of system SEs.
     """
-    rates = np.log2(1.0 + downlink_sinr(channel_true, precoder, power))
+    rates = np.log2(1.0 + _downlink_sinr(channel_true, precoder, power))
     system = rates.sum(axis=-1)
     return rates, float(system) if system.ndim == 0 else system
 

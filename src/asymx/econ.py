@@ -16,11 +16,11 @@ share (1 - eps) and the receive side by the uplink share eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arrays import _is_count
 
-# 28 GHz testbed reference numbers: (USD, W) per part.
+# 28 GHz testbed reference numbers, fixed: (USD, W) per part.
 _PRICES = {
     "pa": (50.0, 3.68),
     "pa_driver": (30.0, 0.85),
@@ -38,31 +38,11 @@ _PRICES = {
 # larger side needs, but draw power on each side with that side's count.
 _SHARED = frozenset({"mixer", "lo_amp", "phase_shifter"})
 
-COMPONENTS = tuple(_PRICES)
 ARCHITECTURES = ("adbn", "dbm", "hbfn", "hbsn")
 
 # The uplink's slot share eps and the bandwidth of the ee experiment.
 SLOT_RATIO = 1.0 / 3.0
 BANDWIDTH_HZ = 500e6
-
-
-@dataclass(frozen=True)
-class HardwareProfile:
-    """Per-component cost (USD) and power (W) table."""
-
-    cost_usd: dict[str, float] = field(
-        default_factory=lambda: {k: usd for k, (usd, _) in _PRICES.items()})
-    power_w: dict[str, float] = field(
-        default_factory=lambda: {k: w for k, (_, w) in _PRICES.items()})
-
-    def __post_init__(self) -> None:
-        for table, label in ((self.cost_usd, "cost"), (self.power_w, "power")):
-            missing = set(COMPONENTS) - set(table)
-            if missing:
-                raise ValueError(f"{label} table missing {sorted(missing)}")
-            if not all(0.0 <= v < math.inf for v in table.values()):
-                raise ValueError(
-                    f"{label} entries must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -110,27 +90,21 @@ def _parts(arch: Architecture) -> tuple[dict[str, int], dict[str, int]]:
     )
 
 
-def cost(arch: Architecture, profile: HardwareProfile | None = None) -> float:
+def cost(arch: Architecture) -> float:
     """Bill-of-materials cost in USD."""
-    p = (profile or HardwareProfile()).cost_usd
     tx, rx = _parts(arch)
     total = 0.0
-    for part in COMPONENTS:
+    for part, (usd, _) in _PRICES.items():
         t, r = tx.get(part, 0), rx.get(part, 0)
-        total += p[part] * (max(t, r) if part in _SHARED else t + r)
+        total += usd * (max(t, r) if part in _SHARED else t + r)
     return total
 
 
-def power(
-    arch: Architecture,
-    profile: HardwareProfile | None = None,
-    slot_ratio: float = SLOT_RATIO,
-) -> float:
+def power(arch: Architecture, slot_ratio: float = SLOT_RATIO) -> float:
     """Slot-weighted power draw in watts: (1 - eps) tx + eps rx."""
     if not 0.0 <= slot_ratio <= 1.0:
         raise ValueError("slot ratio must lie in [0, 1]")
-    p = (profile or HardwareProfile()).power_w
-    tx, rx = (sum(p[part] * count for part, count in side.items())
+    tx, rx = (sum(_PRICES[part][1] * count for part, count in side.items())
               for side in _parts(arch))
     return (1.0 - slot_ratio) * tx + slot_ratio * rx
 

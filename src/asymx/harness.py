@@ -165,7 +165,7 @@ def run(
 def _run_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.num_receive[0]
     rows = []
-    for kind in ("adbn", "dbm", "hbfn", "hbsn"):
+    for kind in econ.ARCHITECTURES:
         # the conventional full digital BS pairs a receive chain with every
         # transmit chain; the others use the configured receive count
         arch = Architecture(kind, cfg.num_transmit,
@@ -175,7 +175,7 @@ def _run_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
             arch.num_transmit,
             arch.num_receive,
             cost(arch),
-            power(arch, slot_ratio=econ.SLOT_RATIO),
+            power(arch),
         ))
     return ExperimentResult(
         "cost-table",
@@ -584,7 +584,7 @@ def _run_ee(cfg: ExperimentConfig) -> ExperimentResult:
         (se_up, se_dn), (up_err, dn_err) = cells[snr, system]
         _, sys_m, sys_n = _system_array(cfg, system)
         arch = Architecture("adbn" if system == "asym" else "dbm", sys_m, sys_n)
-        p_bs = power(arch, slot_ratio=econ.SLOT_RATIO)
+        p_bs = power(arch)
         ee = energy_efficiency(float(se_up), float(se_dn), econ.SLOT_RATIO,
                                p_bs, econ.BANDWIDTH_HZ)
         ee_err = (econ.BANDWIDTH_HZ / p_bs) * float(np.hypot(

@@ -23,14 +23,15 @@ u_k = sum_n conj(y_n) p_n^k e_n(w), k = 0, 1, 2: they give the
 least-squares gain, the fit error and both w-derivatives of the fit error,
 so a Newton round needs no residual.  p, [1, p, p^2] and the scatter
 offsets are built once per selection, not once per call.  Only
-``spatial_matched_filter`` scatters an N-vector onto the M-element aperture:
+``_matched_filter`` scatters an N-vector onto the M-element aperture:
 one zero-padded FFT scores every oversampled bin.  The entries repeat in w
 with period 1/d, so bins and Newton steps land on [-1/(2d), 1/(2d)), which
 is [-1, 1) at half-wavelength spacing.
 
 Both stop against the same energy threshold N/rho_tau: the expected noise
-energy left in an N-element LS estimate.  Both refuse an estimate whose
-energy is not finite, as a NaN or inf entry leaves no path to find.
+energy left in an N-element LS estimate.  Both refuse an estimate that is
+not an N-vector of the selection, then one whose energy is not finite, as
+a NaN or inf entry leaves no path to find.
 """
 
 from __future__ import annotations
@@ -120,33 +121,21 @@ def default_threshold(num_receive: int, pilot_power: float) -> float:
     return num_receive / pilot_power
 
 
-def spatial_matched_filter(
-    h_up: np.ndarray, selection: AntennaSelection, oversampling: int
-) -> np.ndarray:
-    """Per-bin path-gain scores (1/N) * F_{M*zeta} [conj(h) on the selection].
-
-    Correlating the N-element estimate with every steering candidate on the
-    oversampled grid is one FFT of its conjugate scattered onto the
-    M-element aperture, zero elsewhere.  A path of gain g at an on-grid
-    frequency scores conj(g) at its bin.
-    """
-    h = np.asarray(h_up, dtype=complex)
-    if h.shape != (selection.num_receive,):
-        raise ValueError("estimate length must match the selection")
-    return _matched_filter(h, selection.indices - 1, selection.num_transmit,
-                           oversampling)
-
-
 def _matched_filter(h: np.ndarray, offsets: np.ndarray, num_transmit: int,
                     oversampling: int) -> np.ndarray:
-    """``spatial_matched_filter`` of a checked N-vector ``h`` scattered to
-    the 0-based aperture ``offsets``."""
+    """Per-bin path-gain scores (1/N) * F_{M*zeta} [conj(h) on the selection].
+
+    Correlating the checked N-vector ``h`` with every steering candidate on
+    the oversampled grid is one FFT of its conjugate scattered onto the
+    0-based aperture ``offsets`` of the M-element array, zero elsewhere.  A
+    path of gain g at an on-grid frequency scores conj(g) at its bin.
+    """
     padded = np.zeros(num_transmit, dtype=complex)
     padded[offsets] = np.conj(h)
     return np.fft.fft(padded, n=num_transmit * oversampling) / h.size
 
 
-def bin_to_spatial_freq(
+def _bin_to_spatial_freq(
     bins: np.ndarray | int, size: int, spacing: float
 ) -> np.ndarray | float:
     """Map FFT bin index b of a ``size``-point grid over one period of an
@@ -161,7 +150,7 @@ def bin_to_spatial_freq(
     return w - period * (w >= 0.5 * period)
 
 
-def find_peaks(scores: np.ndarray) -> np.ndarray:
+def _find_peaks(scores: np.ndarray) -> np.ndarray:
     """Indices of circular local maxima of |scores|, strongest first.
 
     A bin is a peak when its magnitude is >= both circular neighbours (so a
@@ -192,12 +181,15 @@ def dft_transfer(
     below zero; it is the rule of the reproduced algorithm and is kept.
     """
     h_up = np.asarray(h_up_est, dtype=complex)
+    num_receive = selection.num_receive
+    if h_up.shape != (num_receive,):
+        raise ValueError("estimate length must match the selection")
     energy = float(np.vdot(h_up, h_up).real)
     if not math.isfinite(energy):
         raise ValueError("uplink estimate must be finite")
-    num_receive = selection.num_receive
-    scores = spatial_matched_filter(h_up, selection, config.oversampling)
-    peak_bins = find_peaks(scores)
+    scores = _matched_filter(h_up, selection.indices - 1,
+                             selection.num_transmit, config.oversampling)
+    peak_bins = _find_peaks(scores)
 
     explained = 0.0
     kept: list[int] = []
@@ -214,8 +206,8 @@ def dft_transfer(
     count = len(kept)
     raw = scores[kept]
     gains = np.sqrt(count) * np.conj(raw)
-    freqs = bin_to_spatial_freq(np.asarray(kept), scores.size,
-                                geometry.spacing)
+    freqs = _bin_to_spatial_freq(np.asarray(kept), scores.size,
+                                 geometry.spacing)
     basis = steering_downlink(geometry, freqs)
     downlink = np.sqrt(geometry.num_transmit / count) * (basis @ gains)
     return TransferResult(
@@ -266,7 +258,7 @@ def mnomp_transfer(
         scores = _matched_filter(residual, offsets, selection.num_transmit,
                                  config.oversampling)
         best = int(np.argmax(np.abs(scores)))  # ties go to the lower bin
-        w0 = bin_to_spatial_freq(best, scores.size, geometry.spacing)
+        w0 = _bin_to_spatial_freq(best, scores.size, geometry.spacing)
         # scores live in the conjugate domain
         gain0 = complex(scores[best]).conjugate()
         # the residual before this path is taken out is its observation

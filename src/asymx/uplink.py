@@ -218,7 +218,7 @@ def make_selection(
     raise ValueError(f"unknown selection kind {kind!r}")
 
 
-def dirichlet_ratio(count: int, u: np.ndarray | float) -> np.ndarray | float:
+def _dirichlet_ratio(count: int, u: np.ndarray | float) -> np.ndarray | float:
     """sin(count*pi*u) / sin(pi*u), with the limit value at denominator zeros.
 
     At integer u the ratio tends to count * cos(count*pi*u) / cos(pi*u),
@@ -250,9 +250,9 @@ def snr_loss_closed_form(inputs: SnrLossInputs) -> float:
     gap = np.sin(inputs.theta1) - np.sin(inputs.theta2)
     gap1 = np.sin(inputs.composite_theta) - np.sin(inputs.theta1)
     gap2 = np.sin(inputs.composite_theta) - np.sin(inputs.theta2)
-    lam = dirichlet_ratio(n, dl * gap)
-    lam1 = dirichlet_ratio(n, dl * gap1)
-    lam2 = dirichlet_ratio(n, dl * gap2)
+    lam = _dirichlet_ratio(n, dl * gap)
+    lam1 = _dirichlet_ratio(n, dl * gap1)
+    lam2 = _dirichlet_ratio(n, dl * gap2)
     gamma = inputs.phi1 - inputs.phi2 - np.pi * dl * (n - 1) * gap
     num = lam1**2 + lam2**2 + 2.0 * lam1 * lam2 * np.cos(gamma)
     den = 2.0 * n**2 + 2.0 * n * lam * np.cos(gamma)
@@ -282,7 +282,7 @@ def snr_loss_numeric(inputs: SnrLossInputs) -> float:
     return float(1.0 - snr_merged / snr_full)
 
 
-def steered_response(
+def _steered_response(
     channel: np.ndarray,
     selection: AntennaSelection,
     geometry: ArrayGeometry,
@@ -339,8 +339,8 @@ def composite_angle(
     """
     grid = _scan_grid(selection, geometry, None)
     while True:
-        response = steered_response(channel, selection, geometry, grid,
-                                    phases)
+        response = _steered_response(channel, selection, geometry, grid,
+                                     phases)
         phases = None  # the zoomed grids depend on the channel
         w_star = float(grid[np.argmax(response)])
         step = grid[1] - grid[0]
@@ -368,13 +368,14 @@ def resolved_path_count(
     w_center)``, if the caller built it once.
     """
     grid = _scan_grid(selection, geometry, w_center)
-    response = steered_response(channel, selection, geometry, grid, phases)
+    response = _steered_response(channel, selection, geometry, grid, phases)
     top = response.max()
     return _peak_count(response, 0.5 * top, 0.1 * top)
 
 
 def _peak_count(x: np.ndarray, height: float, prominence: float) -> int:
-    """Peaks of ``x`` with this height and prominence, as ``find_peaks``.
+    """Peaks of ``x`` with this height and prominence, as SciPy's
+    ``find_peaks`` counts them.
 
     A peak is a run of equal samples above the runs on both sides, so a
     flat top counts once.  Its prominence is its height less the larger

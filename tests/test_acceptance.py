@@ -47,11 +47,10 @@ from asymx import (
     select_random,
     snr_loss_closed_form,
     snr_loss_numeric,
-    spatial_matched_filter,
-    steering_uplink,
     uplink_channel,
 )
-from asymx.transfer import _path_derivatives, _slope_terms
+from asymx.channel import steering_uplink
+from asymx.transfer import _matched_filter, _path_derivatives, _slope_terms
 
 EXPECTED_COST = {"adbn": 52432, "dbm": 124672, "hbfn": 382208, "hbsn": 55808}
 
@@ -223,7 +222,7 @@ def test_criterion_08_matched_filter_and_derivatives():
                                            * b / size))
                 for b in range(size)
             ]) / sel.num_receive
-            fast = spatial_matched_filter(h, sel, zeta)
+            fast = _matched_filter(h, sel.indices - 1, m, zeta)
             worst_fft = max(worst_fft, float(np.max(np.abs(fast - naive))))
     geom = ArrayGeometry(128)
     sel = select_random(128, 32, rng, pinned=True)

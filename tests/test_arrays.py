@@ -22,7 +22,6 @@ def test_successive_indices():
     assert sel.indices.tolist() == list(range(1, N + 1))
     assert sel.kind == "successive"
     assert sel.num_receive == N
-    assert sel.span == N
 
 
 def test_comb_indices():
@@ -30,7 +29,6 @@ def test_comb_indices():
     stride = M // N
     assert sel.indices.tolist() == [1 + stride * i for i in range(N)]
     assert sel.indices[-1] == M - stride + 1
-    assert sel.span == M - stride + 1
 
 
 def test_comb_requires_divisibility():
@@ -54,7 +52,6 @@ def test_random_pinned_spans_aperture():
         sel = select_random(M, N, rng, pinned=True)
         assert sel.indices[0] == 1
         assert sel.indices[-1] == M
-        assert sel.span == M
 
 
 def test_selection_validation():

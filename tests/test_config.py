@@ -19,9 +19,9 @@ from asymx.config import (
     SYSTEMS,
     ConfigError,
     ExperimentConfig,
+    _parse_config_text,
     config_from_values,
     load_config_values,
-    parse_config_text,
 )
 from asymx.econ import Architecture
 from asymx.transfer import TransferConfig
@@ -110,7 +110,7 @@ def test_random_config_round_trips_through_recipe_text(values):
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(values) == names
     cfg = ExperimentConfig(**values)
-    assert config_from_values(parse_config_text(recipe_text(cfg))) == cfg
+    assert config_from_values(_parse_config_text(recipe_text(cfg))) == cfg
 
 
 def test_parse_key_values_and_comments():
@@ -121,7 +121,7 @@ def test_parse_key_values_and_comments():
     trials = 7
     pinned_random = true
     """
-    values = parse_config_text(text)
+    values = _parse_config_text(text)
     assert values == {"experiment": "se", "snr_db": "0, 5, 10",
                       "trials": "7", "pinned_random": "true"}
 
@@ -137,9 +137,9 @@ def test_parse_include_merges_with_later_wins(tmp_path):
 
 def test_parse_rejects_bad_lines():
     with pytest.raises(ConfigError):
-        parse_config_text("this is not a key value pair")
+        _parse_config_text("this is not a key value pair")
     with pytest.raises(ConfigError):
-        parse_config_text("include")
+        _parse_config_text("include")
 
 
 def test_include_cycle_names_the_file(tmp_path):
@@ -154,13 +154,13 @@ def test_include_cycle_names_the_file(tmp_path):
 
 
 def test_include_matches_only_the_whole_first_word():
-    assert parse_config_text("included_paths = 3") == {"included_paths": "3"}
+    assert _parse_config_text("included_paths = 3") == {"included_paths": "3"}
     with pytest.raises(ConfigError, match=r"config\.included_paths"):
         config_from_values({"experiment": "se", "included_paths": "3"})
 
 
 def test_empty_list_value_names_the_field():
-    values = parse_config_text("experiment = se\nselection =\n")
+    values = _parse_config_text("experiment = se\nselection =\n")
     with pytest.raises(ConfigError, match=r"config\.selection"):
         config_from_values(values)
 
@@ -388,7 +388,7 @@ def test_sweep_entries_no_row_reports_rejected(tmp_path, capsys, experiment,
     text = (f"experiment = {experiment}\nnum_transmit = 64\nnum_users = 4\n"
             f"{extra}\n{fieldname} = {', '.join(map(str, values))}\n")
     with pytest.raises(ConfigError, match=rf"config\.{fieldname}: "):
-        config_from_values(parse_config_text(text))
+        config_from_values(_parse_config_text(text))
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     assert cli_main([experiment, "--config", str(cfg), "--trials", "1",

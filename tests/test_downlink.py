@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from asymx.channel import ArrayGeometry, PathSet, user_channels
 from asymx.downlink import (
+    _downlink_sinr,
     downlink_se,
-    downlink_sinr,
     mrt_precoder,
     nmse,
     nmse_db,
@@ -113,7 +113,7 @@ def test_zf_sinr_equals_rho_times_gain():
     h = random_downlink(4)
     w = zf_precoder(h)
     rho = 5.0
-    sinr = downlink_sinr(h, w, rho)
+    sinr = _downlink_sinr(h, w, rho)
     direct = rho * np.abs(np.diag(h @ w)) ** 2
     assert np.allclose(sinr, direct, rtol=1e-9)
 
@@ -122,7 +122,7 @@ def test_downlink_sinr_manual_two_user():
     h = np.array([[1.0 + 0j, 0.0], [0.6, 0.8]])
     w = np.eye(2, dtype=complex)
     rho = 2.0
-    sinr = downlink_sinr(h, w, rho)
+    sinr = _downlink_sinr(h, w, rho)
     assert sinr[0] == pytest.approx(1.0 / (0.5), rel=1e-12)
     assert sinr[1] == pytest.approx(0.64 / (0.36 + 0.5), rel=1e-12)
 
@@ -149,13 +149,13 @@ def test_power_validated():
     h = random_downlink(7)
     for power in (-1.0, 0.0, np.nan, np.inf, np.array([1.0, 2.0])):
         with pytest.raises(ValueError, match="power"):
-            downlink_sinr(h, zf_precoder(h), power)
+            _downlink_sinr(h, zf_precoder(h), power)
     # a stack takes one power, or one per slice, and no other shape
     stack = np.stack([h, h])
     w = zf_precoder(stack)
     for power in (np.ones(3), np.ones((2, 1)), np.array([1.0, -1.0])):
         with pytest.raises(ValueError, match="power"):
-            downlink_sinr(stack, w, power)
+            _downlink_sinr(stack, w, power)
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,8 +190,8 @@ def test_downlink_accepts_plain_vector():
     vec = h[0]
     w = mrt_precoder(vec)
     assert w.shape == (M, 1)
-    sinr_vec = downlink_sinr(vec, w, 1.0)
-    sinr_mat = downlink_sinr(h, w, 1.0)
+    sinr_vec = _downlink_sinr(vec, w, 1.0)
+    sinr_mat = _downlink_sinr(h, w, 1.0)
     assert sinr_vec[0] == pytest.approx(sinr_mat[0], rel=1e-12)
 
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymx import econ
 from asymx.econ import (
     ARCHITECTURES,
-    COMPONENTS,
     Architecture,
-    HardwareProfile,
+    _parts,
     cost,
     energy_efficiency,
     power,
@@ -65,45 +65,24 @@ def test_power_slot_ratio_limits():
             power(a, slot_ratio=bad)
 
 
-def test_cost_scales_linearly_with_profile():
-    base = HardwareProfile()
-    doubled = HardwareProfile(
-        cost_usd={k: 2.0 * v for k, v in base.cost_usd.items()},
-        power_w=base.power_w,
-    )
-    for kind in ARCHITECTURES:
-        assert cost(arch(kind), doubled) == pytest.approx(
-            2.0 * cost(arch(kind), base), rel=1e-12)
-
-
 def test_cost_sensitivity_to_adc_price():
-    # each receive chain carries exactly one ADC
-    base = HardwareProfile()
-    bumped = HardwareProfile(
-        cost_usd={**base.cost_usd, "adc": base.cost_usd["adc"] + 10.0},
-        power_w=base.power_w,
-    )
-    assert cost(arch("adbn"), bumped) - cost(arch("adbn"), base) == \
-        pytest.approx(10.0 * N)
-    assert cost(arch("dbm"), bumped) - cost(arch("dbm"), base) == \
-        pytest.approx(10.0 * M)
-    assert cost(arch("hbfn"), bumped) - cost(arch("hbfn"), base) == \
-        pytest.approx(10.0 * N)
+    # the cost moves with the ADC price by the ADC count: one per receive
+    # chain, N on the asymmetrical and hybrid designs and M on dbm
+    for kind, chains in (("adbn", N), ("dbm", M), ("hbfn", N), ("hbsn", N)):
+        tx, rx = _parts(arch(kind))
+        assert (tx.get("adc", 0), rx["adc"]) == (0, chains), kind
 
 
 def test_cost_sensitivity_to_phase_shifter_price():
-    # fully and partially connected networks differ only in shifter count
-    base = HardwareProfile()
-    bumped = HardwareProfile(
-        cost_usd={**base.cost_usd,
-                  "phase_shifter": base.cost_usd["phase_shifter"] + 1.0},
-        power_w=base.power_w,
-    )
-    assert cost(arch("hbfn"), bumped) - cost(arch("hbfn"), base) == \
-        pytest.approx(float(M * N))
-    assert cost(arch("hbsn"), bumped) - cost(arch("hbsn"), base) == \
-        pytest.approx(float(M))
-    assert cost(arch("adbn"), bumped) == cost(arch("adbn"), base)
+    # fully and partially connected networks differ only in shifter count,
+    # M * N against M, which the shifter price multiplies
+    full_tx, full_rx = _parts(arch("hbfn"))
+    sub_tx, sub_rx = _parts(arch("hbsn"))
+    assert full_tx["phase_shifter"] == full_rx["phase_shifter"] == M * N
+    assert sub_tx["phase_shifter"] == sub_rx["phase_shifter"] == M
+    assert {**full_tx, "phase_shifter": M} == sub_tx
+    assert {**full_rx, "phase_shifter": M} == sub_rx
+    assert all("phase_shifter" not in side for side in _parts(arch("adbn")))
 
 
 def test_energy_efficiency_formula():
@@ -170,18 +149,14 @@ def test_architecture_validation():
         EXPECTED_COST["adbn"]
 
 
-def test_profile_validation():
-    good = HardwareProfile()
-    assert set(good.cost_usd) == set(COMPONENTS)
-    with pytest.raises(ValueError):
-        HardwareProfile(cost_usd={"pa": 1.0}, power_w=good.power_w)
-    for value in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-negative and finite"):
-            HardwareProfile(cost_usd={**good.cost_usd, "pa": value},
-                            power_w=good.power_w)
-        with pytest.raises(ValueError, match="non-negative and finite"):
-            HardwareProfile(cost_usd=good.cost_usd,
-                            power_w={**good.power_w, "adc": value})
+def test_price_table_prices_every_part():
+    # cost() reads a part's count only through the table, so a part that
+    # _parts names but the table lacks would cost nothing
+    named = {part for kind in ARCHITECTURES for side in _parts(arch(kind))
+             for part in side}
+    assert named == set(econ._PRICES)
+    for usd, watts in econ._PRICES.values():
+        assert 0.0 <= usd < np.inf and 0.0 <= watts < np.inf
 
 
 def test_dbm_must_be_square():
@@ -265,12 +240,12 @@ def test_cost_and_power_match_frozen_formulas(m, n, kind):
 
 
 @pytest.mark.parametrize("m, n, kind", sorted(FROZEN_COUNTS))
-def test_unit_price_rise_adds_the_frozen_part_count(m, n, kind):
-    assert set(_ORDER) == set(COMPONENTS)
+def test_unit_price_rise_adds_the_frozen_part_count(m, n, kind, monkeypatch):
+    assert set(_ORDER) == set(econ._PRICES)
     a = arch(kind, m, n)
-    base = HardwareProfile()
+    base = cost(a)
     for part, count in zip(_ORDER, FROZEN_COUNTS[m, n, kind]):
-        bumped = HardwareProfile(
-            cost_usd={**base.cost_usd, part: base.cost_usd[part] + 1.0},
-            power_w=base.power_w)
-        assert cost(a, bumped) - cost(a, base) == count, part
+        usd, watts = econ._PRICES[part]
+        with monkeypatch.context() as patch:
+            patch.setitem(econ._PRICES, part, (usd + 1.0, watts))
+            assert cost(a) - base == count, part

@@ -17,17 +17,17 @@ from asymx.downlink import nmse
 from asymx.transfer import (
     _SLOPE_CACHE_SIZE,
     TransferConfig,
+    _bin_to_spatial_freq,
+    _find_peaks,
     _fit_error,
+    _matched_filter,
     _path_derivatives,
     _refine,
     _refit,
     _slope_terms,
-    bin_to_spatial_freq,
     default_threshold,
     dft_transfer,
-    find_peaks,
     mnomp_transfer,
-    spatial_matched_filter,
 )
 from asymx.uplink import make_selection
 
@@ -125,12 +125,18 @@ def test_default_threshold_is_noise_energy():
             default_threshold(32, bad)
 
 
-def test_spatial_matched_filter_rejects_wrong_length():
+def test_transfers_reject_wrong_shape_estimate():
+    # both check the shape before the energy, so a short estimate with a
+    # NaN entry is refused for its shape too
     sel = pinned_random(0)
     h = np.arange(1, N + 1).astype(complex)
-    assert spatial_matched_filter(h, sel, 4).shape == (4 * M,)
-    with pytest.raises(ValueError):
-        spatial_matched_filter(h[:-1], sel, 4)
+    short_nan = h[:-1].copy()
+    short_nan[0] = np.nan
+    config = TransferConfig(4, default_threshold(N, 10.0))
+    for bad in (h[:-1], short_nan, h[None, :], np.stack((h, h))):
+        for transfer in (dft_transfer, mnomp_transfer):
+            with pytest.raises(ValueError, match="estimate length"):
+                transfer(bad, sel, GEOM, config)
 
 
 @pytest.mark.parametrize("transfer", [dft_transfer, mnomp_transfer])
@@ -162,26 +168,26 @@ def test_spatial_matched_filter_equals_naive_correlation():
                                            * b / size))
                 for b in grid
             ]) / sel.num_receive
-            fast = spatial_matched_filter(h, sel, zeta)
+            fast = _matched_filter(h, sel.indices - 1, m, zeta)
             assert np.max(np.abs(fast - naive)) < 1e-9
 
 
 def test_bin_to_spatial_freq_wraps():
-    got = bin_to_spatial_freq(np.arange(8), 8, 0.5)
+    got = _bin_to_spatial_freq(np.arange(8), 8, 0.5)
     assert np.allclose(got, [0.0, 0.25, 0.5, 0.75, -1.0, -0.75, -0.5, -0.25])
-    assert bin_to_spatial_freq(3, 8, 0.5) == pytest.approx(0.75)
-    assert bin_to_spatial_freq(4, 8, 0.5) == pytest.approx(-1.0)
+    assert _bin_to_spatial_freq(3, 8, 0.5) == pytest.approx(0.75)
+    assert _bin_to_spatial_freq(4, 8, 0.5) == pytest.approx(-1.0)
 
 
 def test_find_peaks_circular_and_sorted():
-    assert find_peaks(np.array([0.0, 3.0, 1.0, 2.0])).tolist() == [1, 3]
+    assert _find_peaks(np.array([0.0, 3.0, 1.0, 2.0])).tolist() == [1, 3]
     # circular: the last bin beats its wrap-around neighbour
-    assert find_peaks(np.array([1.0, 0.0, 0.0, 5.0])).tolist() == [3]
+    assert _find_peaks(np.array([1.0, 0.0, 0.0, 5.0])).tolist() == [3]
     # plateaus are non-strict peaks; magnitude ties break to lower index
-    assert find_peaks(np.array([2.0, 2.0, 1.0, 1.5])).tolist() == [0, 1]
-    assert find_peaks(np.array([7.0])).tolist() == [0]
+    assert _find_peaks(np.array([2.0, 2.0, 1.0, 1.5])).tolist() == [0, 1]
+    assert _find_peaks(np.array([7.0])).tolist() == [0]
     # complex scores are ranked by magnitude
-    assert find_peaks(np.array([1.0, -3.0j, 0.5, 2.0])).tolist() == [1, 3]
+    assert _find_peaks(np.array([1.0, -3.0j, 0.5, 2.0])).tolist() == [1, 3]
 
 
 # ---------------------------------------------------------- DFT transfer
@@ -260,9 +266,9 @@ def test_matched_filter_peak_on_grid():
     sel = pinned_random(6)
     paths = PathSet(np.array([g]), np.array([np.arcsin(w0)]))
     h_up, _ = channel_pair(paths, sel)
-    scores = spatial_matched_filter(h_up, sel, 4)
+    scores = _matched_filter(h_up, sel.indices - 1, M, 4)
     best = int(np.argmax(np.abs(scores)))
-    w = bin_to_spatial_freq(best, scores.size, GEOM.spacing)
+    w = _bin_to_spatial_freq(best, scores.size, GEOM.spacing)
     assert w == pytest.approx(w0, abs=1e-12)
     assert complex(scores[best]) == pytest.approx(np.conj(g), abs=1e-9)
 
@@ -478,7 +484,7 @@ def test_noiseless_on_grid_path_recovered_exactly(data, algorithm, kind,
     kernel, oversampling = {"dft": (dft_transfer, 8),
                             "mnomp": (mnomp_transfer, 4)}[algorithm]
     size = M * oversampling
-    grid = bin_to_spatial_freq(np.arange(size), size, spacing)
+    grid = _bin_to_spatial_freq(np.arange(size), size, spacing)
     w = float(data.draw(st.sampled_from(grid[np.abs(grid) <= 1.0])))
     sel = make_selection(kind, M, num_receive, np.random.default_rng(seed))
     paths = PathSet(np.array([magnitude * np.exp(1j * phase)]),

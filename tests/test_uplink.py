@@ -13,11 +13,12 @@ from asymx.channel import (
 )
 from asymx.uplink import (
     PilotBlock,
+    SnrLossInputs,
+    _dirichlet_ratio,
     _peak_count,
     _scan_phases,
-    SnrLossInputs,
+    _steered_response,
     composite_angle,
-    dirichlet_ratio,
     estimate_lmmse,
     estimate_ls,
     generate_pilots,
@@ -26,7 +27,6 @@ from asymx.uplink import (
     resolved_path_count,
     snr_loss_closed_form,
     snr_loss_numeric,
-    steered_response,
     uplink_sinr,
 )
 
@@ -298,16 +298,16 @@ def test_dirichlet_ratio_matches_direct_sum():
         for u in (-0.73, -0.2, 0.11, 0.26, 0.999):
             direct = np.abs(np.exp(1j * 2 * np.pi * u
                                    * np.arange(count)).sum())
-            assert abs(dirichlet_ratio(count, u)) == \
+            assert abs(_dirichlet_ratio(count, u)) == \
                 pytest.approx(direct, abs=1e-9)
 
 
 def test_dirichlet_ratio_limit_at_integers():
-    assert dirichlet_ratio(32, 0.0) == pytest.approx(32.0)
-    assert abs(dirichlet_ratio(32, 1.0)) == pytest.approx(32.0)
-    assert abs(dirichlet_ratio(32, 2.0)) == pytest.approx(32.0)
+    assert _dirichlet_ratio(32, 0.0) == pytest.approx(32.0)
+    assert abs(_dirichlet_ratio(32, 1.0)) == pytest.approx(32.0)
+    assert abs(_dirichlet_ratio(32, 2.0)) == pytest.approx(32.0)
     # continuity: approaching the zero from either side
-    assert dirichlet_ratio(32, 1e-9) == pytest.approx(32.0, rel=1e-6)
+    assert _dirichlet_ratio(32, 1e-9) == pytest.approx(32.0, rel=1e-6)
 
 
 def test_snr_loss_closed_matches_numeric_spot():
@@ -392,7 +392,7 @@ def test_steered_response_peak_aligns_with_single_path():
     paths = PathSet(np.array([1.0 + 0j]), np.array([np.deg2rad(20.0)]))
     h = uplink_channel(paths, sel, GEOM)
     grid = np.linspace(-1.0, 1.0, 2001)
-    resp = steered_response(h, sel, GEOM, grid)
+    resp = _steered_response(h, sel, GEOM, grid)
     assert grid[np.argmax(resp)] == pytest.approx(np.sin(np.deg2rad(20.0)),
                                                   abs=2e-3)
 
@@ -470,13 +470,13 @@ def test_composite_angle_zoom_matches_bounded_brent(m, n, spacing, theta1,
     theta2 = float(np.arcsin(np.clip(w2, -1.0, 1.0)))
     h = two_paths(theta1, theta2, phi, sel, geom)
     grid = np.linspace(-1.0, 1.0, 16 * m)
-    best = grid[np.argmax(steered_response(h, sel, geom, grid))]
+    best = grid[np.argmax(_steered_response(h, sel, geom, grid))]
     step = grid[1] - grid[0]
     brent = optimize.minimize_scalar(
-        lambda w: -steered_response(h, sel, geom, w)[0],
+        lambda w: -_steered_response(h, sel, geom, w)[0],
         bounds=(max(-1.0, best - step), min(1.0, best + step)),
         method="bounded", options={"xatol": 1e-7}).x
     w_zoom = np.sin(composite_angle(h, sel, geom))
     assert abs(w_zoom - brent) <= 1e-7
-    zoom_value, brent_value = steered_response(h, sel, geom, [w_zoom, brent])
+    zoom_value, brent_value = _steered_response(h, sel, geom, [w_zoom, brent])
     assert zoom_value >= brent_value * (1.0 - 1e-13)
