@@ -77,7 +77,6 @@ class ExperimentConfig:
     link: str = "downlink"
     systems: tuple[str, ...] = SYSTEMS
     master_seed: int = 0
-    spacing: float = 0.5
     phase_points: int = 65
     grid_points: int = 4096
     pinned_random: bool = False
@@ -160,7 +159,6 @@ class ExperimentConfig:
         if self.pinned_random and "random" in self.selection:
             _require(min(self.num_receive) >= 2, "num_receive",
                      "pinned random selection needs entries >= 2")
-        _require(self.spacing > 0, "spacing", "must be positive")
         # zero forcing inverts the K x K Gram matrix of an N-antenna channel:
         # in detection, and in precoding for the N-antenna full digital BS
         zf_on_n = (

@@ -100,30 +100,20 @@ def cost(arch: Architecture) -> float:
     return total
 
 
-def power(arch: Architecture, slot_ratio: float = SLOT_RATIO) -> float:
+def power(arch: Architecture) -> float:
     """Slot-weighted power draw in watts: (1 - eps) tx + eps rx."""
-    if not 0.0 <= slot_ratio <= 1.0:
-        raise ValueError("slot ratio must lie in [0, 1]")
     tx, rx = (sum(_PRICES[part][1] * count for part, count in side.items())
               for side in _parts(arch))
-    return (1.0 - slot_ratio) * tx + slot_ratio * rx
+    return (1.0 - SLOT_RATIO) * tx + SLOT_RATIO * rx
 
 
-def energy_efficiency(
-    se_uplink: float,
-    se_downlink: float,
-    slot_ratio: float,
-    power_bs: float,
-    bandwidth_hz: float,
-) -> float:
-    """Bits per joule: slot-weighted SE times bandwidth over BS power."""
+def energy_efficiency(se_uplink: float, se_downlink: float,
+                      power_bs: float) -> float:
+    """Bits per joule: (eps SE_ul + (1 - eps) SE_dl) B / P, with eps the
+    slot share ``SLOT_RATIO`` and B the bandwidth ``BANDWIDTH_HZ``."""
     if not (0.0 <= se_uplink < math.inf and 0.0 <= se_downlink < math.inf):
         raise ValueError("spectral efficiency must be non-negative and finite")
-    if not 0.0 <= slot_ratio <= 1.0:
-        raise ValueError("slot ratio must lie in [0, 1]")
     if not 0.0 < power_bs < math.inf:
         raise ValueError("BS power must be positive and finite")
-    if not 0.0 < bandwidth_hz < math.inf:
-        raise ValueError("bandwidth must be positive and finite")
-    weighted = slot_ratio * se_uplink + (1.0 - slot_ratio) * se_downlink
-    return weighted * bandwidth_hz / power_bs
+    weighted = SLOT_RATIO * se_uplink + (1.0 - SLOT_RATIO) * se_downlink
+    return weighted * BANDWIDTH_HZ / power_bs

@@ -193,7 +193,7 @@ def _run_beam_pattern(cfg: ExperimentConfig) -> ExperimentResult:
                if kind == "random" else None)
         sel = make_selection(kind, cfg.num_transmit, n, rng,
                              cfg.pinned_random)
-        mags = array_factor(sel, grid, cfg.spacing)
+        mags = array_factor(sel, grid)
         for w, mag in zip(grid, mags):
             angle = float(np.degrees(np.arcsin(np.clip(w, -1.0, 1.0))))
             mag = float(max(mag, 1e-300))
@@ -208,7 +208,7 @@ def _run_beam_pattern(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.num_receive[0]
-    geometry = ArrayGeometry(cfg.num_transmit, cfg.spacing)
+    geometry = ArrayGeometry(cfg.num_transmit)
     sel = make_selection("successive", cfg.num_transmit, n)
     theta1, theta2 = (np.deg2rad(t) for t in _SNR_LOSS_THETAS_DEG)
     w_mid = 0.5 * (np.sin(theta1) + np.sin(theta2))
@@ -224,7 +224,7 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
         h = uplink_channel(paths, sel, geometry)
         inputs = SnrLossInputs(theta1, theta2,
                                composite_angle(h, sel, geometry, coarse),
-                               0.0, float(phase), n, cfg.spacing)
+                               0.0, float(phase), n, geometry.spacing)
         rows.append((
             float(phase),
             snr_loss_closed_form(inputs),
@@ -362,7 +362,7 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
     samples: dict[tuple, np.ndarray] = {}
     downs: dict[int, np.ndarray | None] = {}
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
-        geometry = ArrayGeometry(m, cfg.spacing)
+        geometry = ArrayGeometry(m)
         # a fixed selection reads no stream, so one serves every trial
         sels = ([make_selection(
                     kind, m, n,
@@ -416,8 +416,14 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
             system_se = _system_se(cfg, down_est, h_down, pilots.power)
             # freed now, not when the next setup has built its estimates
             del down_est
-            samples[system,] = np.concatenate(
-                (se_up, system_se[..., None]), axis=-1)
+            columns = [se_up, system_se[..., None]]
+            if cfg.reports_uplink:
+                # ee: each trial's slot-weighted SE as well, since a trial's
+                # two SEs come from one draw; B/P times this column's
+                # standard error is the EE's
+                columns.append(econ.SLOT_RATIO * se_up
+                               + (1.0 - econ.SLOT_RATIO) * columns[1])
+            samples[system,] = np.concatenate(columns, axis=-1)
     return samples
 
 
@@ -581,14 +587,12 @@ def _run_ee(cfg: ExperimentConfig) -> ExperimentResult:
     cells = _monte_carlo(cfg)
     rows = []
     for snr, system in product(cfg.snr_db, cfg.downlink_systems):
-        (se_up, se_dn), (up_err, dn_err) = cells[snr, system]
+        (se_up, se_dn, _), (up_err, dn_err, weighted_err) = cells[snr, system]
         _, sys_m, sys_n = _system_array(cfg, system)
         arch = Architecture("adbn" if system == "asym" else "dbm", sys_m, sys_n)
         p_bs = power(arch)
-        ee = energy_efficiency(float(se_up), float(se_dn), econ.SLOT_RATIO,
-                               p_bs, econ.BANDWIDTH_HZ)
-        ee_err = (econ.BANDWIDTH_HZ / p_bs) * float(np.hypot(
-            econ.SLOT_RATIO * up_err, (1.0 - econ.SLOT_RATIO) * dn_err))
+        ee = energy_efficiency(float(se_up), float(se_dn), p_bs)
+        ee_err = econ.BANDWIDTH_HZ / p_bs * float(weighted_err)
         rows.append((float(snr), system, float(se_up), float(se_dn), p_bs, ee,
                      float(up_err), float(dn_err), ee_err, cfg.trials))
     return ExperimentResult(

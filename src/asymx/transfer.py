@@ -29,9 +29,8 @@ with period 1/d, so bins and Newton steps land on [-1/(2d), 1/(2d)), which
 is [-1, 1) at half-wavelength spacing.
 
 Both stop against the same energy threshold N/rho_tau: the expected noise
-energy left in an N-element LS estimate.  Both refuse an estimate that is
-not an N-vector of the selection, then one whose energy is not finite, as
-a NaN or inf entry leaves no path to find.
+energy left in an N-element LS estimate.  Both take their estimate through
+``_checked_estimate``: an N-vector of the selection of finite energy.
 """
 
 from __future__ import annotations
@@ -121,6 +120,20 @@ def default_threshold(num_receive: int, pilot_power: float) -> float:
     return num_receive / pilot_power
 
 
+def _checked_estimate(h_up_est: np.ndarray, selection: AntennaSelection
+                      ) -> tuple[np.ndarray, float]:
+    """The estimate as a complex N-vector of the selection, and its energy;
+    a wrong shape is refused first, then a NaN or inf entry, as it leaves
+    no path to find."""
+    h_up = np.asarray(h_up_est, dtype=complex)
+    if h_up.shape != (selection.num_receive,):
+        raise ValueError("estimate length must match the selection")
+    energy = float(np.vdot(h_up, h_up).real)
+    if not math.isfinite(energy):
+        raise ValueError("uplink estimate must be finite")
+    return h_up, energy
+
+
 def _matched_filter(h: np.ndarray, offsets: np.ndarray, num_transmit: int,
                     oversampling: int) -> np.ndarray:
     """Per-bin path-gain scores (1/N) * F_{M*zeta} [conj(h) on the selection].
@@ -180,13 +193,8 @@ def dft_transfer(
     ``residual_energy``) is not ||h - reconstruction||^2 and can be far
     below zero; it is the rule of the reproduced algorithm and is kept.
     """
-    h_up = np.asarray(h_up_est, dtype=complex)
+    h_up, energy = _checked_estimate(h_up_est, selection)
     num_receive = selection.num_receive
-    if h_up.shape != (num_receive,):
-        raise ValueError("estimate length must match the selection")
-    energy = float(np.vdot(h_up, h_up).real)
-    if not math.isfinite(energy):
-        raise ValueError("uplink estimate must be finite")
     scores = _matched_filter(h_up, selection.indices - 1,
                              selection.num_transmit, config.oversampling)
     peak_bins = _find_peaks(scores)
@@ -236,9 +244,7 @@ def mnomp_transfer(
     A path of gain g at w contributes g * e(w), with the unnormalised
     steering e(w) = exp(p * w) = sqrt(N) a_S(w) and |e_n| = 1.
     """
-    h_up = np.asarray(h_up_est, dtype=complex)
-    if h_up.shape != (selection.num_receive,):
-        raise ValueError("estimate length must match the selection")
+    h_up, energy = _checked_estimate(h_up_est, selection)
     offsets, pos, weights = _slope_terms(selection.indices.tobytes(),
                                          geometry)
     period = 1.0 / geometry.spacing
@@ -251,9 +257,6 @@ def mnomp_transfer(
     freqs: list[float] = []
     steers: list[np.ndarray] = []
     residual = h_up
-    energy = float(np.vdot(residual, residual).real)
-    if not math.isfinite(energy):
-        raise ValueError("uplink estimate must be finite")
     while energy >= config.threshold and len(gains) < config.max_paths:
         scores = _matched_filter(residual, offsets, selection.num_transmit,
                                  config.oversampling)

@@ -86,7 +86,6 @@ def config_values(draw) -> dict:
         link=draw(st.sampled_from(("uplink", "downlink"))),
         systems=draw(some(SYSTEMS)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        spacing=draw(floats(0.0, 1e3, exclude_min=True)),
         phase_points=draw(st.integers(2, 10**4)),
         grid_points=draw(st.integers(16, 10**6)),
         pinned_random=pinned_random,
@@ -177,10 +176,12 @@ def test_unknown_key_reports_field_path():
     ("theta2_deg", "54.285"),
     ("slot_ratio", "0.3333333333333333"),
     ("bandwidth_hz", "500e6"),
+    ("spacing", "0.5"),
 ])
 def test_scenario_constants_are_unknown_keys(key, raw):
-    # the path angles, the snr-loss paths, the slot share and the bandwidth
-    # are constants of asymx.harness and asymx.econ; a recipe that sets one,
+    # the path angles, the snr-loss paths, the slot share, the bandwidth
+    # and the half-wavelength element spacing are constants of
+    # asymx.harness, asymx.econ and ArrayGeometry; a recipe that sets one,
     # even to its value, fails
     with pytest.raises(ConfigError, match=rf"config\.{key}: unknown key"):
         config_from_values({"experiment": "ee", key: raw})
@@ -244,7 +245,6 @@ def test_every_range_row_refuses_values_outside(fieldname):
     ("snr_db", (float("nan"),)),
     ("snr_db", (0.0, float("inf"))),
     ("path_powers", (float("nan"), 1.0)),
-    ("spacing", float("nan")),
 ])
 def test_non_finite_float_fields_rejected(fieldname, values):
     overrides = {fieldname: values}

@@ -52,17 +52,21 @@ def test_power_values_and_ordering():
     assert p["hbsn"] == pytest.approx(p["hbfn"], rel=1e-12)
 
 
+def side_watts(a):
+    """(transmit side, receive side) power draw of one architecture."""
+    return tuple(sum(econ._PRICES[part][1] * count
+                     for part, count in side.items()) for side in _parts(a))
+
+
 def test_power_slot_ratio_limits():
-    # all-uplink duty never powers the transmit chains and vice versa
+    # all-uplink duty would power only the receive side, all-downlink duty
+    # only the transmit side; the fixed share eps = 1/3 lies between
     a = arch("adbn")
-    rx_only = power(a, slot_ratio=1.0)
-    tx_only = power(a, slot_ratio=0.0)
-    assert rx_only < tx_only
-    mid = power(a, slot_ratio=0.5)
-    assert mid == pytest.approx(0.5 * (rx_only + tx_only), rel=1e-12)
-    for bad in (1.5, -0.1):
-        with pytest.raises(ValueError, match="slot ratio"):
-            power(a, slot_ratio=bad)
+    tx_only, rx_only = side_watts(a)
+    assert rx_only < power(a) < tx_only
+    assert power(a) == pytest.approx(
+        (1.0 - econ.SLOT_RATIO) * tx_only + econ.SLOT_RATIO * rx_only,
+        rel=1e-12)
 
 
 def test_cost_sensitivity_to_adc_price():
@@ -86,7 +90,8 @@ def test_cost_sensitivity_to_phase_shifter_price():
 
 
 def test_energy_efficiency_formula():
-    ee = energy_efficiency(30.0, 60.0, 1.0 / 3.0, 500.0, 500e6)
+    # eps = 1/3 of the slots uplink, over 500 MHz
+    ee = energy_efficiency(30.0, 60.0, 500.0)
     expected = (30.0 / 3.0 + 60.0 * 2.0 / 3.0) * 500e6 / 500.0
     assert ee == pytest.approx(expected, rel=1e-12)
 
@@ -95,29 +100,17 @@ def test_energy_efficiency_formula():
 @given(
     up=st.floats(0.0, 200.0),
     down=st.floats(0.0, 200.0),
-    ratio=st.floats(0.0, 1.0),
 )
-def test_energy_efficiency_bounds(up, down, ratio):
-    ee = energy_efficiency(up, down, ratio, 790.9, 500e6)
+def test_energy_efficiency_bounds(up, down):
+    ee = energy_efficiency(up, down, 790.9)
     lo, hi = sorted((up, down))
     assert lo * 500e6 / 790.9 - 1e-6 <= ee <= hi * 500e6 / 790.9 + 1e-6
 
 
-@pytest.mark.parametrize("slot_ratio, power_bs, bandwidth_hz, message", [
-    (1.0 / 3.0, np.nan, 500e6, "BS power"),
-    (1.0 / 3.0, np.inf, 500e6, "BS power"),
-    (1.0 / 3.0, 0.0, 500e6, "BS power"),
-    (1.0 / 3.0, 500.0, np.inf, "bandwidth"),
-    (1.0 / 3.0, 500.0, np.nan, "bandwidth"),
-    (1.0 / 3.0, 500.0, -1.0, "bandwidth"),
-    (1.5, 500.0, 500e6, "slot ratio"),
-    (-0.1, 500.0, 500e6, "slot ratio"),
-    (np.nan, 500.0, 500e6, "slot ratio"),
-])
-def test_energy_efficiency_rejects_bad_inputs(slot_ratio, power_bs,
-                                              bandwidth_hz, message):
-    with pytest.raises(ValueError, match=message):
-        energy_efficiency(30.0, 60.0, slot_ratio, power_bs, bandwidth_hz)
+@pytest.mark.parametrize("power_bs", [np.nan, np.inf, 0.0])
+def test_energy_efficiency_rejects_bad_power(power_bs):
+    with pytest.raises(ValueError, match="BS power"):
+        energy_efficiency(30.0, 60.0, power_bs)
 
 
 @pytest.mark.parametrize("se_uplink, se_downlink", [
@@ -128,7 +121,7 @@ def test_energy_efficiency_rejects_bad_spectral_efficiency(se_uplink,
                                                           se_downlink):
     # NaN and inf used to pass straight through to the bits per joule
     with pytest.raises(ValueError, match="spectral efficiency"):
-        energy_efficiency(se_uplink, se_downlink, 1.0 / 3.0, 500.0, 500e6)
+        energy_efficiency(se_uplink, se_downlink, 500.0)
 
 
 def test_architecture_validation():
@@ -171,9 +164,10 @@ def test_architecture_is_frozen():
 
 
 def test_power_is_positive_everywhere():
+    # each side draws power, so any slot share would give a positive draw
     for kind in ARCHITECTURES:
-        for ratio in (0.0, 0.25, 0.5, 1.0):
-            assert power(arch(kind), slot_ratio=ratio) > 0
+        assert min(side_watts(arch(kind))) > 0
+        assert power(arch(kind)) > 0
 
 
 def test_cost_monotone_in_receive_chains():
@@ -235,8 +229,11 @@ def test_cost_and_power_match_frozen_formulas(m, n, kind):
     a = arch(kind, m, n)
     expected_cost, expected_power = FROZEN[m, n, kind]
     assert cost(a) == expected_cost
+    tx, rx = side_watts(a)
     for eps, expected in zip(_EPS, expected_power):
-        assert power(a, slot_ratio=eps) == pytest.approx(expected, rel=1e-12)
+        assert (1.0 - eps) * tx + eps * rx == pytest.approx(expected,
+                                                           rel=1e-12)
+    assert power(a) == pytest.approx(expected_power[1], rel=1e-12)
 
 
 @pytest.mark.parametrize("m, n, kind", sorted(FROZEN_COUNTS))

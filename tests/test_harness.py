@@ -96,7 +96,6 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, experiment, line):
 
 @pytest.mark.parametrize("line", [
     "newton_rounds = -1",
-    "spacing = 0",
 ])
 def test_cli_rejects_bad_transfer_pilot_and_geometry_fields(
         tmp_path, capsys, line):
@@ -120,12 +119,14 @@ def test_cli_rejects_bad_transfer_pilot_and_geometry_fields(
     "theta2_deg = 51.315",
     "slot_ratio = 0.5",
     "bandwidth_hz = inf",
+    "spacing = 0",
 ])
 def test_cli_rejects_removed_transfer_keys(tmp_path, capsys, line):
-    # the transfer's internals live in TransferConfig alone, and the path
+    # the transfer's internals live in TransferConfig alone, the path
     # angles, slot share and bandwidth are constants of asymx.harness and
-    # asymx.econ; an old recipe that still sets one fails instead of
-    # running on other settings
+    # asymx.econ, and every experiment runs on ArrayGeometry's
+    # half-wavelength spacing; an old recipe that still sets one fails
+    # instead of running on other settings
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"experiment = transfer-nmse\nnum_users = 2\n{line}\n")
     code = cli_main(["transfer-nmse", "--config", str(cfg), "--trials", "1",
@@ -517,6 +518,30 @@ def test_cells_reduce_each_snr_as_a_plain_trial_list(monkeypatch, experiment,
             assert mean.tobytes() == rows.mean(axis=0).tobytes(), (key, snr)
             assert err.tobytes() == (rows.std(axis=0, ddof=1)
                                      / np.sqrt(trials)).tobytes(), (key, snr)
+
+
+def test_ee_stderr_is_the_stderr_of_each_trials_ee(monkeypatch):
+    # a trial's uplink and downlink SE come from one draw, so the EE's
+    # standard error is that of the per-trial EE list, not the two SEs'
+    # errors added as if they were independent
+    cfg = tiny("ee", trials=11, snr_db=(-5.0, 5.0, 15.0))
+    chunk, inputs = harness._chunk, []
+
+    def recording(cfg, setups, pilots, trials):
+        inputs.append((setups, pilots))
+        return chunk(cfg, setups, pilots, trials)
+
+    monkeypatch.setattr(harness, "_chunk", recording)
+    result = run(cfg)
+    whole = chunk(cfg, *inputs[0], range(cfg.trials))
+    column = result.columns.index("ee_stderr")
+    for row in result.rows:
+        snr, system, watts = row[0], row[1], row[4]
+        samples = whole[system,][:, cfg.snr_db.index(snr)].tolist()
+        ee = [(up / 3.0 + 2.0 * down / 3.0) * 500e6 / watts
+              for up, down, *_ in samples]
+        expected = np.std(ee, ddof=1) / np.sqrt(len(ee))
+        assert row[column] == pytest.approx(expected, rel=1e-12), row
 
 
 @pytest.mark.parametrize("experiment, link", [

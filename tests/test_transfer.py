@@ -13,6 +13,7 @@ from asymx.channel import (
     steering_uplink,
     uplink_channel,
 )
+import asymx.transfer
 from asymx.downlink import nmse
 from asymx.transfer import (
     _SLOPE_CACHE_SIZE,
@@ -150,6 +151,20 @@ def test_transfer_rejects_non_finite_estimate(transfer, bad):
     config = TransferConfig(4, default_threshold(N, 10.0))
     with pytest.raises(ValueError, match="estimate must be finite"):
         transfer(h, sel, GEOM, config)
+
+
+@pytest.mark.parametrize("transfer", [dft_transfer, mnomp_transfer])
+def test_transfers_take_the_estimate_through_one_check(transfer,
+                                                       monkeypatch):
+    # both kernels refuse an estimate by the same rules in the same order,
+    # stated once
+    def refuse(h_up_est, selection):
+        raise LookupError("checked")
+
+    monkeypatch.setattr(asymx.transfer, "_checked_estimate", refuse)
+    config = TransferConfig(4, default_threshold(N, 10.0))
+    with pytest.raises(LookupError, match="checked"):
+        transfer(np.ones(N, dtype=complex), pinned_random(0), GEOM, config)
 
 
 def test_spatial_matched_filter_equals_naive_correlation():
