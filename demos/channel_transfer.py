@@ -18,7 +18,6 @@ the two algorithms over a small noisy Monte Carlo run.
 import numpy as np
 
 from asymx import (
-    ArrayGeometry,
     ExperimentConfig,
     PathSet,
     TransferConfig,
@@ -40,12 +39,12 @@ SEED = 12
 
 
 def walkthrough():
-    geometry = ArrayGeometry(NUM_TRANSMIT)
     rng = np.random.default_rng(SEED)
+    # the selection carries the array: N wired elements of M
     selection = select_random(NUM_TRANSMIT, NUM_RECEIVE, rng, pinned=True)
     paths = PathSet(np.array(TRUE_GAINS), np.arcsin(np.array(TRUE_FREQS)))
-    h_up = uplink_channel(paths, selection, geometry)
-    h_down = downlink_channel(paths, geometry)
+    h_up = uplink_channel(paths, selection)
+    h_down = downlink_channel(paths, NUM_TRANSMIT)
     print("true spatial frequencies:", np.round(TRUE_FREQS, 4).tolist())
     # noiseless stop rule: the refinement residual stalls around 1e-7 of
     # the channel energy, so 1e-6 stops cleanly and 1e-9 would pad the
@@ -55,7 +54,7 @@ def walkthrough():
             ("mnomp", TransferConfig(4, 1e-6, newton_rounds=8,
                                      cyclic_rounds=4))):
         result = (dft_transfer if name == "dft" else mnomp_transfer)(
-            h_up, selection, geometry, config)
+            h_up, selection, config)
         err = nmse_db(result.downlink_estimate, h_down)
         print("%-6s found %d paths at %s, downlink NMSE %7.1f dB"
               % (name, len(result.gains),

@@ -11,7 +11,6 @@ is checked against a direct numerical evaluation at every phase.
 import numpy as np
 
 from asymx import (
-    ArrayGeometry,
     PathSet,
     SnrLossInputs,
     composite_angle,
@@ -31,7 +30,6 @@ PHASE_POINTS = 9
 
 def main():
     selection = make_selection("successive", NUM_TRANSMIT, NUM_RECEIVE)
-    geometry = ArrayGeometry(NUM_TRANSMIT)
     theta1 = np.deg2rad(CENTER_DEG - HALF_SPLIT_DEG)
     theta2 = np.deg2rad(CENTER_DEG + HALF_SPLIT_DEG)
     print("paths at %.3f and %.3f deg, N = %d successive chains of M = %d"
@@ -45,12 +43,12 @@ def main():
     for phi in np.linspace(0.0, 2.0 * np.pi, PHASE_POINTS):
         gains = np.array([1.0, np.exp(1j * phi)])
         h = uplink_channel(PathSet(gains, np.array([theta1, theta2])),
-                           selection, geometry)
-        comp = composite_angle(h, selection, geometry)
+                           selection)
+        comp = composite_angle(h, selection)
         inputs = SnrLossInputs(theta1, theta2, comp, 0.0, phi, NUM_RECEIVE)
         closed = snr_loss_closed_form(inputs)
         numeric = snr_loss_numeric(inputs)
-        beams = resolved_path_count(h, selection, geometry, w_mid)
+        beams = resolved_path_count(h, selection, w_mid)
         print("%-10.2f %-14.4f %-12.6f %-12.6f %d"
               % (phi / np.pi, np.degrees(comp), closed, numeric, beams))
     print()

@@ -8,10 +8,10 @@ the subsampled uplink estimate, plus the spectral efficiency, hardware
 cost, power and energy efficiency accounting needed to compare the
 architecture against conventional full digital and hybrid basestations.
 
-The exported names are what the paper's experiments need: geometry and
-paths, selections, the two transfers, the uplink and downlink layers, the
-cost/power/EE model, and recipes with ``run``.  Helpers behind them stay
-in their modules.
+The exported names are what the paper's experiments need: channels and
+paths, selections (which also carry the array's element count M), the two
+transfers, the uplink and downlink layers, the cost/power/EE model, and
+recipes with ``run``.  Helpers behind them stay in their modules.
 """
 
 from .arrays import (
@@ -24,7 +24,6 @@ from .arrays import (
     select_successive,
 )
 from .channel import (
-    ArrayGeometry,
     PathSet,
     downlink_channel,
     draw_path_set,
@@ -68,8 +67,7 @@ from .uplink import (
 __version__ = "0.1.0"
 
 __all__ = [
-    # geometry and paths
-    "ArrayGeometry",
+    # channels and paths
     "PathSet",
     "draw_path_set",
     "uplink_channel",

@@ -9,6 +9,9 @@ schemes trade main-lobe width against side/grating lobes:
                grating lobes replicate the main lobe.
 * random     - N elements drawn without replacement; full aperture (in
                expectation) with smeared, non-periodic side lobes.
+
+Every array of the package is this one ULA at half-wavelength spacing,
+``SPACING``; an ``AntennaSelection`` carries its element count M.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ import numpy as np
 
 SELECTION_KINDS = ("successive", "comb", "random")
 
+# Element spacing d of the ULA, in wavelengths: steering phases, the
+# transfer's bin map and Newton period, and the SNR-loss formula read it.
+SPACING = 0.5
+
 
 def _is_count(value) -> bool:
     """Whether ``value`` is an integer, and not a bool: ``True`` passes
@@ -30,6 +37,9 @@ def _is_count(value) -> bool:
 @dataclass(frozen=True)
 class AntennaSelection:
     """Subset of transmit-array elements wired to receive chains.
+
+    The selection is the array: its ``num_transmit`` is the one source of
+    the element count M that channels, steering vectors and transfers read.
 
     Attributes
     ----------
@@ -46,6 +56,8 @@ class AntennaSelection:
     kind: str = "random"
 
     def __post_init__(self) -> None:
+        if not (_is_count(self.num_transmit) and self.num_transmit >= 1):
+            raise ValueError("num_transmit must be a positive integer")
         idx = np.asarray(self.indices)
         # integral floats such as 3.0 pass; a cast would truncate 2.7 to 2
         integral = idx.dtype.kind in "iu" or (
@@ -116,18 +128,15 @@ def select_random(
     return AntennaSelection(np.sort(idx), num_transmit, "random")
 
 
-def array_factor(
-    selection: AntennaSelection,
-    w_grid: np.ndarray,
-    spacing: float = 0.5,
-) -> np.ndarray:
+def array_factor(selection: AntennaSelection, w_grid: np.ndarray
+                 ) -> np.ndarray:
     """Broadside-combiner response magnitude of the selected elements.
 
     AF(w) = |sum_n exp(+j*2*pi*(d/lambda)*(a_n - 1)*w)| over spatial
     frequency w = sin(theta).  Peak value is N at w = 0; the comb selection
-    repeats that peak at grating lobes w = +/- k/(stride*spacing).
+    repeats that peak at grating lobes w = +/- k/(stride*d).
     """
-    return np.abs(_broadside_phases(selection, w_grid, spacing).sum(axis=0))
+    return np.abs(_broadside_phases(selection, w_grid).sum(axis=0))
 
 
 def angular_resolution(kind: str, num_transmit: int, num_receive: int) -> float:
@@ -153,10 +162,10 @@ def _check_counts(num_transmit: int, num_receive: int) -> None:
         raise ValueError("num_receive cannot exceed num_transmit")
 
 
-def _broadside_phases(selection: AntennaSelection, w_grid: np.ndarray,
-                      spacing: float) -> np.ndarray:
+def _broadside_phases(selection: AntennaSelection, w_grid: np.ndarray
+                      ) -> np.ndarray:
     """N x W matrix exp(+j*2*pi*(d/lambda)*(a_n - 1)*w) over the w grid."""
     w = np.atleast_1d(np.asarray(w_grid, dtype=float))
     # not channel._phase_slope: its operand order rounds differently and
     # moves cells of beam_pattern.cfg and snr_loss.cfg
-    return np.exp(2j * np.pi * spacing * np.outer(selection.indices - 1, w))
+    return np.exp(2j * np.pi * SPACING * np.outer(selection.indices - 1, w))

@@ -12,7 +12,9 @@ so the downlink restricted to the selected elements equals the uplink
 vector exactly.  Spatial frequency w = sin(theta) is the working domain.
 ``_phase_slope`` is the one place that maps an element to its phase slope
 -j*2*pi*(d/l)*(a - 1); every steering vector of this module, and the
-transfer's Newton algebra, read it from there.
+transfer's Newton algebra, read it from there.  The spacing d/l is
+``arrays.SPACING``; the element count M is the selection's
+``num_transmit``, or, for the downlink alone, a plain ``num_transmit``.
 """
 
 from __future__ import annotations
@@ -23,27 +25,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arrays import AntennaSelection, _is_count
+from .arrays import SPACING, AntennaSelection, _is_count
 
 # Gram condition number above which zero forcing takes the shared-beam
 # rule: six decades above any Gram the bundled recipes build, and far below
 # the 1e16 at which inv starts to fail or not by rounding.  The rule's
 # pseudo-inverse drops eigenvalues below 1/_MAX_CONDITION of the largest.
 _MAX_CONDITION = 1e8
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Transmit ULA description: element count and spacing in wavelengths."""
-
-    num_transmit: int
-    spacing: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (_is_count(self.num_transmit) and self.num_transmit >= 1):
-            raise ValueError("num_transmit must be a positive integer")
-        if not 0.0 < self.spacing < np.inf:
-            raise ValueError("element spacing must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -131,40 +119,36 @@ def draw_path_set(
     return PathSet(gains, angles)
 
 
-def _phase_slope(geometry: ArrayGeometry, elements: np.ndarray) -> np.ndarray:
+def _phase_slope(elements: np.ndarray) -> np.ndarray:
     """-j*2*pi*(d/l)*(a - 1) of each 1-based element index a: the phase of
     its steering entry per unit of spatial frequency, which repeats in w
     with period 1/d."""
-    return -2j * np.pi * geometry.spacing * (np.asarray(elements) - 1)
+    return -2j * np.pi * SPACING * (np.asarray(elements) - 1)
 
 
-def steering_downlink(
-    geometry: ArrayGeometry, w: float | np.ndarray
-) -> np.ndarray:
+def steering_downlink(num_transmit: int, w: float | np.ndarray) -> np.ndarray:
     """Unit-norm M-element steering vector at spatial frequency w.
 
     A 1-D array of P frequencies gives the M x P matrix of their vectors,
     column for column the same numbers as one call per frequency; a K x P
     array gives M x K x P.
     """
-    return (np.exp(np.multiply.outer(_downlink_slopes(geometry), w))
-            / np.sqrt(geometry.num_transmit))
+    if not (_is_count(num_transmit) and num_transmit >= 1):
+        raise ValueError("num_transmit must be a positive integer")
+    return (np.exp(np.multiply.outer(_downlink_slopes(num_transmit), w))
+            / np.sqrt(num_transmit))
 
 
 @lru_cache(maxsize=8)
-def _downlink_slopes(geometry: ArrayGeometry) -> np.ndarray:
-    """Read-only phase slopes of all M elements, built once per geometry;
-    ``ArrayGeometry`` compares and hashes by its values."""
-    slopes = _phase_slope(geometry, np.arange(1, geometry.num_transmit + 1))
+def _downlink_slopes(num_transmit: int) -> np.ndarray:
+    """Read-only phase slopes of all M elements, built once per M."""
+    slopes = _phase_slope(np.arange(1, num_transmit + 1))
     slopes.flags.writeable = False
     return slopes
 
 
-def steering_uplink(
-    selection: AntennaSelection,
-    geometry: ArrayGeometry,
-    w: float | np.ndarray,
-) -> np.ndarray:
+def steering_uplink(selection: AntennaSelection, w: float | np.ndarray
+                    ) -> np.ndarray:
     """Unit-norm N-element steering vector of the selected elements.
 
     Element n carries the phase of physical element a_n, i.e. exponent
@@ -173,16 +157,14 @@ def steering_uplink(
     frequencies adds its axes after the element axis, as in
     ``steering_downlink``.
     """
-    slopes = _phase_slope(geometry, selection.indices)
+    slopes = _phase_slope(selection.indices)
     return np.exp(np.multiply.outer(slopes, w)) / np.sqrt(selection.num_receive)
 
 
-def steering_masked(
-    selection: AntennaSelection, geometry: ArrayGeometry, w: float
-) -> np.ndarray:
+def steering_masked(selection: AntennaSelection, w: float) -> np.ndarray:
     """M-vector equal to steering_uplink on the selection, zero elsewhere."""
-    out = np.zeros(geometry.num_transmit, dtype=complex)
-    out[selection.indices - 1] = steering_uplink(selection, geometry, w)
+    out = np.zeros(selection.num_transmit, dtype=complex)
+    out[selection.indices - 1] = steering_uplink(selection, w)
     return out
 
 
@@ -192,37 +174,34 @@ def _require_one_user(paths: PathSet) -> None:
                          "user's 1-D PathSet; pass a stack to user_channels")
 
 
-def uplink_channel(
-    paths: PathSet, selection: AntennaSelection, geometry: ArrayGeometry
-) -> np.ndarray:
+def uplink_channel(paths: PathSet, selection: AntennaSelection) -> np.ndarray:
     """N-element uplink channel sqrt(N/P) * sum_i g_i * a_U(w_i)."""
     _require_one_user(paths)
     n = selection.num_receive
     scale = np.sqrt(n / paths.count)
-    vecs = steering_uplink(selection, geometry, paths.spatial_freqs)
+    vecs = steering_uplink(selection, paths.spatial_freqs)
     return scale * (vecs @ paths.gains)
 
 
-def downlink_channel(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
+def downlink_channel(paths: PathSet, num_transmit: int) -> np.ndarray:
     """M-element downlink channel sqrt(M/P) * sum_i g_i * a_D(w_i)."""
     _require_one_user(paths)
-    scale = np.sqrt(geometry.num_transmit / paths.count)
-    vecs = steering_downlink(geometry, paths.spatial_freqs)
+    vecs = steering_downlink(num_transmit, paths.spatial_freqs)
+    scale = np.sqrt(num_transmit / paths.count)
     return scale * (vecs @ paths.gains)
 
 
 def user_channels(
     paths: PathSet,
     selections: Sequence[AntennaSelection],
-    geometry: ArrayGeometry,
     downlink: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Stack the per-user channels of T trials: uplink T x N x K, downlink
     T x K x M.
 
     ``paths`` is a T x K x P stack, trial t's users in row t, and
-    ``selections[t]`` is trial t's selection; every selection must have
-    equally many elements.  The trials share one steering call per
+    ``selections[t]`` is trial t's selection; all selections must share
+    one M and one N.  The trials share one steering call per
     direction and one stacked product with their gains, so slice t holds,
     column for column, the same numbers as ``uplink_channel`` and
     ``downlink_channel`` of trial t.  With ``downlink=False`` the
@@ -235,6 +214,12 @@ def user_channels(
     if len(selections) != len(paths.gains):
         raise ValueError(f"user_channels got {len(selections)} selections "
                          f"for {len(paths.gains)} trials")
+    for count in ("num_transmit", "num_receive"):
+        values = sorted({getattr(s, count) for s in selections})
+        if len(values) > 1:
+            raise ValueError(f"user_channels needs one {count} for all "
+                             f"selections, got {values}")
+    m = selections[0].num_transmit
     freqs, gains = paths.spatial_freqs, paths.gains
 
     def combine(vecs: np.ndarray, size: int) -> np.ndarray:
@@ -243,14 +228,14 @@ def user_channels(
         return np.sqrt(size / paths.count) * product[..., 0]
 
     # steering_uplink of each trial's own selection, T x N x K x P
-    slopes = _phase_slope(geometry, np.stack([s.indices for s in selections]))
+    slopes = _phase_slope(np.stack([s.indices for s in selections]))
     n = slopes.shape[-1]
     vecs = np.exp(slopes[..., None, None] * freqs[:, None]) / np.sqrt(n)
     up = combine(vecs, n)
     down = None
     if downlink:
-        vecs = np.moveaxis(steering_downlink(geometry, freqs), 0, 1)
-        down = combine(vecs, geometry.num_transmit)
+        vecs = np.moveaxis(steering_downlink(m, freqs), 0, 1)
+        down = combine(vecs, m)
     # T x N x K in C order, the layout of the per-user columns stacked, so
     # that later BLAS products see the memory order the frozen CSVs were
     # made with

@@ -51,13 +51,7 @@ import numpy as np
 
 from . import econ
 from .arrays import AntennaSelection, array_factor
-from .channel import (
-    ArrayGeometry,
-    PathSet,
-    draw_path_set,
-    uplink_channel,
-    user_channels,
-)
+from .channel import PathSet, draw_path_set, uplink_channel, user_channels
 from .config import ExperimentConfig, _linear
 from .downlink import downlink_se, mrt_precoder, nmse, zf_precoder
 from .econ import Architecture, cost, energy_efficiency, power
@@ -208,28 +202,27 @@ def _run_beam_pattern(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.num_receive[0]
-    geometry = ArrayGeometry(cfg.num_transmit)
     sel = make_selection("successive", cfg.num_transmit, n)
     theta1, theta2 = (np.deg2rad(t) for t in _SNR_LOSS_THETAS_DEG)
     w_mid = 0.5 * (np.sin(theta1) + np.sin(theta2))
     # the first grid of every composite-angle scan and the window of every
     # peak count do not depend on the swept phase, so each phase matrix is
     # built once
-    coarse = _scan_phases(sel, geometry)
-    window = _scan_phases(sel, geometry, w_mid)
+    coarse = _scan_phases(sel)
+    window = _scan_phases(sel, w_mid)
     rows = []
     for phase in np.linspace(0.0, 2.0 * np.pi, cfg.phase_points):
         paths = PathSet(np.array([1.0, np.exp(1j * phase)]),
                         np.array([theta1, theta2]))
-        h = uplink_channel(paths, sel, geometry)
+        h = uplink_channel(paths, sel)
         inputs = SnrLossInputs(theta1, theta2,
-                               composite_angle(h, sel, geometry, coarse),
-                               0.0, float(phase), n, geometry.spacing)
+                               composite_angle(h, sel, coarse),
+                               0.0, float(phase), n)
         rows.append((
             float(phase),
             snr_loss_closed_form(inputs),
             snr_loss_numeric(inputs),
-            resolved_path_count(h, sel, geometry, w_mid, window),
+            resolved_path_count(h, sel, w_mid, window),
         ))
     return ExperimentResult(
         "snr-loss",
@@ -240,8 +233,8 @@ def _run_snr_loss(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _transfer(cfg: ExperimentConfig, algorithm: str, ests: np.ndarray,
-              sels: list[AntennaSelection], geometry: ArrayGeometry,
-              rhos: list[float]) -> tuple[np.ndarray, np.ndarray]:
+              sels: list[AntennaSelection], rhos: list[float]
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Every user's downlink rebuilt from its uplink estimate, one transfer
     call per trial, SNR and user: the T x S x K x M downlink estimates of
     the T x S x N x K uplink ones, and the T x S x K path counts."""
@@ -249,7 +242,8 @@ def _transfer(cfg: ExperimentConfig, algorithm: str, ests: np.ndarray,
     tconfs = [TransferConfig(_OVERSAMPLING[algorithm],
                              default_threshold(sels[0].num_receive, rho),
                              newton_rounds=cfg.newton_rounds) for rho in rhos]
-    results = [transfer(est[:, k], sel, geometry, tconf)
+    # config by keyword: benchmarks/tracer.py reads args[3] or kwargs
+    results = [transfer(est[:, k], sel, config=tconf)
                for trial_ests, sel in zip(ests, sels)
                for est, tconf in zip(trial_ests, tconfs)
                for k in range(cfg.num_users)]
@@ -362,7 +356,6 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
     samples: dict[tuple, np.ndarray] = {}
     downs: dict[int, np.ndarray | None] = {}
     for index, ((kind, m, n), systems) in enumerate(setups.items()):
-        geometry = ArrayGeometry(m)
         # a fixed selection reads no stream, so one serves every trial
         sels = ([make_selection(
                     kind, m, n,
@@ -373,7 +366,7 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
                 * len(trials))
         # the M-element downlink reads only the paths and M, so setups of
         # equal M share the first one's
-        h_up, h_down = user_channels(paths, sels, geometry,
+        h_up, h_down = user_channels(paths, sels,
                                      _reads_down(cfg) and m not in downs)
         h_down = downs.setdefault(m, h_down)
         # T x S x N x K, one slice per trial and SNR; each trial's noise is
@@ -388,8 +381,7 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
             ests = estimate(received_pilot(h_up, pilots, noise), pilots)
         if cfg.experiment == "transfer-nmse":
             for alg in cfg.algorithm:
-                down_est, found = _transfer(cfg, alg, ests, sels, geometry,
-                                            rhos)
+                down_est, found = _transfer(cfg, alg, ests, sels, rhos)
                 samples[alg, kind, n] = np.stack(
                     (nmse(down_est, h_down[:, None]).mean(axis=-1),
                      found.mean(axis=-1)), axis=-1)
@@ -406,7 +398,7 @@ def _chunk(cfg: ExperimentConfig, setups: dict, pilots: PilotBlock,
         for system in systems:
             if system == "asym":
                 down_est, _ = _transfer(cfg, cfg.algorithm[0], ests, sels,
-                                        geometry, rhos)
+                                        rhos)
             elif system == "perfect_csi_m":
                 down_est = np.broadcast_to(h_down[:, None], (
                     len(trials), len(rhos), *h_down.shape[1:]))

@@ -13,8 +13,10 @@ path parameters from the uplink estimate.  Two estimators are provided:
   spatial frequency, cyclic re-refinement of all paths, and a regularized
   least-squares gain re-fit per iteration.
 
-Both work on N-element vectors.  Selected element a_n carries the phase
-slope p_n = -j*2*pi*(d/lambda)*(a_n - 1), which ``asymx.channel`` owns.
+Both work on N-element vectors of one ``AntennaSelection``, which also
+gives the M of the rebuilt downlink.  Selected element a_n carries the
+phase slope p_n = -j*2*pi*(d/lambda)*(a_n - 1), which ``asymx.channel``
+owns.
 mNOMP works with the unnormalised steering e_n(w) = exp(p_n * w), of unit
 modulus: a path of gain g contributes g * e(w) = sqrt(N) g a_S(w), and each
 w-derivative multiplies e by p.  A path is refined against its observation
@@ -26,7 +28,7 @@ offsets are built once per selection, not once per call.  Only
 ``_matched_filter`` scatters an N-vector onto the M-element aperture:
 one zero-padded FFT scores every oversampled bin.  The entries repeat in w
 with period 1/d, so bins and Newton steps land on [-1/(2d), 1/(2d)), which
-is [-1, 1) at half-wavelength spacing.
+is [-1, 1) at the half-wavelength spacing d = ``arrays.SPACING``.
 
 Both stop against the same energy threshold N/rho_tau: the expected noise
 energy left in an N-element LS estimate.  Both take their estimate through
@@ -41,14 +43,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arrays import AntennaSelection, _is_count
-from .channel import ArrayGeometry, _phase_slope, steering_downlink
+from .arrays import SPACING, AntennaSelection, _is_count
+from .channel import _phase_slope, steering_downlink
 # Unused here, but benchmarks/tracer.py wraps asymx.transfer.steering_masked.
 from .channel import steering_masked  # noqa: F401
 
 # Spatial-spectrum oversampling of each algorithm, by its recipe name; the
 # keys are the algorithms a config may name.
 _OVERSAMPLING = {"dft": 8, "mnomp": 4}
+
+# The steering period 1/d in spatial frequency: bins and Newton steps are
+# wrapped onto [-_PERIOD/2, _PERIOD/2).
+_PERIOD = 1.0 / SPACING
 
 # Selections whose slope terms mNOMP keeps.  The harness transfers every
 # user and SNR of one trial's selection in a row, so a handful suffices.
@@ -148,19 +154,16 @@ def _matched_filter(h: np.ndarray, offsets: np.ndarray, num_transmit: int,
     return np.fft.fft(padded, n=num_transmit * oversampling) / h.size
 
 
-def _bin_to_spatial_freq(
-    bins: np.ndarray | int, size: int, spacing: float
-) -> np.ndarray | float:
-    """Map FFT bin index b of a ``size``-point grid over one period of an
-    array with element spacing d (in wavelengths) to spatial frequency
-    w = b/(d*size), wrapped onto [-1/(2d), 1/(2d)).
+def _bin_to_spatial_freq(bins: np.ndarray | int, size: int
+                         ) -> np.ndarray | float:
+    """Map FFT bin index b of a ``size``-point grid over one period to
+    spatial frequency w = b/(d*size), wrapped onto [-1/(2d), 1/(2d)).
 
     One expression serves a Python int (mNOMP's one bin, a float back) and
     an index array (DFT's kept bins); subtracting 0.0 leaves w unchanged.
     """
-    period = 1.0 / spacing
-    w = period * bins / size
-    return w - period * (w >= 0.5 * period)
+    w = _PERIOD * bins / size
+    return w - _PERIOD * (w >= 0.5 * _PERIOD)
 
 
 def _find_peaks(scores: np.ndarray) -> np.ndarray:
@@ -180,7 +183,6 @@ def _find_peaks(scores: np.ndarray) -> np.ndarray:
 def dft_transfer(
     h_up_est: np.ndarray,
     selection: AntennaSelection,
-    geometry: ArrayGeometry,
     config: TransferConfig,
 ) -> TransferResult:
     """Rebuild the downlink channel from the strongest DFT peaks.
@@ -214,10 +216,9 @@ def dft_transfer(
     count = len(kept)
     raw = scores[kept]
     gains = np.sqrt(count) * np.conj(raw)
-    freqs = _bin_to_spatial_freq(np.asarray(kept), scores.size,
-                                 geometry.spacing)
-    basis = steering_downlink(geometry, freqs)
-    downlink = np.sqrt(geometry.num_transmit / count) * (basis @ gains)
+    freqs = _bin_to_spatial_freq(np.asarray(kept), scores.size)
+    basis = steering_downlink(selection.num_transmit, freqs)
+    downlink = np.sqrt(selection.num_transmit / count) * (basis @ gains)
     return TransferResult(
         gains=gains,
         spatial_freqs=freqs,
@@ -230,7 +231,6 @@ def dft_transfer(
 def mnomp_transfer(
     h_up_est: np.ndarray,
     selection: AntennaSelection,
-    geometry: ArrayGeometry,
     config: TransferConfig,
 ) -> TransferResult:
     """Newtonized greedy path recovery and downlink reconstruction.
@@ -245,9 +245,7 @@ def mnomp_transfer(
     steering e(w) = exp(p * w) = sqrt(N) a_S(w) and |e_n| = 1.
     """
     h_up, energy = _checked_estimate(h_up_est, selection)
-    offsets, pos, weights = _slope_terms(selection.indices.tobytes(),
-                                         geometry)
-    period = 1.0 / geometry.spacing
+    offsets, pos, weights = _slope_terms(selection.indices.tobytes())
     # the basis E has columns e(w_i), N times the Gram of the unit-norm
     # a_S(w_i), so (E^H E + N lambda I) g = E^H h is the ridge of a_S
     ridge = selection.num_receive * config.regularizer
@@ -261,12 +259,12 @@ def mnomp_transfer(
         scores = _matched_filter(residual, offsets, selection.num_transmit,
                                  config.oversampling)
         best = int(np.argmax(np.abs(scores)))  # ties go to the lower bin
-        w0 = _bin_to_spatial_freq(best, scores.size, geometry.spacing)
+        w0 = _bin_to_spatial_freq(best, scores.size)
         # scores live in the conjugate domain
         gain0 = complex(scores[best]).conjugate()
         # the residual before this path is taken out is its observation
         gain, w, steer, _ = _refine(residual, gain0, w0, np.exp(pos * w0),
-                                    pos, weights, rounds, period)
+                                    pos, weights, rounds)
         residual = residual - gain * steer
         gains.append(gain)
         freqs.append(w)
@@ -277,7 +275,7 @@ def mnomp_transfer(
                 observation = residual + gains[i] * steers[i]
                 gains[i], freqs[i], steers[i], moved = _refine(
                     observation, gains[i], freqs[i], steers[i], pos, weights,
-                    rounds, period,
+                    rounds,
                 )
                 if moved:
                     residual = observation - gains[i] * steers[i]
@@ -288,8 +286,8 @@ def mnomp_transfer(
     freqs_arr = np.asarray(freqs, dtype=float)
     gains_arr = np.asarray(gains, dtype=complex)
     # no path found: an M x 0 basis times no gains is the zero vector
-    downlink = np.sqrt(geometry.num_transmit) * (
-        steering_downlink(geometry, freqs_arr) @ gains_arr
+    downlink = np.sqrt(selection.num_transmit) * (
+        steering_downlink(selection.num_transmit, freqs_arr) @ gains_arr
     )
     return TransferResult(
         gains=gains_arr,
@@ -302,9 +300,8 @@ def mnomp_transfer(
 
 
 @lru_cache(maxsize=_SLOPE_CACHE_SIZE)
-def _slope_terms(
-    indices: bytes, geometry: ArrayGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _slope_terms(indices: bytes
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (offsets, p, conj([1, p, p^2])) of the selection whose
     ``AntennaSelection.indices`` (an ``int`` array) have these bytes.
 
@@ -315,7 +312,7 @@ def _slope_terms(
     the correlations u_0, u_1, u_2 of ``_refine``.
     """
     elements = np.frombuffer(indices, dtype=int)
-    pos = _phase_slope(geometry, elements)
+    pos = _phase_slope(elements)
     terms = (elements - 1,
              pos,
              np.conj(np.stack((np.ones_like(pos), pos, pos * pos))))
@@ -356,7 +353,6 @@ def _refine(
     pos: np.ndarray,
     weights: np.ndarray,
     rounds: int,
-    period: float,
 ) -> tuple[complex, float, np.ndarray, bool]:
     """Refine one path against its observation, all other paths removed.
 
@@ -369,7 +365,7 @@ def _refine(
     first rejected step ends the refinement.  Returns the updated
     (gain, w, steer) and whether any step was committed: if none was, the
     caller's residual y - g e still holds.  A step lands on the steering
-    period [-P/2, P/2), P = ``period`` = 1/d.
+    period [-P/2, P/2), P = ``_PERIOD`` = 1/d.
 
     The fit error is compared as J - ||y||^2 (``_fit_error``), which is
     all that differs between two points of one observation.  Once per call
@@ -387,6 +383,7 @@ def _refine(
     rtol 1e-9, not to the bits of any one grouping of these operations.
     """
     vecdot = np.vecdot
+    period = _PERIOD
     half = 0.5 * period
     num_receive = steer.size
     rows = weights * observation

@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .arrays import (
+    SPACING,
     AntennaSelection,
     _broadside_phases,
     _is_count,
@@ -23,7 +24,7 @@ from .arrays import (
     select_random,
     select_successive,
 )
-from .channel import ArrayGeometry, _gram_inverse, steering_uplink
+from .channel import _gram_inverse, steering_uplink
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,8 @@ class SnrLossInputs:
 
     The loss is defined for two equal-power paths at theta1/theta2 with gain
     phases phi1/phi2, received on N successive elements, and captured by a
-    single matched filter pointed at composite_theta.
+    single matched filter pointed at composite_theta, on the
+    half-wavelength array of ``SPACING``.
     """
 
     theta1: float
@@ -69,14 +71,12 @@ class SnrLossInputs:
     phi1: float
     phi2: float
     num_receive: int
-    d_over_lambda: float = 0.5
 
     def __post_init__(self) -> None:
         if not (_is_count(self.num_receive) and self.num_receive >= 1):
             raise ValueError("num_receive must be a positive integer")
-        if not (np.all(np.isfinite(astuple(self))) and self.d_over_lambda > 0):
-            raise ValueError("angles, phases and spacing must be finite, "
-                             "and spacing positive")
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError("angles and phases must be finite")
         if np.isclose(np.sin(self.theta1), np.sin(self.theta2)):
             raise ValueError("paths must have distinct spatial frequencies")
 
@@ -246,14 +246,13 @@ def snr_loss_closed_form(inputs: SnrLossInputs) -> float:
     the two path responses at the composite angle.
     """
     n = inputs.num_receive
-    dl = inputs.d_over_lambda
     gap = np.sin(inputs.theta1) - np.sin(inputs.theta2)
     gap1 = np.sin(inputs.composite_theta) - np.sin(inputs.theta1)
     gap2 = np.sin(inputs.composite_theta) - np.sin(inputs.theta2)
-    lam = _dirichlet_ratio(n, dl * gap)
-    lam1 = _dirichlet_ratio(n, dl * gap1)
-    lam2 = _dirichlet_ratio(n, dl * gap2)
-    gamma = inputs.phi1 - inputs.phi2 - np.pi * dl * (n - 1) * gap
+    lam = _dirichlet_ratio(n, SPACING * gap)
+    lam1 = _dirichlet_ratio(n, SPACING * gap1)
+    lam2 = _dirichlet_ratio(n, SPACING * gap2)
+    gamma = inputs.phi1 - inputs.phi2 - np.pi * SPACING * (n - 1) * gap
     num = lam1**2 + lam2**2 + 2.0 * lam1 * lam2 * np.cos(gamma)
     den = 2.0 * n**2 + 2.0 * n * lam * np.cos(gamma)
     return float(1.0 - num / den)
@@ -268,11 +267,10 @@ def snr_loss_numeric(inputs: SnrLossInputs) -> float:
     matched-filter SNRs; the transmit power cancels in the ratio.
     """
     n = inputs.num_receive
-    geometry = ArrayGeometry(n, inputs.d_over_lambda)
     selection = select_successive(n, n)
-    a1 = steering_uplink(selection, geometry, np.sin(inputs.theta1))
-    a2 = steering_uplink(selection, geometry, np.sin(inputs.theta2))
-    a_s = steering_uplink(selection, geometry, np.sin(inputs.composite_theta))
+    a1 = steering_uplink(selection, np.sin(inputs.theta1))
+    a2 = steering_uplink(selection, np.sin(inputs.theta2))
+    a_s = steering_uplink(selection, np.sin(inputs.composite_theta))
     h = np.sqrt(n / 2.0) * (
         np.exp(1j * inputs.phi1) * a1 + np.exp(1j * inputs.phi2) * a2
     )
@@ -285,7 +283,6 @@ def snr_loss_numeric(inputs: SnrLossInputs) -> float:
 def _steered_response(
     channel: np.ndarray,
     selection: AntennaSelection,
-    geometry: ArrayGeometry,
     w_grid: np.ndarray,
     phases: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -295,38 +292,32 @@ def _steered_response(
     once for many channels; by default it is built here.
     """
     if phases is None:
-        phases = _broadside_phases(selection, w_grid, geometry.spacing)
+        phases = _broadside_phases(selection, w_grid)
     return np.abs(phases.T @ channel) / np.sqrt(selection.num_receive)
 
 
-def _scan_phases(
-    selection: AntennaSelection,
-    geometry: ArrayGeometry,
-    w_center: float | None = None,
-) -> np.ndarray:
+def _scan_phases(selection: AntennaSelection, w_center: float | None = None
+                 ) -> np.ndarray:
     """The N x 16M phase matrix of the first grid that ``composite_angle``
     scans (``w_center`` None) or of the window of ``resolved_path_count``
     around ``w_center``.  Neither grid reads the channel, so a sweep over
     channels on one array builds each matrix once and passes it in."""
-    return _broadside_phases(selection, _scan_grid(selection, geometry,
-                                                   w_center),
-                             geometry.spacing)
+    return _broadside_phases(selection, _scan_grid(selection, w_center))
 
 
-def _scan_grid(selection: AntennaSelection, geometry: ArrayGeometry,
-               w_center: float | None) -> np.ndarray:
+def _scan_grid(selection: AntennaSelection, w_center: float | None
+               ) -> np.ndarray:
     """16*M points on [-1, 1], or on +/- 4/N of w_center clipped to it."""
     lo, hi = -1.0, 1.0
     if w_center is not None:
         half = 4.0 / selection.num_receive
         lo, hi = max(lo, w_center - half), min(hi, w_center + half)
-    return np.linspace(lo, hi, 16 * geometry.num_transmit)
+    return np.linspace(lo, hi, 16 * selection.num_transmit)
 
 
 def composite_angle(
     channel: np.ndarray,
     selection: AntennaSelection,
-    geometry: ArrayGeometry,
     phases: np.ndarray | None = None,
 ) -> float:
     """Dominant resolved angle of a merged multipath channel.
@@ -335,12 +326,11 @@ def composite_angle(
     over a grid of 16*M points on [-1, 1], then zooms in: 33 points over
     one step either side of the best, clipped to [-1, 1], a 16x finer
     step, until it is below 1e-9 in w.  ``phases`` is that first grid's
-    ``_scan_phases(selection, geometry)``, if the caller built it once.
+    ``_scan_phases(selection)``, if the caller built it once.
     """
-    grid = _scan_grid(selection, geometry, None)
+    grid = _scan_grid(selection, None)
     while True:
-        response = _steered_response(channel, selection, geometry, grid,
-                                     phases)
+        response = _steered_response(channel, selection, grid, phases)
         phases = None  # the zoomed grids depend on the channel
         w_star = float(grid[np.argmax(response)])
         step = grid[1] - grid[0]
@@ -353,7 +343,6 @@ def composite_angle(
 def resolved_path_count(
     channel: np.ndarray,
     selection: AntennaSelection,
-    geometry: ArrayGeometry,
     w_center: float,
     phases: np.ndarray | None = None,
 ) -> int:
@@ -364,11 +353,11 @@ def resolved_path_count(
     prominence at least 10 % of it;
     Dirichlet side lobes (-13 dB, i.e. 0.22 of the peak) stay excluded
     while a genuinely split composite (two comparable lobes) counts as 2.
-    ``phases`` is the window's ``_scan_phases(selection, geometry,
-    w_center)``, if the caller built it once.
+    ``phases`` is the window's ``_scan_phases(selection, w_center)``, if
+    the caller built it once.
     """
-    grid = _scan_grid(selection, geometry, w_center)
-    response = _steered_response(channel, selection, geometry, grid, phases)
+    grid = _scan_grid(selection, w_center)
+    response = _steered_response(channel, selection, grid, phases)
     top = response.max()
     return _peak_count(response, 0.5 * top, 0.1 * top)
 

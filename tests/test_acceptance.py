@@ -29,7 +29,6 @@ import numpy as np
 import asymx.harness as harness
 from asymx import (
     Architecture,
-    ArrayGeometry,
     ExperimentConfig,
     PathSet,
     SnrLossInputs,
@@ -112,15 +111,14 @@ def test_criterion_03_closed_form_loss_matches_oracle():
 def test_criterion_04_loss_phase_curve_anchor():
     start = time.perf_counter()
     sel = make_selection("successive", 256, 32)
-    geom = ArrayGeometry(256)
     t1 = np.deg2rad(52.8 - 1.485)
     t2 = np.deg2rad(52.8 + 1.485)
     phases = np.linspace(0.0, np.pi, 33)
     losses = []
     for phi in phases:
         h = uplink_channel(PathSet(np.array([1.0, np.exp(1j * phi)]),
-                                   np.array([t1, t2])), sel, geom)
-        comp = composite_angle(h, sel, geom)
+                                   np.array([t1, t2])), sel)
+        comp = composite_angle(h, sel)
         losses.append(snr_loss_closed_form(
             SnrLossInputs(t1, t2, comp, 0.0, phi, 32)))
     losses = np.asarray(losses)
@@ -139,10 +137,8 @@ def test_criterion_04_loss_phase_curve_anchor():
 def test_criterion_05_composite_direction_anchor():
     start = time.perf_counter()
     sel = make_selection("successive", 256, 32)
-    geom = ArrayGeometry(256)
-    h = uplink_channel(PathSet(np.ones(2), np.deg2rad([51.3, 54.3])),
-                       sel, geom)
-    comp = np.degrees(composite_angle(h, sel, geom))
+    h = uplink_channel(PathSet(np.ones(2), np.deg2rad([51.3, 54.3])), sel)
+    comp = np.degrees(composite_angle(h, sel))
     elapsed = time.perf_counter() - start
     report(5, "composite beam direction anchor",
            abs(comp - 52.8) <= 0.15 and elapsed < 5.0,
@@ -152,7 +148,6 @@ def test_criterion_05_composite_direction_anchor():
 def test_criterion_06_noiseless_parametric_recovery():
     start = time.perf_counter()
     m, n = 128, 32
-    geom = ArrayGeometry(m)
     config = TransferConfig(4, 1e-6, newton_rounds=8, cyclic_rounds=4)
     rng = np.random.default_rng(2024)
     hits = 0
@@ -169,9 +164,9 @@ def test_criterion_06_noiseless_parametric_recovery():
         gains *= 0.5 + rng.uniform(0.0, 1.0, size=num_paths)
         paths = PathSet(gains, np.arcsin(w))
         sel = select_random(m, n, rng, pinned=True)
-        h_up = uplink_channel(paths, sel, geom)
-        result = mnomp_transfer(h_up, sel, geom, config)
-        err = nmse_db(result.downlink_estimate, downlink_channel(paths, geom))
+        h_up = uplink_channel(paths, sel)
+        result = mnomp_transfer(h_up, sel, config)
+        err = nmse_db(result.downlink_estimate, downlink_channel(paths, m))
         worst = max(worst, err)
         if err < -40.0:
             hits += 1
@@ -224,18 +219,17 @@ def test_criterion_08_matched_filter_and_derivatives():
             ]) / sel.num_receive
             fast = _matched_filter(h, sel.indices - 1, m, zeta)
             worst_fft = max(worst_fft, float(np.max(np.abs(fast - naive))))
-    geom = ArrayGeometry(128)
     sel = select_random(128, 32, rng, pinned=True)
     paths = PathSet(np.array([1.0 + 0.4j, -0.5 + 0.2j]),
                     np.arcsin(np.array([-0.31, 0.47])))
-    obs = uplink_channel(paths, sel, geom)
-    _, _, weights = _slope_terms(sel.indices.tobytes(), geom)
+    obs = uplink_channel(paths, sel)
+    _, _, weights = _slope_terms(sel.indices.tobytes())
     root_n = np.sqrt(sel.num_receive)
 
     def objective(gain, w):
         # J(w) = ||y - g e(w)||^2, e(w) = sqrt(N) a_S(w), and its two
         # w-derivatives
-        steer = root_n * steering_uplink(sel, geom, w)
+        steer = root_n * steering_uplink(sel, w)
         resid = obs - gain * steer
         _, u1, u2 = np.vecdot(weights * obs, steer).tolist()
         return (float(np.vdot(resid, resid).real),

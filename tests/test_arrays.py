@@ -90,7 +90,7 @@ def test_successive_array_factor_matches_dirichlet():
 
 
 def test_comb_grating_lobes_reach_full_height():
-    # stride 4 aliases every 1/(spacing*stride) = 0.5 in spatial frequency
+    # stride 4 aliases every 1/(d*stride) = 0.5 in spatial frequency
     sel = select_comb(M, N)
     lobes = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     assert np.allclose(array_factor(sel, lobes), N, atol=1e-9)
@@ -129,18 +129,6 @@ def test_angular_resolution_by_kind():
         angular_resolution("full", M, N)
 
 
-def test_array_factor_spacing_rescales_frequency():
-    # halving the element spacing halves the phase progression, so the
-    # pattern at (w, d/2) equals the pattern at (w/2, d)
-    sel = select_successive(M, N)
-    w = np.linspace(-1.0, 1.0, 101)
-    assert np.allclose(
-        array_factor(sel, w, spacing=0.25),
-        array_factor(sel, w / 2.0, spacing=0.5),
-        atol=1e-9,
-    )
-
-
 def test_selection_counts_validated():
     with pytest.raises(ValueError):
         select_successive(M, 0)
@@ -150,7 +138,7 @@ def test_selection_counts_validated():
         select_random(M, M + 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="num_receive >= 2"):
         select_random(8, 1, np.random.default_rng(0), pinned=True)
-    # a float count used to build a selection that ArrayGeometry refuses
+    # a float count used to build a selection of a float M
     with pytest.raises(ValueError, match="integers"):
         select_comb(8.0, 4)
     with pytest.raises(ValueError, match="integers"):

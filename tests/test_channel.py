@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymx.arrays import AntennaSelection
 from asymx.channel import (
-    ArrayGeometry,
     PathSet,
     downlink_channel,
     draw_path_set,
@@ -19,7 +19,6 @@ from asymx.channel import (
 from asymx.uplink import make_selection
 
 M, N, P = 128, 32, 3
-GEOM = ArrayGeometry(M)
 
 
 def draw(seed, num_paths=P, powers=None):
@@ -31,8 +30,8 @@ def test_steering_vectors_unit_norm():
     rng = np.random.default_rng(0)
     sel = make_selection("random", M, N, rng)
     for w in (-0.9, -0.3, 0.0, 0.7):
-        assert np.linalg.norm(steering_downlink(GEOM, w)) == pytest.approx(1.0)
-        assert np.linalg.norm(steering_uplink(sel, GEOM, w)) == \
+        assert np.linalg.norm(steering_downlink(M, w)) == pytest.approx(1.0)
+        assert np.linalg.norm(steering_uplink(sel, w)) == \
             pytest.approx(1.0)
 
 
@@ -41,8 +40,8 @@ def test_steering_uplink_samples_downlink():
     rng = np.random.default_rng(1)
     sel = make_selection("random", M, N, rng)
     w = 0.37
-    up = steering_uplink(sel, GEOM, w)
-    down = steering_downlink(GEOM, w)
+    up = steering_uplink(sel, w)
+    down = steering_downlink(M, w)
     assert np.allclose(up * np.sqrt(N), down[sel.indices - 1] * np.sqrt(M),
                        atol=1e-12)
 
@@ -52,20 +51,20 @@ def test_steering_uplink_matrix_matches_columns():
     # the same bits as one call per frequency
     sel = make_selection("random", M, N, np.random.default_rng(8))
     freqs = np.array([-0.61, 0.0, 0.23, 0.9])
-    matrix = steering_uplink(sel, GEOM, freqs)
+    matrix = steering_uplink(sel, freqs)
     assert matrix.shape == (N, freqs.size)
     for p, w in enumerate(freqs):
-        assert np.array_equal(matrix[:, p], steering_uplink(sel, GEOM, w))
+        assert np.array_equal(matrix[:, p], steering_uplink(sel, w))
 
 
 def test_steering_masked_zero_fills():
     rng = np.random.default_rng(2)
     sel = make_selection("random", M, N, rng)
     w = -0.52
-    masked = steering_masked(sel, GEOM, w)
+    masked = steering_masked(sel, w)
     assert masked.shape == (M,)
     assert np.allclose(masked[sel.indices - 1],
-                       steering_uplink(sel, GEOM, w), atol=1e-15)
+                       steering_uplink(sel, w), atol=1e-15)
     off = np.setdiff1d(np.arange(M), sel.indices - 1)
     assert np.all(masked[off] == 0)
 
@@ -75,8 +74,8 @@ def test_uplink_is_subsampled_downlink():
     paths = draw(3)
     for kind in ("successive", "comb", "random"):
         sel = make_selection(kind, M, N, np.random.default_rng(4))
-        h_up = uplink_channel(paths, sel, GEOM)
-        h_down = downlink_channel(paths, GEOM)
+        h_up = uplink_channel(paths, sel)
+        h_down = downlink_channel(paths, M)
         assert np.allclose(h_up, h_down[sel.indices - 1], rtol=1e-12,
                            atol=1e-14)
 
@@ -84,11 +83,11 @@ def test_uplink_is_subsampled_downlink():
 def test_channel_shapes_and_energy():
     paths = draw(5)
     sel = make_selection("successive", M, N)
-    assert uplink_channel(paths, sel, GEOM).shape == (N,)
-    assert downlink_channel(paths, GEOM).shape == (M,)
+    assert uplink_channel(paths, sel).shape == (N,)
+    assert downlink_channel(paths, M).shape == (M,)
     # E||h_up||^2 = N: average over many draws
     energies = [
-        np.linalg.norm(uplink_channel(draw(seed), sel, GEOM)) ** 2
+        np.linalg.norm(uplink_channel(draw(seed), sel)) ** 2
         for seed in range(300)
     ]
     assert np.mean(energies) == pytest.approx(N, rel=0.15)
@@ -97,9 +96,9 @@ def test_channel_shapes_and_energy():
 def test_uplink_channel_linear_in_gains():
     paths = draw(6)
     sel = make_selection("successive", M, N)
-    h = uplink_channel(paths, sel, GEOM)
+    h = uplink_channel(paths, sel)
     scaled = PathSet(2.0 * paths.gains, paths.angles_rad)
-    assert np.allclose(uplink_channel(scaled, sel, GEOM), 2.0 * h, atol=1e-12)
+    assert np.allclose(uplink_channel(scaled, sel), 2.0 * h, atol=1e-12)
 
 
 def test_draw_path_set_shapes_and_range():
@@ -202,8 +201,7 @@ def stack(path_sets):
 def test_user_channels_shapes():
     sel = make_selection("successive", M, N)
     path_sets = [draw(seed) for seed in range(10)]
-    h_up, h_down = user_channels(stack([path_sets, path_sets]), [sel, sel],
-                                 GEOM)
+    h_up, h_down = user_channels(stack([path_sets, path_sets]), [sel, sel])
     # plain arrays; the uplink stack in C order, the layout the frozen CSVs
     # were made with
     assert type(h_up) is type(h_down) is np.ndarray
@@ -213,9 +211,9 @@ def test_user_channels_shapes():
     # column k / row k of every trial correspond to the same user's paths
     for k in (0, 4, 9):
         assert np.allclose(h_up[:, :, k],
-                           uplink_channel(path_sets[k], sel, GEOM))
+                           uplink_channel(path_sets[k], sel))
         assert np.allclose(h_down[:, k],
-                           downlink_channel(path_sets[k], GEOM))
+                           downlink_channel(path_sets[k], M))
 
 
 def test_user_channels_rejects_unequal_path_counts():
@@ -230,7 +228,7 @@ def test_user_channels_rejects_unequal_path_counts():
             stack(path_sets)
     for paths in (two, PathSet(two.gains[None], two.angles_rad[None])):
         with pytest.raises(ValueError, match="trials x users x paths"):
-            user_channels(paths, [sel], GEOM)
+            user_channels(paths, [sel])
 
 
 def test_user_channels_needs_one_selection_per_trial():
@@ -241,14 +239,30 @@ def test_user_channels_needs_one_selection_per_trial():
     for sels in ([sel], [sel] * 3):
         with pytest.raises(ValueError, match=f"{len(sels)} selections for "
                                              "2 trials"):
-            user_channels(paths, sels, GEOM)
+            user_channels(paths, sels)
+
+
+def test_user_channels_refuses_selections_of_two_arrays():
+    # each trial's selection gives M and N: unequal N failed inside
+    # np.stack, and unequal M was built on the first selection's array
+    paths = draw_path_set(3, -1.0, 1.0, [[np.random.default_rng(s)
+                                          for s in range(4)] for _ in "ab"])
+    sel = make_selection("successive", 64, 16)
+    for other, count in ((make_selection("successive", 32, 16),
+                          "num_transmit"),
+                         (make_selection("successive", 64, 8),
+                          "num_receive")):
+        for sels in ([sel, other], [other, sel]):
+            with pytest.raises(ValueError, match=f"one {count} for all "
+                                                 "selections"):
+                user_channels(paths, sels)
 
 
 def test_single_user_channels_refuse_a_stack():
     sel = make_selection("successive", M, N)
     paths = stack([[draw(0), draw(1)]])
-    for build in (lambda: uplink_channel(paths, sel, GEOM),
-                  lambda: downlink_channel(paths, GEOM)):
+    for build in (lambda: uplink_channel(paths, sel),
+                  lambda: downlink_channel(paths, M)):
         with pytest.raises(ValueError, match="one user's 1-D PathSet"):
             build()
 
@@ -264,19 +278,18 @@ def test_user_channels_equal_per_user_channels(seed, num_users, num_paths,
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 129))
     sel = make_selection("random", m, int(rng.integers(1, m + 1)), rng)
-    geometry = ArrayGeometry(m, float(rng.choice([0.25, 0.5, 1.0])))
     weights = rng.random(num_paths) + 0.1
     paths = draw_path_set(num_paths, -np.pi / 2, np.pi / 2,
                           [rng.spawn(num_users)],
                           weights / weights.sum() if weighted else None)
     users = [PathSet(g, a) for g, a in zip(paths.gains[0],
                                            paths.angles_rad[0])]
-    h_up, h_down = user_channels(paths, [sel], geometry)
+    h_up, h_down = user_channels(paths, [sel])
     assert np.array_equal(h_up[0], np.stack(
-        [uplink_channel(p, sel, geometry) for p in users], axis=1))
+        [uplink_channel(p, sel) for p in users], axis=1))
     assert np.array_equal(h_down[0], np.stack(
-        [downlink_channel(p, geometry) for p in users]))
-    up_only, no_down = user_channels(paths, [sel], geometry, downlink=False)
+        [downlink_channel(p, m) for p in users]))
+    up_only, no_down = user_channels(paths, [sel], downlink=False)
     assert no_down is None
     assert np.array_equal(up_only, h_up)
 
@@ -293,18 +306,17 @@ def test_trial_stack_equals_per_trial_calls(seed, num_trials, num_users,
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 129))
     n = int(rng.integers(1, m + 1))
-    geometry = ArrayGeometry(m, float(rng.choice([0.25, 0.5, 1.0])))
     powers = rng.random(num_paths) + 0.1 if weighted else None
     sels = [make_selection("random", m, n, rng) for _ in range(num_trials)]
     paths = draw_path_set(num_paths, -np.pi / 2, np.pi / 2,
                           [rng.spawn(num_users) for _ in range(num_trials)],
                           None if powers is None else powers / powers.sum())
-    h_up, h_down = user_channels(paths, sels, geometry)
+    h_up, h_down = user_channels(paths, sels)
     assert h_up.shape == (num_trials, n, num_users)
     assert h_down.shape == (num_trials, num_users, m)
     for t, sel in enumerate(sels):
         trial = PathSet(paths.gains[t:t + 1], paths.angles_rad[t:t + 1])
-        up, down = user_channels(trial, [sel], geometry)
+        up, down = user_channels(trial, [sel])
         assert np.array_equal(h_up[t], up[0])
         assert np.array_equal(h_down[t], down[0])
 
@@ -336,19 +348,16 @@ def test_path_set_refuses_non_finite_entries():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        ArrayGeometry(0)
-    with pytest.raises(ValueError):
-        ArrayGeometry(8, spacing=0.0)
-    # a fractional element count or an unbounded spacing built steering
-    # vectors of the wrong length or of NaN entries
-    for bad in (8.5, 8.0, "8"):
-        with pytest.raises(ValueError, match="integer"):
-            ArrayGeometry(bad)
-    for bad in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="spacing"):
-            ArrayGeometry(8, spacing=bad)
-    assert ArrayGeometry(np.int64(8)).num_transmit == 8
+    # the element count M of a selection or of a downlink steering call; a
+    # fractional count built steering vectors of the wrong length
+    one = np.array([1])
+    for bad in (0, 8.5, 8.0, "8"):
+        with pytest.raises(ValueError, match="positive integer"):
+            steering_downlink(bad, 0.0)
+        with pytest.raises(ValueError, match="positive integer"):
+            AntennaSelection(one, bad)
+    assert steering_downlink(np.int64(8), 0.0).shape == (8,)
+    assert AntennaSelection(one, np.int64(8)).num_transmit == 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -360,9 +369,9 @@ def test_single_path_channel_matches_steering(seed, w):
     paths = PathSet(np.array([1.0 + 0j]), np.array([theta]))
     rng = np.random.default_rng(seed)
     sel = make_selection("random", M, N, rng)
-    h = uplink_channel(paths, sel, GEOM)
-    assert np.allclose(h, np.sqrt(N) * steering_uplink(sel, GEOM, w),
+    h = uplink_channel(paths, sel)
+    assert np.allclose(h, np.sqrt(N) * steering_uplink(sel, w),
                        atol=1e-12)
-    hd = downlink_channel(paths, GEOM)
-    assert np.allclose(hd, np.sqrt(M) * steering_downlink(GEOM, w),
+    hd = downlink_channel(paths, M)
+    assert np.allclose(hd, np.sqrt(M) * steering_downlink(M, w),
                        atol=1e-12)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymx.arrays import SELECTION_KINDS, select_successive
-from asymx.channel import ArrayGeometry
+from asymx.arrays import SELECTION_KINDS, AntennaSelection, select_successive
+from asymx.channel import steering_downlink
 from asymx.cli import main as cli_main
 from asymx.config import (
     _CHOICES,
@@ -181,7 +181,7 @@ def test_unknown_key_reports_field_path():
 def test_scenario_constants_are_unknown_keys(key, raw):
     # the path angles, the snr-loss paths, the slot share, the bandwidth
     # and the half-wavelength element spacing are constants of
-    # asymx.harness, asymx.econ and ArrayGeometry; a recipe that sets one,
+    # asymx.harness, asymx.econ and asymx.arrays; a recipe that sets one,
     # even to its value, fails
     with pytest.raises(ConfigError, match=rf"config\.{key}: unknown key"):
         config_from_values({"experiment": "ee", key: raw})
@@ -270,7 +270,7 @@ def test_non_integral_counts_rejected(fieldname, value):
     with pytest.raises(ConfigError,
                        match=rf"config\.{fieldname}: must be an integer"):
         ExperimentConfig("transfer-nmse", **{fieldname: value})
-    # NumPy integers pass, as in ArrayGeometry
+    # NumPy integers pass, as in AntennaSelection
     value = ((np.int64(16), np.int32(8)) if fieldname == "num_receive"
              else np.int64(int(value)))
     ExperimentConfig("transfer-nmse", **{fieldname: value})
@@ -289,8 +289,10 @@ def _bool_count_cases():
             partial(TransferConfig, **{"oversampling": 4, "threshold": 1.0,
                                        name: True}),
             f"{name} must be an integer", id=f"TransferConfig.{name}")
-    yield pytest.param(partial(ArrayGeometry, True), "positive integer",
-                       id="ArrayGeometry")
+    yield pytest.param(partial(steering_downlink, True, 0.0),
+                       "positive integer", id="steering_downlink")
+    yield pytest.param(partial(AntennaSelection, [1], True),
+                       "positive integer", id="AntennaSelection")
     yield pytest.param(partial(select_successive, 16, True),
                        "must be integers", id="select_successive")
     yield pytest.param(partial(Architecture, "adbn", 16, True),

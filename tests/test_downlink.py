@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymx.channel import ArrayGeometry, PathSet, user_channels
+from asymx.channel import PathSet, user_channels
 from asymx.downlink import (
     _downlink_sinr,
     downlink_se,
@@ -17,7 +17,6 @@ from asymx.downlink import (
 from asymx.uplink import make_selection, uplink_sinr
 
 M, K = 64, 6
-GEOM = ArrayGeometry(M)
 
 
 def random_downlink(seed, num_users=K):
@@ -29,7 +28,7 @@ def random_downlink(seed, num_users=K):
         for _ in range(num_users)
     ]
     gains, angles = zip(*users)
-    _, h_down = user_channels(PathSet([gains], [angles]), [sel], GEOM)
+    _, h_down = user_channels(PathSet([gains], [angles]), [sel])
     return h_down[0]
 
 

@@ -133,7 +133,7 @@ def test_architecture_validation():
         Architecture("adbn", 0, 0)
     with pytest.raises(ValueError):
         Architecture("hbfn", M, 0)
-    # integral floats are refused as ArrayGeometry refuses them; NumPy
+    # integral floats are refused as AntennaSelection refuses them; NumPy
     # integers pass
     for m, n in ((8.5, 4), (8.0, 4), (M, 16.0), (np.inf, N), (M, np.nan)):
         with pytest.raises(ValueError, match="positive integers"):

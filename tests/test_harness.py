@@ -97,7 +97,7 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, experiment, line):
 @pytest.mark.parametrize("line", [
     "newton_rounds = -1",
 ])
-def test_cli_rejects_bad_transfer_pilot_and_geometry_fields(
+def test_cli_bad_value_exits_2_naming_the_field_without_csv(
         tmp_path, capsys, line):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"experiment = transfer-nmse\nnum_users = 2\n{line}\n")
@@ -124,8 +124,8 @@ def test_cli_rejects_bad_transfer_pilot_and_geometry_fields(
 def test_cli_rejects_removed_transfer_keys(tmp_path, capsys, line):
     # the transfer's internals live in TransferConfig alone, the path
     # angles, slot share and bandwidth are constants of asymx.harness and
-    # asymx.econ, and every experiment runs on ArrayGeometry's
-    # half-wavelength spacing; an old recipe that still sets one fails
+    # asymx.econ, and every experiment runs on the half-wavelength spacing
+    # of asymx.arrays; an old recipe that still sets one fails
     # instead of running on other settings
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"experiment = transfer-nmse\nnum_users = 2\n{line}\n")
@@ -857,17 +857,17 @@ def test_downlink_built_once_per_chunk_and_array_size(monkeypatch):
     sizes = []
     original = asymx.channel.steering_downlink
 
-    def counting(geometry, w):
-        sizes.append(geometry.num_transmit)
-        return original(geometry, w)
+    def counting(num_transmit, w):
+        sizes.append(num_transmit)
+        return original(num_transmit, w)
 
     monkeypatch.setattr(asymx.channel, "steering_downlink", counting)
     monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 10**9)
     flags = []
 
-    def recording(paths, sels, geometry, downlink):
+    def recording(paths, sels, downlink):
         flags.append(downlink)
-        return asymx.channel.user_channels(paths, sels, geometry, downlink)
+        return asymx.channel.user_channels(paths, sels, downlink)
 
     monkeypatch.setattr(harness, "user_channels", recording)
     run(tiny("ee", trials=2, selection=("random",)))

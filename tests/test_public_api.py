@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -16,6 +17,21 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def test_every_exported_name_resolves():
     assert [name for name in asymx.__all__ if not hasattr(asymx, name)] == []
+
+
+def test_no_export_takes_a_second_array_description():
+    # a selection's num_transmit is the one element count M and
+    # asymx.arrays.SPACING the one spacing d: a parameter that states
+    # either again can disagree with them
+    second = {"geometry", "spacing", "d_over_lambda"}
+    exports = {name: getattr(asymx, name) for name in asymx.__all__}
+    offenders = [
+        f"{name}({param})" for name, export in exports.items()
+        if callable(export) and not (isinstance(export, type)
+                                     and issubclass(export, Exception))
+        for param in inspect.signature(export).parameters if param in second
+    ]
+    assert offenders == []
 
 
 def _identifiers(path):

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from asymx.arrays import AntennaSelection
-from asymx.channel import ArrayGeometry, draw_path_set, uplink_channel
+from asymx.channel import draw_path_set, uplink_channel
 from asymx.transfer import (
     TransferConfig,
     default_threshold,
@@ -38,7 +38,6 @@ from asymx.uplink import make_selection
 
 FIXTURE = Path(__file__).with_name("transfer_fixture.npz")
 M = 128
-GEOM = ArrayGeometry(M)
 KERNELS = {"dft": (dft_transfer, 8), "mnomp": (mnomp_transfer, 4)}
 SCENARIOS = ((0.9, 0.1), (1 / 3, 1 / 3, 1 / 3))  # LOS, equal-power 3-path
 MAX_N = 32
@@ -60,7 +59,7 @@ def _inputs():
                     noise = (rng.standard_normal(num_receive)
                              + 1j * rng.standard_normal(num_receive))
                     rho = 10.0 ** (snr_db / 10.0)
-                    h_up = (uplink_channel(paths, sel, GEOM)
+                    h_up = (uplink_channel(paths, sel)
                             + noise / np.sqrt(2.0 * rho))
                     cases.append((num_receive, sel, snr_db, MAX_PATHS, h_up))
                     if len(powers) == 3 and snr_db >= 20.0:
@@ -95,7 +94,7 @@ def _write_fixture():
         downlink = np.zeros((count, M // 2), dtype=complex)
         paths, truncated, residual = [], [], []
         for i, (n, sel, snr_db, max_paths, h_up) in enumerate(cases):
-            res = kernel(h_up, sel, GEOM, _config(alg, n, snr_db, max_paths))
+            res = kernel(h_up, sel, _config(alg, n, snr_db, max_paths))
             gains[i, :res.paths_found] = res.gains
             freqs[i, :res.paths_found] = res.spatial_freqs
             downlink[i] = res.downlink_estimate[::2]
@@ -125,7 +124,7 @@ def _mismatches(frozen, algorithm):
     for i, n in enumerate(frozen["num_receive"]):
         sel = AntennaSelection(frozen["indices"][i, :n], M,
                                str(frozen["kind"][i]))
-        res = kernel(frozen["h_up"][i, :n], sel, GEOM,
+        res = kernel(frozen["h_up"][i, :n], sel,
                      _config(algorithm, n, frozen["snr_db"][i],
                              frozen["max_paths"][i]))
         count = frozen[f"{algorithm}_paths"][i]

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymx.channel import (
-    ArrayGeometry,
-    PathSet,
-    uplink_channel,
-    user_channels,
-)
+from asymx.arrays import SPACING
+from asymx.channel import PathSet, uplink_channel, user_channels
 from asymx.uplink import (
     PilotBlock,
     SnrLossInputs,
@@ -31,7 +27,6 @@ from asymx.uplink import (
 )
 
 M, N, K = 128, 32, 10
-GEOM = ArrayGeometry(M)
 
 
 def random_uplink(seed, num_users=K, num_receive=N):
@@ -43,7 +38,7 @@ def random_uplink(seed, num_users=K, num_receive=N):
         for _ in range(num_users)
     ]
     gains, angles = zip(*users)
-    h_up, _ = user_channels(PathSet([gains], [angles]), [sel], GEOM)
+    h_up, _ = user_channels(PathSet([gains], [angles]), [sel])
     return sel, h_up[0]
 
 
@@ -340,8 +335,6 @@ def test_snr_loss_rejects_degenerate_paths():
                    (0.3, 0.5, np.nan, 0.0, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             loss_inputs(*angles)
-    with pytest.raises(ValueError, match="spacing"):
-        SnrLossInputs(0.3, 0.5, 0.4, 0.0, 1.0, N, np.nan)
 
 
 @settings(max_examples=200, deadline=None)
@@ -360,18 +353,17 @@ def test_snr_loss_bounded_and_consistent(t1, dt, ts, phi1, phi2):
     assert closed == pytest.approx(numeric, rel=1e-8, abs=1e-10)
 
 
-def two_paths(theta1, theta2, phi, sel, geom):
+def two_paths(theta1, theta2, phi, sel):
     """The N-element uplink of unit gains at theta1 and theta2, the second
     turned by phase phi."""
     return uplink_channel(PathSet(np.array([1.0, np.exp(1j * phi)]),
-                                  np.array([theta1, theta2])), sel, geom)
+                                  np.array([theta1, theta2])), sel)
 
 
 def test_composite_angle_between_paths_for_equal_phases():
     sel = make_selection("successive", 256, 32)
-    geom = ArrayGeometry(256)
     t1, t2 = np.deg2rad(51.3), np.deg2rad(54.3)
-    comp = composite_angle(two_paths(t1, t2, 0.0, sel, geom), sel, geom)
+    comp = composite_angle(two_paths(t1, t2, 0.0, sel), sel)
     assert t1 < comp < t2
     # frozen reference from a dense steering sweep of this configuration
     assert np.degrees(comp) == pytest.approx(52.77457, abs=2e-3)
@@ -380,19 +372,18 @@ def test_composite_angle_between_paths_for_equal_phases():
 def test_composite_angle_symmetric_paths():
     # paths inside one resolution cell merge into a broadside beam
     sel = make_selection("successive", 256, 32)
-    geom = ArrayGeometry(256)
     h = uplink_channel(PathSet(np.exp(0.5j) * np.ones(2),
-                               np.deg2rad([-1.0, 1.0])), sel, geom)
-    comp = composite_angle(h, sel, geom)
+                               np.deg2rad([-1.0, 1.0])), sel)
+    comp = composite_angle(h, sel)
     assert abs(np.degrees(comp)) < 0.05
 
 
 def test_steered_response_peak_aligns_with_single_path():
     sel = make_selection("successive", M, N)
     paths = PathSet(np.array([1.0 + 0j]), np.array([np.deg2rad(20.0)]))
-    h = uplink_channel(paths, sel, GEOM)
+    h = uplink_channel(paths, sel)
     grid = np.linspace(-1.0, 1.0, 2001)
-    resp = _steered_response(h, sel, GEOM, grid)
+    resp = _steered_response(h, sel, grid)
     assert grid[np.argmax(resp)] == pytest.approx(np.sin(np.deg2rad(20.0)),
                                                   abs=2e-3)
 
@@ -400,34 +391,30 @@ def test_steered_response_peak_aligns_with_single_path():
 def test_resolved_path_count_merged_vs_split():
     # equal phases merge into one beam; opposite-quadrature phases split
     sel = make_selection("successive", 256, 32)
-    geom = ArrayGeometry(256)
     t1, t2 = np.deg2rad(51.315), np.deg2rad(54.285)
     w_mid = 0.5 * (np.sin(t1) + np.sin(t2))
     merged = PathSet(np.array([1.0, 1.0]), np.array([t1, t2]))
-    h = uplink_channel(merged, sel, geom)
-    assert resolved_path_count(h, sel, geom, w_mid) == 1
+    h = uplink_channel(merged, sel)
+    assert resolved_path_count(h, sel, w_mid) == 1
     split = PathSet(np.array([1.0, np.exp(1.5j * np.pi)]), np.array([t1, t2]))
-    h2 = uplink_channel(split, sel, geom)
-    assert resolved_path_count(h2, sel, geom, w_mid) == 2
+    h2 = uplink_channel(split, sel)
+    assert resolved_path_count(h2, sel, w_mid) == 2
 
 
-@pytest.mark.parametrize("spacing", (0.5, 0.4))
-def test_snr_loss_scans_take_their_phase_matrices_prebuilt(spacing):
+def test_snr_loss_scans_take_their_phase_matrices_prebuilt():
     # a sweep builds the first composite-angle grid and the peak window
     # once; each channel's scans must give the bits of building them itself
     sel = make_selection("successive", 64, 16)
-    geom = ArrayGeometry(64, spacing)
     t1, t2 = np.deg2rad(20.0), np.deg2rad(24.0)
     w_mid = 0.5 * (np.sin(t1) + np.sin(t2))
-    coarse = _scan_phases(sel, geom)
-    window = _scan_phases(sel, geom, w_mid)
+    coarse = _scan_phases(sel)
+    window = _scan_phases(sel, w_mid)
     assert coarse.shape == window.shape == (16, 16 * 64)
     for phi in np.linspace(0.0, 2.0 * np.pi, 7):
-        h = two_paths(t1, t2, phi, sel, geom)
-        assert composite_angle(h, sel, geom, coarse) == (
-            composite_angle(h, sel, geom))
-        assert resolved_path_count(h, sel, geom, w_mid, window) == (
-            resolved_path_count(h, sel, geom, w_mid))
+        h = two_paths(t1, t2, phi, sel)
+        assert composite_angle(h, sel, coarse) == composite_angle(h, sel)
+        assert resolved_path_count(h, sel, w_mid, window) == (
+            resolved_path_count(h, sel, w_mid))
 
 
 @settings(max_examples=300, deadline=None)
@@ -452,31 +439,28 @@ def test_peak_rule_counts_as_scipy_find_peaks(values, scale, height,
 @given(
     m=st.sampled_from([16, 32, 64, 128, 256]),
     n=st.sampled_from([4, 8, 16, 32]),
-    spacing=st.sampled_from([0.25, 0.4, 0.5]),
     theta1=st.floats(-1.5, 1.5),
     gap=st.floats(0.05, 2.0),
     phi=st.floats(0.0, 2.0 * np.pi),
 )
-def test_composite_angle_zoom_matches_bounded_brent(m, n, spacing, theta1,
-                                                    gap, phi):
+def test_composite_angle_zoom_matches_bounded_brent(m, n, theta1, gap, phi):
     # the grid zoom against SciPy's bounded Brent search at xatol 1e-7 on
     # the same bracket; a periodogram value may trail Brent's by rounding
     optimize = pytest.importorskip("scipy.optimize")
     n = min(n, m)
     sel = make_selection("successive", m, n)
-    geom = ArrayGeometry(m, spacing)
     w1 = np.sin(theta1)
-    w2 = w1 + gap / (n * spacing) * (1.0 if w1 < 0 else -1.0)
+    w2 = w1 + gap / (n * SPACING) * (1.0 if w1 < 0 else -1.0)
     theta2 = float(np.arcsin(np.clip(w2, -1.0, 1.0)))
-    h = two_paths(theta1, theta2, phi, sel, geom)
+    h = two_paths(theta1, theta2, phi, sel)
     grid = np.linspace(-1.0, 1.0, 16 * m)
-    best = grid[np.argmax(_steered_response(h, sel, geom, grid))]
+    best = grid[np.argmax(_steered_response(h, sel, grid))]
     step = grid[1] - grid[0]
     brent = optimize.minimize_scalar(
-        lambda w: -_steered_response(h, sel, geom, w)[0],
+        lambda w: -_steered_response(h, sel, w)[0],
         bounds=(max(-1.0, best - step), min(1.0, best + step)),
         method="bounded", options={"xatol": 1e-7}).x
-    w_zoom = np.sin(composite_angle(h, sel, geom))
+    w_zoom = np.sin(composite_angle(h, sel))
     assert abs(w_zoom - brent) <= 1e-7
-    zoom_value, brent_value = _steered_response(h, sel, geom, [w_zoom, brent])
+    zoom_value, brent_value = _steered_response(h, sel, [w_zoom, brent])
     assert zoom_value >= brent_value * (1.0 - 1e-13)
