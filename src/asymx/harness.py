@@ -31,18 +31,22 @@ byte-identical CSV.
 With ``workers`` > 1 and at least two chunks, ``_in_processes`` splits
 the chunk list into min(workers, chunks, usable cores) contiguous shares.
 The calling process walks share 0 itself, and each other share runs in a
-child forked for it, which sends its samples back through a one-way pipe;
-the caller takes them in share order, so the samples stay in trial order
-and the chunk split cannot move a byte either.  A fork copies the
-pipeline's inputs, so nothing is pickled but the samples, and no run
-starts a thread.  With one worker, one chunk, one usable core or no
-``fork`` start method the chunks run one after another in one plain loop
-on the calling process, and ``multiprocessing`` is not imported.
+child that ``os.fork`` makes for it, which pickles its samples into a
+one-way pipe and exits; the caller reads each child's pipe to its end in
+share order, so the samples stay in trial order and the chunk split
+cannot move a byte either.  A fork copies the pipeline's inputs, so
+nothing is pickled but the samples, and no run starts a thread.  With
+one worker, one chunk, one usable core or no ``os.fork`` the chunks run
+one after another in one plain loop on the calling process.  No path
+imports ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -468,50 +472,70 @@ def _in_processes(walk, chunks: list[range], workers: int) -> list[dict]:
     """``walk`` over every chunk, in order, on up to ``workers`` processes,
     and never more than the cores this process may run on.
 
-    Share sizes differ by at most one chunk.  A child's exception is raised
-    here, and a child that exits without sending raises a RuntimeError
-    naming its exit code.  Every child is joined before this returns or
-    raises; one still running when the caller fails is terminated first.
+    Share sizes differ by at most one chunk.  Each child is forked with
+    ``os.fork`` and sends one pickled message through its own pipe, which
+    the caller reads to its end and unpickles only once the child is
+    reaped.  A child's exception is raised here, and a child that exits
+    without a whole message raises a RuntimeError naming its exit code,
+    negative for a signal.  Every child is reaped before this returns or
+    raises; one still running when the caller fails gets SIGTERM first.
     """
     count = min(workers, len(chunks), _usable_cores())
-    if count < 2:
+    if count < 2 or not hasattr(os, "fork"):
         return walk(chunks)
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return walk(chunks)
-    context = multiprocessing.get_context("fork")
     shares = [chunks[i * len(chunks) // count:(i + 1) * len(chunks) // count]
               for i in range(count)]
-    children = []
+    children: dict[int, int] = {}  # each unreaped child's pid: its reader
     try:
         for share in shares[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_send_walk,
-                                    args=(walk, share, sender))
-            child.start()
-            sender.close()  # the child holds the only writer left
-            children.append((child, receiver))
-        samples = walk(shares[0])
-        for child, receiver in children:
+            _flush_std_streams()
+            reader, writer = os.pipe()
             try:
-                done, value = receiver.recv()
-            except EOFError:
-                child.join()
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:  # the child, which never leaves this block
+                code = 1
+                try:
+                    os.close(reader)
+                    try:
+                        message = (True, walk(share))
+                    except Exception as exc:
+                        message = (False, exc)
+                    with open(writer, "wb") as pipe:
+                        pipe.write(pickle.dumps(message))
+                    code = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    _flush_std_streams()
+                    os._exit(code)
+            os.close(writer)  # the child holds the only writer left
+            children[pid] = reader
+        samples = walk(shares[0])
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code != 0 or not data:
                 raise RuntimeError(
-                    f"worker process {child.pid} exited with code "
-                    f"{child.exitcode} before sending its samples") from None
+                    f"worker process {pid} exited with code {code} "
+                    f"before sending its samples")
+            done, value = pickle.loads(data)
             if not done:
                 raise value
             samples += value
     except BaseException:
-        for child, _ in children:
-            child.terminate()
+        for pid in children:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for child, receiver in children:
-            receiver.close()
-            child.join()
+        for pid, reader in children.items():
+            os.close(reader)
+            os.waitpid(pid, 0)
     return samples
 
 
@@ -523,14 +547,15 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _send_walk(walk, share: list[range], sender) -> None:
-    """A forked child: send ``(True, samples)`` of its share to the caller,
-    or ``(False, exception)`` if walking it raised."""
-    try:
-        message = (True, walk(share))
-    except Exception as exc:
-        message = (False, exc)
-    sender.send(message)
+def _flush_std_streams() -> None:
+    """Flush stdout and stderr: before a fork, so that the child does not
+    copy and write again text still buffered, and in the child before it
+    exits, so that its own text is not lost."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # None, or closed
+            pass
 
 
 def _run_transfer_nmse(cfg: ExperimentConfig) -> ExperimentResult:

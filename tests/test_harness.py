@@ -1,8 +1,9 @@
 """Experiment harness: config checks, seeding, determinism, CSV, CLI."""
 
-import multiprocessing
+import io
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -189,6 +190,30 @@ def test_no_experiment_imports_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n") == ["False", "[]", ""]
+
+
+def test_no_run_imports_multiprocessing():
+    # the pool forks its children with os.fork, so neither a serial nor a
+    # pooled ee run pays for importing multiprocessing
+    src = Path(harness.__file__).parents[1]
+    script = (
+        "import os, sys\n"
+        "import asymx.harness as harness\n"
+        "from asymx.config import ExperimentConfig\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+        "harness._usable_cores = lambda: 2\n"
+        "harness._CHUNK_ENTRIES = 1\n"
+        "for workers in (1, 2):\n"
+        "    harness.run(ExperimentConfig(\n"
+        "        'ee', num_transmit=32, num_receive=(8,), num_users=2,\n"
+        "        snr_db=(10.0,), trials=2, workers=workers))\n"
+        "print(len(forks), 'multiprocessing' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 False\n"
 
 
 # ---------------------------------------------------------------- seeding
@@ -565,6 +590,12 @@ def pool_config(workers):
                 trials=5, workers=workers)
 
 
+def assert_no_child_left():
+    """No child of this process is left, running or zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def chunk_failing_at(monkeypatch, trial, fail):
     """One-trial chunks; the chunk of ``trial`` calls ``fail`` instead."""
     chunk = harness._chunk
@@ -595,27 +626,26 @@ def test_workers_fork_one_process_per_share(monkeypatch, tmp_path):
     assert pids[0] == os.getpid()
     assert pids[1] == pids[2] and pids[3] == pids[4]
     assert len({pids[0], pids[1], pids[3]}) == 3
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert run(pool_config(1)).csv_text() == pooled
 
 
 def test_workers_never_outnumber_usable_cores(monkeypatch):
     # 64 workers over five 1-trial chunks on 2 usable cores: two shares,
     # so one forked child
-    process = multiprocessing.get_context("fork").Process
-    start, started = process.start, []
+    fork, forks = os.fork, []
 
-    def counting(child):
-        started.append(child)
-        start(child)
+    def counting():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(process, "start", counting)
+    monkeypatch.setattr(os, "fork", counting)
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
     pooled = run(pool_config(64)).csv_text()
-    assert len(started) == 1
+    assert forks == [os.getpid()]
     assert pooled == run(pool_config(1)).csv_text()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_usable_cores_fall_back_to_the_cpu_count(monkeypatch):
@@ -642,7 +672,7 @@ def test_shares_come_back_in_trial_order(workers):
     sizes = [len(share) for share in shares.values()]
     assert len(sizes) == min(workers, 5) and max(sizes) - min(sizes) <= 1
     assert walked[0][1] == os.getpid()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("trial", [0, 2, 4])
@@ -656,20 +686,61 @@ def test_failing_chunk_raises_in_the_caller(monkeypatch, trial):
         run(pool_config(3))
     assert type(caught.value) is LookupError
     assert str(caught.value) == f"no sample for trial {trial}"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
-def test_worker_that_exits_unsent_names_its_exit_code(monkeypatch):
+def raise_unpicklable():
+    raise LookupError(lambda: None)
+
+
+@pytest.mark.parametrize("die, code", [
+    (lambda: os._exit(7), 7),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -9),
+    # the child cannot pickle its exception, so it sends nothing
+    (raise_unpicklable, 1)], ids=["exit", "sigkill", "unpicklable"])
+def test_worker_that_exits_unsent_names_its_exit_code(monkeypatch, die,
+                                                      code):
     caller = os.getpid()
 
     def exit_child():
         if os.getpid() != caller:
-            os._exit(7)
+            die()
 
     chunk_failing_at(monkeypatch, 4, exit_child)
-    with pytest.raises(RuntimeError, match="exited with code 7 before"):
+    with pytest.raises(RuntimeError, match=f"exited with code {code} before"):
         run(pool_config(3))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_forks_write_the_callers_text_once_and_keep_the_childrens(
+        monkeypatch, capfd):
+    # a buffered stdout: text the caller has not flushed before a fork
+    # would be written again by every child, and a child that exits
+    # without flushing loses its own
+    stdout = io.TextIOWrapper(open(1, "wb", closefd=False), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    caller, chunk = os.getpid(), harness._chunk
+
+    def printing(cfg, setups, pilots, trials):
+        if os.getpid() != caller:
+            print(f"a child walks trial {trials.start}")
+        return chunk(cfg, setups, pilots, trials)
+
+    monkeypatch.setattr(harness, "_chunk", printing)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+    print("the caller's text", end="")
+    run(pool_config(3))
+    stdout.flush()
+    out = capfd.readouterr().out
+    assert out.count("the caller's text") == 1
+    assert "a child walks trial 4\n" in out
+
+
+def test_run_is_serial_without_os_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    walked = harness._in_processes(
+        lambda share: [os.getpid() for _ in share], [range(1)] * 4, 3)
+    assert walked == [os.getpid()] * 4
 
 
 RECIPE_DIR = Path(harness.__file__).parent / "recipes"
