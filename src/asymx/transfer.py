@@ -23,12 +23,15 @@ w-derivative multiplies e by p.  A path is refined against its observation
 y, the residual with this path added back, through the three correlations
 u_k = sum_n conj(y_n) p_n^k e_n(w), k = 0, 1, 2: they give the
 least-squares gain, the fit error and both w-derivatives of the fit error,
-so a Newton round needs no residual.  p, [1, p, p^2] and the scatter
-offsets are built once per selection, not once per call.  Only
-``_matched_filter`` scatters an N-vector onto the M-element aperture:
-one zero-padded FFT scores every oversampled bin.  The entries repeat in w
-with period 1/d, so bins and Newton steps land on [-1/(2d), 1/(2d)), which
-is [-1, 1) at the half-wavelength spacing d = ``arrays.SPACING``.
+so a Newton round needs no residual.  While one path is held its
+observation is h itself, so no residual is formed until the second path,
+and the gain re-fit of one or two paths takes a closed form.  p,
+[1, p, p^2] and the scatter offsets are built once per selection, not
+once per call.  Only ``_matched_filter`` scatters an N-vector onto the
+M-element aperture: one zero-padded FFT scores every oversampled bin.  The
+entries repeat in w with period 1/d, so bins and Newton steps land on
+[-1/(2d), 1/(2d)), which is [-1, 1) at the half-wavelength spacing
+d = ``arrays.SPACING``.
 
 Both stop against the same energy threshold N/rho_tau: the expected noise
 energy left in an N-element LS estimate.  Both take their estimate through
@@ -44,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arrays import SPACING, AntennaSelection, _is_count
-from .channel import _phase_slope, steering_downlink
+from .channel import _downlink_slopes, _phase_slope, steering_downlink
 # Unused here, but benchmarks/tracer.py wraps asymx.transfer.steering_masked.
 from .channel import steering_masked  # noqa: F401
 
@@ -159,25 +162,43 @@ def _bin_to_spatial_freq(bins: np.ndarray | int, size: int
     """Map FFT bin index b of a ``size``-point grid over one period to
     spatial frequency w = b/(d*size), wrapped onto [-1/(2d), 1/(2d)).
 
-    One expression serves a Python int (mNOMP's one bin, a float back) and
-    an index array (DFT's kept bins); subtracting 0.0 leaves w unchanged.
+    One expression serves a Python int (each bin either kernel keeps, a
+    float back) and an index array, with the same bits per bin;
+    subtracting 0.0 leaves w unchanged.
     """
     w = _PERIOD * bins / size
     return w - _PERIOD * (w >= 0.5 * _PERIOD)
 
 
-def _find_peaks(scores: np.ndarray) -> np.ndarray:
-    """Indices of circular local maxima of |scores|, strongest first.
+def _strongest_peaks(scores: np.ndarray, energy: float, num_receive: int,
+                     config: TransferConfig) -> tuple[list[int], float, bool]:
+    """DFT's kept bins: circular local maxima of |scores|, strongest first.
 
     A bin is a peak when its magnitude is >= both circular neighbours (so a
-    constant vector is all peaks).  Ties in magnitude break toward the lower
-    bin index.
+    constant vector is all peaks).  The walk takes one ``argmax`` per kept
+    peak over the magnitudes, with every non-peak and every peak already
+    taken set to -1; ``argmax`` returns the first maximum, so ties in
+    magnitude go to the lower bin.  It stops once the unexplained energy
+    ``energy - explained`` falls to the threshold, where explained sums
+    N |score|^2 over the kept bins, at ``max_paths``, or when no peak is
+    left.  Returns (kept bins, explained, truncated): truncated is False
+    only for the threshold stop.
     """
-    mags = np.abs(np.asarray(scores))
+    mags = np.abs(scores)
     ring = np.concatenate((mags[-1:], mags, mags[:1]))
-    idx = np.flatnonzero((mags >= ring[:-2]) & (mags >= ring[2:]))
-    # a stable sort keeps equal magnitudes in ascending bin order
-    return idx[np.argsort(-mags[idx], kind="stable")]
+    mags[(mags < ring[:-2]) | (mags < ring[2:])] = -1.0
+    explained = 0.0
+    kept: list[int] = []
+    while len(kept) < config.max_paths:
+        bin_index = int(mags.argmax())
+        if mags[bin_index] < 0.0:
+            break
+        mags[bin_index] = -1.0
+        kept.append(bin_index)
+        explained += num_receive * float(np.abs(scores[bin_index]) ** 2)
+        if energy - explained <= config.threshold:
+            return kept, explained, False
+    return kept, explained, True
 
 
 def dft_transfer(
@@ -187,36 +208,28 @@ def dft_transfer(
 ) -> TransferResult:
     """Rebuild the downlink channel from the strongest DFT peaks.
 
-    Accumulates peaks in descending magnitude until the unexplained energy
-    ||h||^2 - sum_i N |score_i|^2 drops to the threshold, then maps bins to
-    spatial frequencies and sums steering vectors with the de-conjugated
-    gains.  The subtraction treats the kept bins as orthogonal, which
-    oversampled bins are not, so this stopping quantity (returned as
-    ``residual_energy``) is not ||h - reconstruction||^2 and can be far
-    below zero; it is the rule of the reproduced algorithm and is kept.
+    Accumulates peaks in descending magnitude (``_strongest_peaks``) until
+    the unexplained energy ||h||^2 - sum_i N |score_i|^2 drops to the
+    threshold, then maps bins to spatial frequencies and sums steering
+    vectors with the de-conjugated gains.  The subtraction treats the kept
+    bins as orthogonal, which oversampled bins are not, so this stopping
+    quantity (returned as ``residual_energy``) is not
+    ||h - reconstruction||^2 and can be far below zero; it is the rule of
+    the reproduced algorithm and is kept.
+
+    The rebuild keeps ``steering_downlink`` and its two square-root scales
+    as they are: where aliased comb paths cancel, the downlink's entries
+    are rounding residue, and any other grouping of the scales moves them.
     """
     h_up, energy = _checked_estimate(h_up_est, selection)
-    num_receive = selection.num_receive
     scores = _matched_filter(h_up, selection.indices - 1,
                              selection.num_transmit, config.oversampling)
-    peak_bins = _find_peaks(scores)
-
-    explained = 0.0
-    kept: list[int] = []
-    truncated = True
-    for bin_index in peak_bins:
-        kept.append(int(bin_index))
-        explained += num_receive * float(np.abs(scores[bin_index]) ** 2)
-        if energy - explained <= config.threshold:
-            truncated = False
-            break
-        if len(kept) >= config.max_paths:
-            break
-
+    kept, explained, truncated = _strongest_peaks(scores, energy,
+                                                  selection.num_receive,
+                                                  config)
     count = len(kept)
-    raw = scores[kept]
-    gains = np.sqrt(count) * np.conj(raw)
-    freqs = _bin_to_spatial_freq(np.asarray(kept), scores.size)
+    gains = np.sqrt(count) * np.conj(scores[kept])
+    freqs = np.array([_bin_to_spatial_freq(b, scores.size) for b in kept])
     basis = steering_downlink(selection.num_transmit, freqs)
     downlink = np.sqrt(selection.num_transmit / count) * (basis @ gains)
     return TransferResult(
@@ -239,10 +252,14 @@ def mnomp_transfer(
     refine it (``newton_rounds`` steps), cyclically re-refine every path
     found so far (``cyclic_rounds`` passes), then re-fit all gains jointly
     with a ridge least squares and recompute the residual.  Stops when the
-    residual energy falls below the threshold or max_paths is hit.
+    residual energy falls below the threshold or max_paths is hit.  With
+    one path held, every refine takes h itself as the observation, and the
+    first residual is the refit's.
 
     A path of gain g at w contributes g * e(w), with the unnormalised
-    steering e(w) = exp(p * w) = sqrt(N) a_S(w) and |e_n| = 1.
+    steering e(w) = exp(p * w) = sqrt(N) a_S(w) and |e_n| = 1.  The
+    downlink is the same sum over all M elements, exp(outer(P, w)) @ g with
+    the M element slopes P.
     """
     h_up, energy = _checked_estimate(h_up_est, selection)
     offsets, pos, weights = _slope_terms(selection.indices.tobytes())
@@ -258,37 +275,45 @@ def mnomp_transfer(
     while energy >= config.threshold and len(gains) < config.max_paths:
         scores = _matched_filter(residual, offsets, selection.num_transmit,
                                  config.oversampling)
-        best = int(np.argmax(np.abs(scores)))  # ties go to the lower bin
+        best = int(np.abs(scores).argmax())  # ties go to the lower bin
         w0 = _bin_to_spatial_freq(best, scores.size)
         # scores live in the conjugate domain
         gain0 = complex(scores[best]).conjugate()
-        # the residual before this path is taken out is its observation
+        # the residual before this path is taken out is its observation;
+        # for the first path that is h itself
         gain, w, steer, _ = _refine(residual, gain0, w0, np.exp(pos * w0),
                                     pos, weights, rounds)
-        residual = residual - gain * steer
         gains.append(gain)
         freqs.append(w)
         steers.append(steer)
 
-        for _ in range(config.cyclic_rounds):
-            for i in range(len(gains)):
-                observation = residual + gains[i] * steers[i]
-                gains[i], freqs[i], steers[i], moved = _refine(
-                    observation, gains[i], freqs[i], steers[i], pos, weights,
-                    rounds,
-                )
-                if moved:
-                    residual = observation - gains[i] * steers[i]
+        if len(gains) == 1:
+            # one path held: h itself is its observation, and the refit
+            # below forms the first residual
+            for _ in range(config.cyclic_rounds):
+                gains[0], freqs[0], steers[0], _ = _refine(
+                    h_up, gains[0], freqs[0], steers[0], pos, weights, rounds)
+        else:
+            residual = residual - gain * steer
+            for _ in range(config.cyclic_rounds):
+                for i in range(len(gains)):
+                    observation = residual + gains[i] * steers[i]
+                    gains[i], freqs[i], steers[i], moved = _refine(
+                        observation, gains[i], freqs[i], steers[i], pos,
+                        weights, rounds,
+                    )
+                    if moved:
+                        residual = observation - gains[i] * steers[i]
 
         gains, residual = _refit(steers, h_up, ridge)
         energy = float(np.vdot(residual, residual).real)
 
     freqs_arr = np.asarray(freqs, dtype=float)
     gains_arr = np.asarray(gains, dtype=complex)
-    # no path found: an M x 0 basis times no gains is the zero vector
-    downlink = np.sqrt(selection.num_transmit) * (
-        steering_downlink(selection.num_transmit, freqs_arr) @ gains_arr
-    )
+    # g * e(w) on all M elements; no path found: an M x 0 basis times no
+    # gains is the zero vector
+    downlink = np.exp(np.multiply.outer(
+        _downlink_slopes(selection.num_transmit), freqs_arr)) @ gains_arr
     return TransferResult(
         gains=gains_arr,
         spatial_freqs=freqs_arr,
@@ -357,8 +382,9 @@ def _refine(
     """Refine one path against its observation, all other paths removed.
 
     ``observation`` is y, the residual with this path's g * e(w) added
-    back; ``steer`` is e(w) = exp(p * w) with p = ``pos``, and ``weights``
-    is conj([1, p, p^2]).  Each round takes a Newton step in w from
+    back, which is h itself while this is the only path; ``steer`` is
+    e(w) = exp(p * w) with p = ``pos``, and ``weights`` is
+    conj([1, p, p^2]).  Each round takes a Newton step in w from
     ``_path_derivatives`` followed by the least-squares gain
     g' = conj(u_0') / N, exact since |e'|^2 = N.  A step is committed only
     when the curvature is positive and the fit error does not grow; the
@@ -413,12 +439,32 @@ def _refit(steers: list[np.ndarray], h_up: np.ndarray, ridge: float
     with steering columns E = ``steers``, and the residual h - E g.
 
     One path takes the closed form g = vdot(e, h) / (N + ridge), as
-    |e|^2 = N; more paths solve the system.
+    |e|^2 = N.  Two paths invert the 2 x 2 Gram [[a, c], [conj(c), b]]
+    through its determinant det = a b - |c|^2, with c = vdot(e_1, e_2) and
+    a, b the measured |e_i|^2 + ridge: then two equal paths without a ridge
+    give det <= 0 in floating point too, and raise ``LinAlgError`` as a
+    singular ``np.linalg.solve`` does.  More paths solve the system.
     """
     if len(steers) == 1:
         steer = steers[0]
         gain = complex(np.vdot(steer, h_up)) / (steer.size + ridge)
         return [gain], h_up - gain * steer
+    if len(steers) == 2:
+        first, second = steers
+        diag_first = float(np.vdot(first, first).real) + ridge
+        diag_second = float(np.vdot(second, second).real) + ridge
+        cross = complex(np.vdot(first, second))
+        det = diag_first * diag_second - (cross.real * cross.real
+                                          + cross.imag * cross.imag)
+        if det <= 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        proj_first = complex(np.vdot(first, h_up))
+        proj_second = complex(np.vdot(second, h_up))
+        gain_first = (diag_second * proj_first - cross * proj_second) / det
+        gain_second = (diag_first * proj_second
+                       - cross.conjugate() * proj_first) / det
+        return ([gain_first, gain_second],
+                h_up - gain_first * first - gain_second * second)
     basis = np.stack(steers, axis=1)
     adjoint = basis.conj().T
     gram = adjoint @ basis + ridge * np.eye(len(steers))

@@ -18,13 +18,13 @@ from asymx.transfer import (
     _SLOPE_CACHE_SIZE,
     TransferConfig,
     _bin_to_spatial_freq,
-    _find_peaks,
     _fit_error,
     _matched_filter,
     _path_derivatives,
     _refine,
     _refit,
     _slope_terms,
+    _strongest_peaks,
     default_threshold,
     dft_transfer,
     mnomp_transfer,
@@ -193,15 +193,31 @@ def test_bin_to_spatial_freq_wraps():
     assert _bin_to_spatial_freq(4, 8) == pytest.approx(-1.0)
 
 
-def test_find_peaks_circular_and_sorted():
-    assert _find_peaks(np.array([0.0, 3.0, 1.0, 2.0])).tolist() == [1, 3]
+def peak_walk(values):
+    """Every peak the DFT walk takes from ``values``, strongest first: no
+    energy rule and no ``max_paths`` stop before the peaks run out."""
+    config = TransferConfig(1, 1.0, max_paths=len(values))
+    kept, _, truncated = _strongest_peaks(np.array(values), np.inf, 1, config)
+    assert truncated
+    return kept
+
+
+def test_strongest_peaks_circular_and_sorted():
+    assert peak_walk([0.0, 3.0, 1.0, 2.0]) == [1, 3]
     # circular: the last bin beats its wrap-around neighbour
-    assert _find_peaks(np.array([1.0, 0.0, 0.0, 5.0])).tolist() == [3]
+    assert peak_walk([1.0, 0.0, 0.0, 5.0]) == [3]
     # plateaus are non-strict peaks; magnitude ties break to lower index
-    assert _find_peaks(np.array([2.0, 2.0, 1.0, 1.5])).tolist() == [0, 1]
-    assert _find_peaks(np.array([7.0])).tolist() == [0]
+    assert peak_walk([2.0, 2.0, 1.0, 1.5]) == [0, 1]
+    assert peak_walk([7.0]) == [0]
     # complex scores are ranked by magnitude
-    assert _find_peaks(np.array([1.0, -3.0j, 0.5, 2.0])).tolist() == [1, 3]
+    assert peak_walk([1.0, -3.0j, 0.5, 2.0]) == [1, 3]
+    # the peaks run out with 20 - (9 + 4) still above the threshold 1,
+    # well before max_paths: the exit is truncated; at 13.5 the energy
+    # rule holds on the last peak
+    scores = np.array([0.0, 3.0, 1.0, 2.0])
+    config = TransferConfig(1, 1.0)
+    assert _strongest_peaks(scores, 20.0, 1, config) == ([1, 3], 13.0, True)
+    assert _strongest_peaks(scores, 13.5, 1, config) == ([1, 3], 13.0, False)
 
 
 # ---------------------------------------------------------- DFT transfer
@@ -422,19 +438,53 @@ def test_observation_form_matches_residual_form(num_receive, stride, kind,
         np.vdot(steer, obs) / num_receive, rel=1e-10,
         abs=1e-10 * scale / num_receive)
 
-    # a one-path ridge refit takes the closed form
+    # one- and two-path ridge refits take closed forms; they must match
+    # the solve of the stacked ridge Gram (E^H E + ridge I) g = E^H y
     ridge = num_receive * regularizer
-    gains, left = _refit([steer], obs, ridge)
-    solved = np.linalg.solve(
-        np.array([[np.vdot(steer, steer) + ridge]]),
-        np.array([np.vdot(steer, obs)]))
-    assert gains == pytest.approx(solved.tolist(), rel=1e-12)
-    # at N = 1 the path fits y up to the ridge, so the residual is
-    # ridge / (1 + ridge) * y plus a rounding of a few eps * |y|, which
-    # outweighs rtol once the ridge is below about 1e-4
-    slack = 4.0 * np.finfo(float).eps * np.max(np.abs(obs))
-    assert np.allclose(left, obs - solved[0] * steer, rtol=1e-12,
-                       atol=slack if num_receive == 1 else 0.0)
+    # at N = 1 any two paths are parallel, so one path only; else the
+    # second is the least aligned with e of eight draws, which keeps the
+    # Gram well conditioned
+    paths = [steer]
+    if num_receive > 1:
+        draws = np.exp(np.multiply.outer(rng.uniform(-2.0, 2.0, 8), pos))
+        paths.append(draws[np.argmin(np.abs(draws.conj() @ steer))])
+    for count in range(1, len(paths) + 1):
+        basis = np.stack(paths[:count], axis=1)
+        adjoint = basis.conj().T
+        solved = np.linalg.solve(adjoint @ basis + ridge * np.eye(count),
+                                 adjoint @ obs)
+        gains, left = _refit(paths[:count], obs, ridge)
+        assert gains == pytest.approx(solved.tolist(), rel=1e-12)
+        # at N = count the paths fit y up to the ridge, so the residual is
+        # of the ridge's size plus a rounding of a few eps * |y|, which
+        # outweighs rtol once the ridge is below about 1e-4
+        slack = 4.0 * np.finfo(float).eps * np.max(np.abs(obs))
+        assert np.allclose(left, obs - basis @ solved, rtol=1e-12,
+                           atol=slack if num_receive == count else 0.0)
+    # two equal paths without a ridge leave the Gram singular, as solve
+    # reports it: neither a division by zero nor inf gains; e(0) is all
+    # ones, where the Gram's entries are exact
+    for equal in (steer, np.ones(num_receive, dtype=complex)):
+        with pytest.raises(np.linalg.LinAlgError):
+            _refit([equal, equal], obs, 0.0)
+
+
+def test_closed_form_refits_never_solve(monkeypatch):
+    # one and two paths have closed forms; a later edit must not route
+    # them back through np.linalg.solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    rng = np.random.default_rng(31)
+    pos, _ = slope_terms(pinned_random(31))
+    steers = list(np.exp(np.multiply.outer(rng.uniform(-1.0, 1.0, 3), pos)))
+    obs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for count in (1, 2):
+        gains, _ = _refit(steers[:count], obs, N * 1e-4)
+        assert len(gains) == count
+    with pytest.raises(AssertionError, match="solve called"):
+        _refit(steers, obs, N * 1e-4)
 
 
 def test_slope_terms_follow_the_indices_not_the_selection():
