@@ -159,6 +159,9 @@ class ExperimentConfig:
         if self.pinned_random and "random" in self.selection:
             _require(min(self.num_receive) >= 2, "num_receive",
                      "pinned random selection needs entries >= 2")
+        # on one element the two snr-loss paths can cancel, a 0/0 loss
+        _require(self.experiment != "snr-loss" or min(self.num_receive) >= 2,
+                 "num_receive", "snr-loss needs entries >= 2")
         # zero forcing inverts the K x K Gram matrix of an N-antenna channel:
         # in detection, and in precoding for the N-antenna full digital BS
         zf_on_n = (

@@ -10,8 +10,8 @@ path parameters from the uplink estimate.  Two estimators are provided:
 * ``mnomp_transfer`` - Newtonized orthogonal matching pursuit (NOMP;
   Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016): greedy single-path
   detection on the oversampled grid, Newton refinement of each path's
-  spatial frequency, cyclic re-refinement of all paths, and a regularized
-  least-squares gain re-fit per iteration.
+  spatial frequency, cyclic re-refinement of all paths, and a ridge
+  least-squares gain re-fit per iteration, with one fixed ridge ``_RIDGE``.
 
 Both work on N-element vectors of one ``AntennaSelection``, which also
 gives the M of the rebuilt downlink.  Selected element a_n carries the
@@ -59,6 +59,9 @@ _OVERSAMPLING = {"dft": 8, "mnomp": 4}
 # wrapped onto [-_PERIOD/2, _PERIOD/2).
 _PERIOD = 1.0 / SPACING
 
+# mNOMP's gain re-fit ridge lambda on the unit-norm a_S (see ``_refit``)
+_RIDGE = 1e-4
+
 # Selections whose slope terms mNOMP keeps.  The harness transfers every
 # user and SNR of one trial's selection in a row, so a handful suffices.
 _SLOPE_CACHE_SIZE = 32
@@ -70,8 +73,7 @@ class TransferConfig:
 
     ``oversampling`` is the DFT zoom factor (grid of M * oversampling bins);
     ``threshold`` the stopping energy; ``newton_rounds``/``cyclic_rounds``
-    the per-path and whole-set refinement passes of the Newtonized variant;
-    ``regularizer`` the ridge term of its gain re-fit.
+    the per-path and whole-set refinement passes of the Newtonized variant.
     """
 
     oversampling: int
@@ -79,7 +81,6 @@ class TransferConfig:
     newton_rounds: int = 2
     cyclic_rounds: int = 2
     max_paths: int = 10
-    regularizer: float = 1e-4
 
     def __post_init__(self) -> None:
         for name in ("oversampling", "newton_rounds", "cyclic_rounds",
@@ -94,8 +95,6 @@ class TransferConfig:
             raise ValueError("refinement rounds must be non-negative")
         if self.max_paths < 1:
             raise ValueError("max_paths must be positive")
-        if not 0.0 <= self.regularizer < math.inf:
-            raise ValueError("regularizer must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -263,9 +262,6 @@ def mnomp_transfer(
     """
     h_up, energy = _checked_estimate(h_up_est, selection)
     offsets, pos, weights = _slope_terms(selection.indices.tobytes())
-    # the basis E has columns e(w_i), N times the Gram of the unit-norm
-    # a_S(w_i), so (E^H E + N lambda I) g = E^H h is the ridge of a_S
-    ridge = selection.num_receive * config.regularizer
     rounds = config.newton_rounds
 
     gains: list[complex] = []
@@ -305,7 +301,7 @@ def mnomp_transfer(
                     if moved:
                         residual = observation - gains[i] * steers[i]
 
-        gains, residual = _refit(steers, h_up, ridge)
+        gains, residual = _refit(steers, h_up)
         energy = float(np.vdot(residual, residual).real)
 
     freqs_arr = np.asarray(freqs, dtype=float)
@@ -433,18 +429,22 @@ def _refine(
     return gain, w, steer, moved
 
 
-def _refit(steers: list[np.ndarray], h_up: np.ndarray, ridge: float
+def _refit(steers: list[np.ndarray], h_up: np.ndarray
            ) -> tuple[list[complex], np.ndarray]:
-    """Ridge least-squares gains (E^H E + ridge I) g = E^H h of the paths
+    """Ridge least-squares gains (E^H E + N lambda I) g = E^H h of the paths
     with steering columns E = ``steers``, and the residual h - E g.
 
-    One path takes the closed form g = vdot(e, h) / (N + ridge), as
+    E^H E is N times the Gram of the unit-norm a_S(w_i), so lambda =
+    ``_RIDGE`` is the ridge of a_S.  Every eigenvalue of the system is at
+    least N lambda > 0: no set of paths, equal ones included, is singular.
+    One path takes the closed form g = vdot(e, h) / (N + N lambda), as
     |e|^2 = N.  Two paths invert the 2 x 2 Gram [[a, c], [conj(c), b]]
     through its determinant det = a b - |c|^2, with c = vdot(e_1, e_2) and
-    a, b the measured |e_i|^2 + ridge: then two equal paths without a ridge
-    give det <= 0 in floating point too, and raise ``LinAlgError`` as a
-    singular ``np.linalg.solve`` does.  More paths solve the system.
+    a, b the measured |e_i|^2 + N lambda, so det >= N lambda (a + b -
+    N lambda), about 2 lambda a b: far above rounding.  More paths solve
+    the system.
     """
+    ridge = h_up.size * _RIDGE
     if len(steers) == 1:
         steer = steers[0]
         gain = complex(np.vdot(steer, h_up)) / (steer.size + ridge)
@@ -456,8 +456,6 @@ def _refit(steers: list[np.ndarray], h_up: np.ndarray, ridge: float
         cross = complex(np.vdot(first, second))
         det = diag_first * diag_second - (cross.real * cross.real
                                           + cross.imag * cross.imag)
-        if det <= 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
         proj_first = complex(np.vdot(first, h_up))
         proj_second = complex(np.vdot(second, h_up))
         gain_first = (diag_second * proj_first - cross * proj_second) / det

@@ -55,19 +55,22 @@ def some(values):
 @st.composite
 def config_values(draw) -> dict:
     """Valid values for every ExperimentConfig field."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
     num_transmit = draw(st.integers(2, 512))
     selection = draw(some(SELECTION_KINDS))
     pinned_random = draw(st.booleans())
-    receive = [n for n in range(1, num_transmit + 1)
-               if ("comb" not in selection or num_transmit % n == 0)
-               and (n >= 2 or not pinned_random or "random" not in selection)]
+    # pinned random selection and snr-loss need N >= 2
+    least = 2 if (pinned_random and "random" in selection
+                  or experiment == "snr-loss") else 1
+    receive = [n for n in range(least, num_transmit + 1)
+               if "comb" not in selection or num_transmit % n == 0]
     num_receive = draw(some(receive))
     paths_per_user = draw(st.integers(1, 6))
     weights = draw(st.none() | st.lists(floats(0.01, 1.0),
                                         min_size=paths_per_user,
                                         max_size=paths_per_user))
     values = dict(
-        experiment=draw(st.sampled_from(EXPERIMENTS)),
+        experiment=experiment,
         num_transmit=num_transmit,
         num_receive=num_receive,
         # within the zero-forcing rank limit of every experiment

@@ -167,6 +167,20 @@ def test_cli_rejects_selections_that_cannot_be_built(
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cli_rejects_snr_loss_on_one_element(tmp_path, capsys):
+    # on one element the two unit paths cancel at phase pi: the closed
+    # loss read 0/0 = nan and no peak was counted at any phase
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = snr-loss\nnum_transmit = 8\n"
+                   "num_receive = 1\nphase_points = 5\n")
+    code = cli_main(["snr-loss", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "config.num_receive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    run(tiny("snr-loss", num_transmit=8, num_receive=(2,)))
+
+
 def test_no_experiment_imports_scipy():
     # NumPy is the only runtime dependency: every experiment, snr-loss
     # included, runs without loading SciPy.  numpy.random, too, loads only

@@ -1,5 +1,7 @@
 """Uplink-to-downlink channel transfer: DFT peaks and Newtonized pursuit."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from asymx.channel import (
 import asymx.transfer
 from asymx.downlink import nmse
 from asymx.transfer import (
+    _RIDGE,
     _SLOPE_CACHE_SIZE,
     TransferConfig,
     _bin_to_spatial_freq,
@@ -97,14 +100,10 @@ def test_config_validation():
         TransferConfig(4, 1.0, newton_rounds=-1)
     with pytest.raises(ValueError):
         TransferConfig(4, 1.0, max_paths=0)
-    with pytest.raises(ValueError):
-        TransferConfig(4, 1.0, regularizer=-1e-6)
     # a NaN threshold made mNOMP stop at once and report convergence
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             TransferConfig(4, bad)
-        with pytest.raises(ValueError):
-            TransferConfig(4, 1.0, regularizer=bad)
     # a fractional count reached np.fft.fft or range() as a TypeError
     for name in ("oversampling", "newton_rounds", "cyclic_rounds",
                  "max_paths"):
@@ -114,6 +113,15 @@ def test_config_validation():
     counts = TransferConfig(np.int64(4), 1.0, newton_rounds=np.int32(2),
                             cyclic_rounds=np.uint8(1), max_paths=np.int64(3))
     assert counts.oversampling == 4 and counts.max_paths == 3
+
+
+def test_ridge_is_a_positive_constant_not_an_option():
+    # a zero ridge left equal paths with a singular Gram; the ridge is one
+    # positive constant, and no config can set another
+    assert _RIDGE > 0.0
+    assert "regularizer" not in {f.name for f in fields(TransferConfig)}
+    with pytest.raises(TypeError, match="regularizer"):
+        TransferConfig(4, 1.0, regularizer=1e-4)
 
 
 def test_default_threshold_is_noise_energy():
@@ -397,10 +405,9 @@ def test_refine_wraps_onto_the_period():
        kind=st.sampled_from(SELECTION_KINDS),
        gain=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                                allow_nan=False, allow_infinity=False),
-       w=st.floats(-2.0, 2.0), regularizer=st.floats(0.0, 1e-2),
-       seed=st.integers(0, 2**32 - 1))
+       w=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
 def test_observation_form_matches_residual_form(num_receive, stride, kind,
-                                                gain, w, regularizer, seed):
+                                                gain, w, seed):
     # _refine reads a path's fit and its w-derivatives from the three
     # correlations of the observation y with [1, p, p^2] e, where the
     # residual form reads them from r = y - g e.  Each difference is judged
@@ -440,7 +447,7 @@ def test_observation_form_matches_residual_form(num_receive, stride, kind,
 
     # one- and two-path ridge refits take closed forms; they must match
     # the solve of the stacked ridge Gram (E^H E + ridge I) g = E^H y
-    ridge = num_receive * regularizer
+    ridge = num_receive * _RIDGE
     # at N = 1 any two paths are parallel, so one path only; else the
     # second is the least aligned with e of eight draws, which keeps the
     # Gram well conditioned
@@ -453,20 +460,28 @@ def test_observation_form_matches_residual_form(num_receive, stride, kind,
         adjoint = basis.conj().T
         solved = np.linalg.solve(adjoint @ basis + ridge * np.eye(count),
                                  adjoint @ obs)
-        gains, left = _refit(paths[:count], obs, ridge)
+        gains, left = _refit(paths[:count], obs)
         assert gains == pytest.approx(solved.tolist(), rel=1e-12)
         # at N = count the paths fit y up to the ridge, so the residual is
         # of the ridge's size plus a rounding of a few eps * |y|, which
-        # outweighs rtol once the ridge is below about 1e-4
+        # rtol alone does not cover
         slack = 4.0 * np.finfo(float).eps * np.max(np.abs(obs))
         assert np.allclose(left, obs - basis @ solved, rtol=1e-12,
                            atol=slack if num_receive == count else 0.0)
-    # two equal paths without a ridge leave the Gram singular, as solve
-    # reports it: neither a division by zero nor inf gains; e(0) is all
-    # ones, where the Gram's entries are exact
+    # equal paths, two in closed form and three through solve, leave the
+    # ridge Gram invertible: finite gains, the solve's.  The Gram of k equal
+    # columns has condition number 1 + k / _RIDGE, about 3e4, which bounds
+    # how far the two forms part.  e(0) is all ones, where the Gram's
+    # entries are exact.
     for equal in (steer, np.ones(num_receive, dtype=complex)):
-        with pytest.raises(np.linalg.LinAlgError):
-            _refit([equal, equal], obs, 0.0)
+        for count in (2, 3):
+            basis = np.stack([equal] * count, axis=1)
+            adjoint = basis.conj().T
+            solved = np.linalg.solve(adjoint @ basis + ridge * np.eye(count),
+                                     adjoint @ obs)
+            gains, _ = _refit([equal] * count, obs)
+            assert np.all(np.isfinite(gains))
+            assert gains == pytest.approx(solved.tolist(), rel=1e-9)
 
 
 def test_closed_form_refits_never_solve(monkeypatch):
@@ -481,10 +496,10 @@ def test_closed_form_refits_never_solve(monkeypatch):
     obs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for count in (1, 2):
-        gains, _ = _refit(steers[:count], obs, N * 1e-4)
+        gains, _ = _refit(steers[:count], obs)
         assert len(gains) == count
     with pytest.raises(AssertionError, match="solve called"):
-        _refit(steers, obs, N * 1e-4)
+        _refit(steers, obs)
 
 
 def test_slope_terms_follow_the_indices_not_the_selection():
@@ -531,11 +546,14 @@ def test_noiseless_on_grid_path_recovered_exactly(data, algorithm, kind,
                                                   num_receive, magnitude,
                                                   phase, seed):
     # without noise, one path on a bin of the kernel's own grid is found
-    # alone, at its frequency, and rebuilds the downlink to rounding; mNOMP
-    # runs without the ridge term, whose 1/(1 + 1e-4) shrinkage of the
-    # refit gain would leave energy over the threshold.  Comb selection is
-    # left out: its grating lobes alias the bin.  The grid spans one period
-    # 1/d of the steering phase; only its bins with |w| <= 1 are angles.
+    # alone, at its frequency, and rebuilds the downlink to rounding.
+    # mNOMP's ridge refit shrinks the gain to g / (1 + _RIDGE) exactly, so
+    # its downlink is h_dn / (1 + _RIDGE), and it leaves the energy
+    # N |g|^2 (_RIDGE / (1 + _RIDGE))^2, at most 2.9e-6 here: the
+    # threshold 1e-4 stays 1600 times below the least path energy N |g|^2,
+    # 0.16.  Comb selection is left out: its grating lobes alias the bin.
+    # The grid spans one period 1/d of the steering phase; only its bins
+    # with |w| <= 1 are angles.
     kernel, oversampling = {"dft": (dft_transfer, 8),
                             "mnomp": (mnomp_transfer, 4)}[algorithm]
     size = M * oversampling
@@ -545,10 +563,11 @@ def test_noiseless_on_grid_path_recovered_exactly(data, algorithm, kind,
     paths = PathSet(np.array([magnitude * np.exp(1j * phase)]),
                     np.array([np.arcsin(w)]))
     h_up, h_dn = channel_pair(paths, sel)
-    res = kernel(h_up, sel,
-                 TransferConfig(oversampling, 1e-6, regularizer=0.0))
+    res = kernel(h_up, sel, TransferConfig(oversampling, 1e-4))
     assert res.paths_found == 1
     assert abs(res.spatial_freqs[0] - w) <= 1e-12
+    if algorithm == "mnomp":
+        h_dn = h_dn / (1.0 + _RIDGE)
     assert np.max(np.abs(res.downlink_estimate - h_dn)) <= 1e-12
 
 
