@@ -7,7 +7,10 @@ Subcommands map one-to-one onto experiment types.  The config file is a
 flat key=value recipe; when the path does not exist on disk the name is
 resolved against the recipes bundled with the package, so
 ``asymx transfer-nmse --config transfer_nmse.cfg`` works from anywhere.
-Without --config the experiment runs with library defaults.  Exit status
+Without --config the experiment runs with library defaults, but for
+``workers``: where the recipe, includes counted, sets none, a run spreads
+its chunks of trials over every usable core.  A recipe's ``workers`` still
+wins, and the library's default stays 1.  Exit status
 is 0 on success, 2 for config problems and 1 for runtime failures.
 """
 
@@ -26,7 +29,7 @@ from .config import (
     config_from_values,
     load_config_values,
 )
-from .harness import run
+from .harness import _usable_cores, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +83,8 @@ def main(argv: list[str] | None = None) -> int:
             values["master_seed"] = str(args.seed)
         if args.trials is not None:
             values["trials"] = str(args.trials)
+        # the library's default stays 1, so run() forks only when asked
+        values.setdefault("workers", str(_usable_cores()))
         result = run(config_from_values(values))
         out_path = result.write_csv(args.out)
     except ConfigError as exc:

@@ -6,7 +6,8 @@ path parameters from the uplink estimate.  Two estimators are provided:
 
 * ``dft_transfer``  - score the estimate on an oversampled DFT grid,
   keep descending peaks until the energy they leave unexplained falls under
-  a noise threshold, and rebuild the downlink channel from the kept bins.
+  a noise threshold, and rebuild the downlink channel from the kept bins,
+  whose steering vectors come from one cached table per grid.
 * ``mnomp_transfer`` - Newtonized orthogonal matching pursuit (NOMP;
   Mamandipoor, Ramasamy and Madhow, IEEE TSP 2016): greedy single-path
   detection on the oversampled grid, Newton refinement of each path's
@@ -65,6 +66,12 @@ _RIDGE = 1e-4
 # Selections whose slope terms mNOMP keeps.  The harness transfers every
 # user and SNR of one trial's selection in a row, so a handful suffices.
 _SLOPE_CACHE_SIZE = 32
+
+# DFT grids whose steering tables are kept, and the bins of one block of a
+# table's build.  A run uses one grid per M, (128, 1024) for the bundled
+# recipes: a 2 MB table, built through 64 kB temporaries.
+_GRID_CACHE_SIZE = 4
+_GRID_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -161,9 +168,9 @@ def _bin_to_spatial_freq(bins: np.ndarray | int, size: int
     """Map FFT bin index b of a ``size``-point grid over one period to
     spatial frequency w = b/(d*size), wrapped onto [-1/(2d), 1/(2d)).
 
-    One expression serves a Python int (each bin either kernel keeps, a
-    float back) and an index array, with the same bits per bin;
-    subtracting 0.0 leaves w unchanged.
+    One expression serves a Python int (each bin mNOMP detects, a float
+    back) and an index array (DFT's whole grid), with the same bits per
+    bin; subtracting 0.0 leaves w unchanged.
     """
     w = _PERIOD * bins / size
     return w - _PERIOD * (w >= 0.5 * _PERIOD)
@@ -219,6 +226,11 @@ def dft_transfer(
     The rebuild keeps ``steering_downlink`` and its two square-root scales
     as they are: where aliased comb paths cancel, the downlink's entries
     are rounding residue, and any other grouping of the scales moves them.
+    Its frequencies and columns are gathered from the grid's tables
+    (``_bin_steering``), so no call evaluates an exponential.  The basis
+    is made C-contiguous, the layout of one built by ``steering_downlink``:
+    a strided one sends the product down another BLAS path, which moves
+    the downlink's bits.
     """
     h_up, energy = _checked_estimate(h_up_est, selection)
     scores = _matched_filter(h_up, selection.indices - 1,
@@ -228,8 +240,9 @@ def dft_transfer(
                                                   config)
     count = len(kept)
     gains = np.sqrt(count) * np.conj(scores[kept])
-    freqs = np.array([_bin_to_spatial_freq(b, scores.size) for b in kept])
-    basis = steering_downlink(selection.num_transmit, freqs)
+    grid, table = _bin_steering(selection.num_transmit, scores.size)
+    freqs = grid[kept]
+    basis = np.ascontiguousarray(table[:, kept])
     downlink = np.sqrt(selection.num_transmit / count) * (basis @ gains)
     return TransferResult(
         gains=gains,
@@ -238,6 +251,29 @@ def dft_transfer(
         residual_energy=energy - explained,
         truncated=truncated,
     )
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _bin_steering(num_transmit: int, size: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (w, table) of a ``size``-point grid on M elements: the
+    spatial frequency w_b of every bin b (``_bin_to_spatial_freq``), and
+    the M x ``size`` table whose column b is ``steering_downlink(M, w_b)``.
+
+    Both are built on the grid's first DFT call, the table ``_GRID_BLOCK``
+    bins at a time, so the build holds the table and one block's
+    temporaries, never a second table; each column holds the numbers of a
+    call at its own frequency.
+    """
+    grid = _bin_to_spatial_freq(np.arange(size), size)
+    table = np.empty((num_transmit, size), dtype=complex)
+    for start in range(0, size, _GRID_BLOCK):
+        stop = min(start + _GRID_BLOCK, size)
+        table[:, start:stop] = steering_downlink(num_transmit,
+                                                 grid[start:stop])
+    grid.flags.writeable = False
+    table.flags.writeable = False
+    return grid, table
 
 
 def mnomp_transfer(
@@ -251,9 +287,15 @@ def mnomp_transfer(
     refine it (``newton_rounds`` steps), cyclically re-refine every path
     found so far (``cyclic_rounds`` passes), then re-fit all gains jointly
     with a ridge least squares and recompute the residual.  Stops when the
-    residual energy falls below the threshold or max_paths is hit.  With
-    one path held, every refine takes h itself as the observation, and the
-    first residual is the refit's.
+    residual energy falls below the threshold or max_paths is hit.
+
+    The first path's observation is h itself, in its new-path refine and
+    in every cyclic pass, so these run as one refine of
+    ``newton_rounds * (1 + cyclic_rounds)`` rounds, and the first residual
+    is the refit's.  That keeps every bit of the chained refines: each
+    would restart from the rows, correlations and fit error the previous
+    one ended on, and a step one rejected (or one stopped on by
+    ``d2 <= 0``), the next would stop on again at once.
 
     A path of gain g at w contributes g * e(w), with the unnormalised
     steering e(w) = exp(p * w) = sqrt(N) a_S(w) and |e_n| = 1.  The
@@ -263,6 +305,7 @@ def mnomp_transfer(
     h_up, energy = _checked_estimate(h_up_est, selection)
     offsets, pos, weights = _slope_terms(selection.indices.tobytes())
     rounds = config.newton_rounds
+    held_rounds = rounds * (1 + config.cyclic_rounds)
 
     gains: list[complex] = []
     freqs: list[float] = []
@@ -276,20 +319,15 @@ def mnomp_transfer(
         # scores live in the conjugate domain
         gain0 = complex(scores[best]).conjugate()
         # the residual before this path is taken out is its observation;
-        # for the first path that is h itself
+        # for the first path that is h itself, through its cyclic passes too
         gain, w, steer, _ = _refine(residual, gain0, w0, np.exp(pos * w0),
-                                    pos, weights, rounds)
+                                    pos, weights,
+                                    rounds if gains else held_rounds)
         gains.append(gain)
         freqs.append(w)
         steers.append(steer)
 
-        if len(gains) == 1:
-            # one path held: h itself is its observation, and the refit
-            # below forms the first residual
-            for _ in range(config.cyclic_rounds):
-                gains[0], freqs[0], steers[0], _ = _refine(
-                    h_up, gains[0], freqs[0], steers[0], pos, weights, rounds)
-        else:
+        if len(gains) > 1:
             residual = residual - gain * steer
             for _ in range(config.cyclic_rounds):
                 for i in range(len(gains)):

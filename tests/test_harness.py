@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import asymx.cli
 import asymx.harness as harness
+import asymx.cli as cli
 from asymx.cli import main as cli_main
 from asymx.cli import resolve_config
 from asymx.config import (
@@ -1023,6 +1024,40 @@ def test_cli_seed_and_trials_override(tmp_path):
     text_b = (out_b / "transfer_nmse.csv").read_text()
     assert text_a != text_b  # seed changes the draw
     assert text_a.splitlines()[1].split(",")[-1] == "2"  # trials applied
+
+
+def test_cli_runs_on_the_usable_cores_unless_the_recipe_sets_workers(
+        monkeypatch, tmp_path):
+    # three 1-trial chunks: with no workers the CLI forks
+    # min(chunks, cores) - 1 children, and a recipe's workers = 1, set in
+    # it or in a file it includes, forks none; every run writes one text
+    fork, forks = os.fork, []
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+    (tmp_path / "serial.cfg").write_text("workers = 1\n")
+    recipe = tmp_path / "t.cfg"
+    base = ("experiment = transfer-nmse\nnum_transmit = 32\n"
+            "num_receive = 8\nnum_users = 2\nsnr_db = 10\ntrials = 3\n")
+    texts = set()
+    for cores, lines, children in ((2, "", 1), (4, "", 2),
+                                   (4, "workers = 1\n", 0),
+                                   (4, "include serial.cfg\n", 0)):
+        monkeypatch.setattr(cli, "_usable_cores", lambda n=cores: n)
+        monkeypatch.setattr(harness, "_usable_cores", lambda n=cores: n)
+        recipe.write_text(base + lines)
+        forks.clear()
+        out = tmp_path / f"{cores}-{len(lines)}"
+        assert cli_main(["transfer-nmse", "--config", str(recipe),
+                         "--out", str(out)]) == 0
+        assert len(forks) == children
+        assert_no_child_left()
+        texts.add((out / "transfer_nmse.csv").read_text())
+    assert len(texts) == 1
 
 
 def test_cli_missing_config_fails_with_diagnostic(tmp_path, capsys):

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from asymx.arrays import SELECTION_KINDS, SPACING
 from asymx.channel import (
     PathSet,
+    _downlink_slopes,
     downlink_channel,
+    steering_downlink,
     steering_uplink,
     uplink_channel,
 )
+import asymx.channel
 import asymx.transfer
 from asymx.downlink import nmse
 from asymx.transfer import (
     _RIDGE,
     _SLOPE_CACHE_SIZE,
     TransferConfig,
+    _bin_steering,
     _bin_to_spatial_freq,
     _fit_error,
     _matched_filter,
@@ -86,6 +90,13 @@ def refine(residual, gain, w, sel, rounds):
     gain, w, steer, moved = _refine(obs, gain, w, steer, pos, weights,
                                     rounds)
     return gain, w, obs - gain * steer if moved else residual
+
+
+def same_bits(got, want):
+    """Every value of ``got`` has the bytes of its counterpart in ``want``."""
+    return len(got) == len(want) and all(
+        np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for x, y in zip(got, want))
 
 
 # ------------------------------------------------------------- plumbing
@@ -295,6 +306,61 @@ def test_dft_respects_threshold_bookkeeping():
     assert res.residual_energy == pytest.approx(energy - explained, rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", SELECTION_KINDS)
+def test_dft_rebuild_gathers_the_grid_table(kind):
+    # the downlink is sqrt(M / count) (steering_downlink(M, w) @ g) at the
+    # kept bins' frequencies, bit for bit.  Paths sit on the first wrapped
+    # bin (w = 1/(2d) before the wrap), on the last bin and off the grid;
+    # on the comb their aliases tie, and the lower bin is kept.
+    size = 8 * M
+    rng = np.random.default_rng(41)
+    sel = make_selection(kind, M, N, rng)
+    pos, _ = slope_terms(sel)
+    grid = _bin_to_spatial_freq(np.arange(size), size)
+    wrapped, last = grid[size // 2], grid[-1]
+    assert (wrapped, last) == (-HALF_PERIOD, -2.0 * HALF_PERIOD / size)
+    kept = set()
+    for _ in range(12):
+        freqs = [wrapped, last, rng.uniform(-HALF_PERIOD, HALF_PERIOD)]
+        gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        h_up = (np.exp(np.multiply.outer(pos, freqs)) @ gains
+                + 0.1 * (rng.standard_normal(N) + 1j * rng.standard_normal(N)))
+        res = dft_transfer(h_up, sel, TransferConfig(8, 1e-3))
+        want = np.sqrt(M / res.paths_found) * (
+            steering_downlink(M, res.spatial_freqs) @ res.gains)
+        assert same_bits((res.downlink_estimate,), (want,))
+        # every frequency is a grid bin's, in an array of the result's own
+        assert np.all(np.isin(res.spatial_freqs, grid))
+        assert not np.shares_memory(res.spatial_freqs,
+                                    _bin_steering(M, size)[0])
+        kept.update(res.spatial_freqs.tolist())
+    if kind != "comb":
+        assert {wrapped, last} <= kept
+
+
+def test_grid_table_one_entry_per_grid():
+    # one table per (M, grid size), shared by every selection and call of
+    # that grid; a column holds the bits of a call at its own frequency,
+    # wrapped bins and the last bin included (that it is read-only is
+    # test_every_cached_array_is_read_only)
+    _bin_steering.cache_clear()
+    rng = np.random.default_rng(43)
+    for num_transmit in (64, 128, 64):
+        for kind in SELECTION_KINDS:
+            sel = make_selection(kind, num_transmit, 16, rng)
+            h_up = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            dft_transfer(h_up, sel, TransferConfig(8, 1.0))
+    info = _bin_steering.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+    size = 8 * M
+    grid, table = _bin_steering(M, size)
+    assert (grid.shape, table.shape) == ((size,), (M, size))
+    for bin_index in (0, 1, size // 2 - 1, size // 2, size - 1):
+        w = _bin_to_spatial_freq(bin_index, size)
+        assert same_bits((grid[bin_index], table[:, bin_index]),
+                         (w, steering_downlink(M, w)))
+
+
 # --------------------------------------------------------- mNOMP pieces
 
 
@@ -398,6 +464,120 @@ def test_refine_wraps_onto_the_period():
     assert -half <= w < half
     assert abs(w - w_true) < 1e-6
     assert float(np.vdot(resid, resid).real) < 1e-8
+
+
+def chained_refines(obs, path, pos, weights, newton_rounds, cyclic_rounds):
+    """A first path refined as ``mnomp_transfer`` did before one held refine:
+    its new-path refine, then ``cyclic_rounds`` refines, every one of
+    ``newton_rounds`` against the same observation."""
+    path = _refine(obs, *path, pos, weights, newton_rounds)[:3]
+    for _ in range(cyclic_rounds):
+        path = _refine(obs, *path, pos, weights, newton_rounds)[:3]
+    return path
+
+
+def held_refine(obs, path, pos, weights, newton_rounds, cyclic_rounds):
+    return _refine(obs, *path, pos, weights,
+                   newton_rounds * (1 + cyclic_rounds))[:3]
+
+
+def refine_case(seed):
+    """An observation of 1 to 3 paths and noise on a random selection, and
+    a start inside its first path's main lobe at the least-squares gain."""
+    rng = np.random.default_rng(seed)
+    num_receive = int(rng.integers(4, 33))
+    sel = make_selection("random", M, num_receive, rng)
+    pos, weights = slope_terms(sel)
+    count = int(rng.integers(1, 4))
+    freqs = rng.uniform(-1.0, 1.0, count)
+    gains = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    obs = (np.exp(np.multiply.outer(pos, freqs)) @ gains
+           + 0.3 * (rng.standard_normal(num_receive)
+                    + 1j * rng.standard_normal(num_receive)))
+    w = float(freqs[0] + rng.uniform(-1.0, 1.0) * 2.0 / num_receive)
+    steer = np.exp(pos * w)
+    start = (complex(np.vdot(steer, obs)) / num_receive, w, steer)
+    return obs, start, pos, weights
+
+
+def refine_stop(obs, path, pos, weights, rounds):
+    """(why a refine of ``rounds`` from ``path`` ends, steps it accepted):
+    on d2 <= 0, on a rejected step, or with its rounds spent."""
+    for accepted in range(rounds):
+        _, u1, u2 = np.vecdot(weights * obs, path[2]).tolist()
+        if _path_derivatives(path[0], u1, u2)[1] <= 0.0:
+            return "curvature", accepted
+        *step, moved = _refine(obs, *path, pos, weights, 1)
+        if not moved:
+            return "rejected", accepted
+        path = tuple(step)
+    return "rounds", rounds
+
+
+@pytest.mark.parametrize("seed, stop", [
+    (117, ("rejected", 0)), (3173, ("rejected", 1)), (5132, ("rejected", 2)),
+    (12, ("curvature", 0)), (702, ("curvature", 1)),
+    (1341, ("curvature", 2)),
+])
+@pytest.mark.parametrize("newton_rounds, cyclic_rounds",
+                         [(1, 3), (2, 1), (4, 2)])
+def test_held_refine_stops_where_the_chain_stops(seed, stop, newton_rounds,
+                                                 cyclic_rounds):
+    # a step rejected near the optimum, or a start or step with d2 <= 0,
+    # ends the refine holding it; the chain's next refine starts from the
+    # same state and stops at once, so both end on the same bits
+    obs, start, pos, weights = refine_case(seed)
+    assert refine_stop(obs, start, pos, weights, 4) == stop
+    assert same_bits(
+        held_refine(obs, start, pos, weights, newton_rounds, cyclic_rounds),
+        chained_refines(obs, start, pos, weights, newton_rounds,
+                        cyclic_rounds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_receive=st.integers(1, 32), stride=st.integers(1, 4),
+       kind=st.sampled_from(SELECTION_KINDS),
+       w=st.floats(-HALF_PERIOD, HALF_PERIOD, exclude_max=True),
+       gain=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                               allow_nan=False, allow_infinity=False),
+       snr_db=st.floats(-10.0, 40.0), newton_rounds=st.integers(0, 4),
+       cyclic_rounds=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_one_held_refine_equals_chained_refines(num_receive, stride, kind, w,
+                                                gain, snr_db, newton_rounds,
+                                                cyclic_rounds, seed):
+    # mNOMP refines its first path against h itself, in its new-path
+    # refine and in every cyclic pass: one refine of all their rounds ends
+    # on the bits of the three-call chain, from the strongest bin as from
+    # a start off it, and mnomp_transfer's one-path result is the chain's
+    # path refitted
+    rng = np.random.default_rng(seed)
+    sel = make_selection(kind, num_receive * stride, num_receive, rng)
+    offsets, pos, weights = _slope_terms(sel.indices.tobytes())
+    noise = np.sqrt(abs(gain) ** 2 / 10.0 ** (snr_db / 10.0) / 2.0)
+    h_up = gain * np.exp(pos * w) + noise * (
+        rng.standard_normal(num_receive)
+        + 1j * rng.standard_normal(num_receive))
+    scores = _matched_filter(h_up, offsets, sel.num_transmit, 4)
+    best = int(np.abs(scores).argmax())
+    w0 = _bin_to_spatial_freq(best, scores.size)
+    detected = (complex(scores[best]).conjugate(), w0, np.exp(pos * w0))
+    w1 = float(rng.uniform(-HALF_PERIOD, HALF_PERIOD))
+    off_bin = (gain, w1, np.exp(pos * w1))
+    for start in (off_bin, detected):
+        chained = chained_refines(h_up, start, pos, weights, newton_rounds,
+                                  cyclic_rounds)
+        assert same_bits(held_refine(h_up, start, pos, weights,
+                                     newton_rounds, cyclic_rounds), chained)
+
+    # the detected start's chain, refitted, is mnomp_transfer's one path
+    _, w_path, steer_path = chained
+    res = mnomp_transfer(h_up, sel, TransferConfig(
+        4, 1e-12, newton_rounds=newton_rounds, cyclic_rounds=cyclic_rounds,
+        max_paths=1))
+    gains, residual = _refit([steer_path], h_up)
+    assert same_bits(
+        (res.gains, res.spatial_freqs, res.residual_energy),
+        (gains, [w_path], float(np.vdot(residual, residual).real)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -531,6 +711,24 @@ def test_slope_terms_follow_the_indices_not_the_selection():
     for array in _slope_terms(sel.indices.tobytes()):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_every_cached_array_is_read_only():
+    # a cache hands the same arrays to every later call, so a caller that
+    # wrote into one would corrupt them all; a new cache joins this list
+    cached = {f"{module.__name__}.{name}"
+              for module in (asymx.transfer, asymx.channel)
+              for name, value in vars(module).items()
+              if hasattr(value, "cache_info")
+              and value.__module__ == module.__name__}
+    assert cached == {"asymx.transfer._slope_terms",
+                      "asymx.transfer._bin_steering",
+                      "asymx.channel._downlink_slopes"}
+    arrays = [*_slope_terms(pinned_random(47).indices.tobytes()),
+              _downlink_slopes(M), *_bin_steering(M, 8 * M)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
 
 
 # ------------------------------------------------------- mNOMP end to end
